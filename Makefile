@@ -17,9 +17,10 @@
 #                     + golangci-lint when installed (CI always runs it)
 #   make race       - full test suite under the race detector (CI job)
 #   make faults     - fault-model suite under -race: cachefs fault
-#                     injection, the rescache crash/claim protocol
-#                     tests, and the exp panic/watchdog/keep-going and
-#                     SIGKILL-recovery tests (CI job)
+#                     injection, the rescache crash/corruption tests,
+#                     and the exp panic/watchdog/keep-going,
+#                     SIGKILL-recovery and concurrent-cache-handle
+#                     tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
 #                     result-cache reader, and the event kernel vs its
 #                     heap oracle (CI job)
@@ -83,13 +84,14 @@ race:
 	$(GO) test -race ./...
 
 # Fault-model suite under the race detector: the cachefs injector's own
-# tests, the rescache crash/corruption/claim-liveness protocol tests
-# (including the SIGKILL kill-recovery test in internal/exp), and the
-# exp panic-isolation, watchdog, and keep-going tests. This is the
-# "nothing wedges, nothing lies" gate — see README "Failure model".
+# tests, the rescache crash/corruption/concurrent-Put tests, and in
+# internal/exp the SIGKILL kill-recovery test, the two-handle concurrent
+# runner test (duplicate work, never a wrong result), and the
+# panic-isolation, watchdog, and keep-going tests. This is the "nothing
+# wedges, nothing lies" gate — see README "Failure model".
 faults:
 	$(GO) test -race -count=1 ./internal/cachefs ./internal/rescache
-	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS' ./internal/exp
+	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS|ConcurrentHandles' ./internal/exp
 
 # Short fuzz pass over the byte-level readers and the event kernel: a
 # malformed trace must never panic the simulator, an arbitrary cache

@@ -28,13 +28,6 @@ func benchMixes() []Mix {
 	return TableIMixes()[:n]
 }
 
-// benchRunner builds a fresh memoizing runner at the test scale; each
-// figure benchmark measures the cost of regenerating that figure's rows
-// from scratch.
-func benchRunner() *Runner {
-	return NewRunner(TestConfig(), benchMixes(), 0)
-}
-
 func reportTable(b *testing.B, tbl *stats.Table, err error) {
 	b.Helper()
 	if err != nil {
@@ -56,132 +49,39 @@ func BenchmarkTableI(b *testing.B) {
 
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl := benchRunner().TableII()
+		tbl := NewRunner(TestConfig(), benchMixes(), 0).TableII()
 		reportTable(b, tbl, nil)
 	}
 }
 
-func BenchmarkFig8(b *testing.B) {
+// benchFigure regenerates one registered figure from a cold in-memory
+// memo (no persistent cache) at the given worker count (<= 0 selects
+// GOMAXPROCS).
+func benchFigure(b *testing.B, name string, workers int) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig8()
+		tbl, err := NewRunner(TestConfig(), benchMixes(), workers).Figure(name)
 		reportTable(b, tbl, err)
 	}
 }
 
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig9()
-		reportTable(b, tbl, err)
-	}
-}
+// BenchmarkFig8 is the guarded whole-evaluation benchmark (make
+// bench-json, BENCH_controller.json).
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8", 0) }
 
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig10()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig11()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig12()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig13()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig14()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig15()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig16()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig17(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig17()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig18()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().Fig19()
-		reportTable(b, tbl, err)
+// BenchmarkFigures runs every registered figure and extension study
+// (exp.FigureNames) as a sub-benchmark, e.g. BenchmarkFigures/fig11.
+func BenchmarkFigures(b *testing.B) {
+	for _, name := range exp.FigureNames() {
+		b.Run(name, func(b *testing.B) { benchFigure(b, name, 0) })
 	}
 }
 
 // --- Parallel experiment engine (make bench-parallel) ---
 
-// benchFig8J regenerates Fig. 8 from a cold in-memory memo (no
-// persistent cache) at a fixed worker count; the J1/J8 pair recorded in
-// BENCH_parallel.json is the parallel engine's speedup measurement.
-func benchFig8J(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := NewRunner(TestConfig(), benchMixes(), workers).Fig8()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkFig8J1(b *testing.B) { benchFig8J(b, 1) }
-func BenchmarkFig8J8(b *testing.B) { benchFig8J(b, 8) }
-
-// --- Extension studies (paper prose claims; see internal/exp) ---
-
-func BenchmarkExtTWTRSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().TWTRSweep()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkExtSchedulerStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().SchedulerStudy()
-		reportTable(b, tbl, err)
-	}
-}
-
-func BenchmarkExtBEARStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner().BEARStudy()
-		reportTable(b, tbl, err)
-	}
-}
+// The J1/J8 pair recorded in BENCH_parallel.json is the parallel
+// engine's speedup measurement: cold Fig. 8 at a fixed worker count.
+func BenchmarkFig8J1(b *testing.B) { benchFigure(b, "fig8", 1) }
+func BenchmarkFig8J8(b *testing.B) { benchFigure(b, "fig8", 8) }
 
 // --- Ablations called out in DESIGN.md ---
 

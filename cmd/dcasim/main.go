@@ -323,7 +323,7 @@ func runSweep(args []string) {
 			log.Fatal(err)
 		}
 	}
-	tbl, runner, err := exp.RunSweepOpts(spec, exp.SweepOpts{
+	tbl, runner, err := exp.RunSweep(spec, exp.SweepOpts{
 		Workers:    *workers,
 		Cache:      cache,
 		Progress:   exp.StderrProgress(),

@@ -144,20 +144,15 @@ type SweepSpec = exp.SweepSpec
 // LoadSweep reads and validates a sweep spec file.
 func LoadSweep(path string) (SweepSpec, error) { return exp.LoadSweep(path) }
 
-// RunSweep evaluates a sweep spec over a bounded worker pool (workers
-// must be >= 1; output is byte-identical at every worker count); cache
-// may be nil, and an optional progress observer receives per-run events.
-func RunSweep(spec SweepSpec, workers int, cache *ResultCache, progress ...ProgressFunc) (*Table, *Runner, error) {
-	return exp.RunSweep(spec, workers, cache, progress...)
-}
-
-// SweepOpts bundles the execution knobs of a sweep: workers, cache,
-// progress, keep-going failure collection, and the per-run watchdog.
+// SweepOpts bundles the execution knobs of a sweep: workers (>= 1),
+// an optional cache and progress observer, keep-going failure
+// collection, the per-run watchdog, and the replicate count.
 type SweepOpts = exp.SweepOpts
 
-// RunSweepOpts is RunSweep with the full option set.
-func RunSweepOpts(spec SweepSpec, opts SweepOpts) (*Table, *Runner, error) {
-	return exp.RunSweepOpts(spec, opts)
+// RunSweep evaluates a sweep spec over a bounded worker pool; output is
+// byte-identical at every worker count.
+func RunSweep(spec SweepSpec, opts SweepOpts) (*Table, *Runner, error) {
+	return exp.RunSweep(spec, opts)
 }
 
 // RunPanicError is the typed error a panicking simulation surfaces as:

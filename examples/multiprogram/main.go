@@ -17,7 +17,7 @@ func main() {
 	mixes := dcasim.TableIMixes()[:6]
 
 	runner := dcasim.NewRunner(cfg, mixes, 0)
-	table, err := runner.Fig11()
+	table, err := runner.Figure("fig11")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dcasim/internal/exp"
-	"dcasim/internal/stats"
 )
 
 // goldenFigures renders every experiment driver — Tables I–II, Figs. 8–19,
@@ -19,35 +18,15 @@ import (
 func goldenFigures() (string, error) {
 	mixes := TableIMixes()[:2]
 	r := NewRunner(TestConfig(), mixes, 0)
-	entries := []struct {
-		name string
-		run  func() (*stats.Table, error)
-	}{
-		{"tableI", func() (*stats.Table, error) { return exp.TableI(mixes), nil }},
-		{"tableII", func() (*stats.Table, error) { return r.TableII(), nil }},
-		{"fig8", r.Fig8},
-		{"fig9", r.Fig9},
-		{"fig10", r.Fig10},
-		{"fig11", r.Fig11},
-		{"fig12", r.Fig12},
-		{"fig13", r.Fig13},
-		{"fig14", r.Fig14},
-		{"fig15", r.Fig15},
-		{"fig16", r.Fig16},
-		{"fig17", r.Fig17},
-		{"fig18", r.Fig18},
-		{"fig19", r.Fig19},
-		{"twtr", r.TWTRSweep},
-		{"sched", r.SchedulerStudy},
-		{"bear", r.BEARStudy},
-	}
 	var b strings.Builder
-	for _, e := range entries {
-		tbl, err := e.run()
+	fmt.Fprintf(&b, "== tableI ==\n%s\n", exp.TableI(mixes))
+	fmt.Fprintf(&b, "== tableII ==\n%s\n", r.TableII())
+	for _, name := range exp.FigureNames() {
+		tbl, err := r.Figure(name)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", e.name, err)
+			return "", fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Fprintf(&b, "== %s ==\n%s\n", e.name, tbl)
+		fmt.Fprintf(&b, "== %s ==\n%s\n", name, tbl)
 	}
 	return b.String(), nil
 }

@@ -1,12 +1,12 @@
 // Package cachefs is the filesystem seam under the persistent result
 // cache (internal/rescache). Every durable-state operation the cache
-// performs — entry reads, temp-file writes, the atomic rename, claim
-// create/stat/touch/remove — goes through the FS interface, so tests
-// can substitute a fault-injecting implementation (Fault) and prove the
-// cache's failure-model invariants: a corrupted, truncated, or torn
-// entry is never trusted, an injected EIO/ENOSPC degrades to a
-// recompute or a typed error, and a simulated crash never wedges a
-// later pass.
+// performs — entry reads, temp-file writes, the atomic rename, the
+// directory sync, and the stale-temp sweep — goes through the FS
+// interface, so tests can substitute a fault-injecting implementation
+// (Fault) and prove the cache's failure-model invariants: a corrupted,
+// truncated, or torn entry is never trusted, an injected EIO/ENOSPC
+// degrades to a recompute or a typed error, and a simulated crash never
+// wedges a later pass.
 //
 // The package deliberately lives outside internal/rescache: the
 // repo's claimerr analyzer forbids discarding errors returned by
@@ -19,11 +19,10 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"time"
 )
 
-// File is the write handle the cache uses for temp entries and claim
-// files: sequential writes, a durability barrier, and Close.
+// File is the write handle the cache uses for temp entries: sequential
+// writes, a durability barrier, and Close.
 type File interface {
 	io.Writer
 	// Name returns the file's path, as os.File.Name does.
@@ -42,17 +41,8 @@ type FS interface {
 	// CreateTemp creates a new unique file in dir (os.CreateTemp
 	// pattern semantics).
 	CreateTemp(dir, pattern string) (File, error)
-	// CreateExclusive creates path with O_CREATE|O_EXCL|O_WRONLY: it
-	// fails with a fs.ErrExist-wrapping error when the file already
-	// exists. This is the cache's cross-process mutual-exclusion
-	// primitive (claim and breaker-lock files).
-	CreateExclusive(path string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
-	Stat(path string) (fs.FileInfo, error)
-	// Chtimes updates path's access and modification times — the claim
-	// heartbeat that keeps a live claimant from looking stale.
-	Chtimes(path string, atime, mtime time.Time) error
 	// SyncDir flushes dir's directory entries to stable storage, making
 	// a preceding rename durable across a machine crash.
 	SyncDir(dir string) error
@@ -68,22 +58,9 @@ func (osFS) ReadDir(dir string) ([]fs.DirEntry, error)   { return os.ReadDir(dir
 func (osFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(path) }
 func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(path string) error                    { return os.Remove(path) }
-func (osFS) Stat(path string) (fs.FileInfo, error)       { return os.Stat(path) }
-
-func (osFS) Chtimes(path string, atime, mtime time.Time) error {
-	return os.Chtimes(path, atime, mtime)
-}
 
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (osFS) CreateExclusive(path string) (File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io/fs"
 	"sync"
-	"time"
 )
 
 // ErrCrashed is the error every operation returns after a Fault has
@@ -23,11 +22,8 @@ const (
 	OpReadDir   Op = "readdir"
 	OpReadFile  Op = "readfile"
 	OpCreateTmp Op = "createtemp"
-	OpCreateExl Op = "createexclusive"
 	OpRename    Op = "rename"
 	OpRemove    Op = "remove"
-	OpStat      Op = "stat"
-	OpChtimes   Op = "chtimes"
 	OpSyncDir   Op = "syncdir"
 	OpWrite     Op = "write"
 	OpFileSync  Op = "filesync"
@@ -164,17 +160,6 @@ func (f *Fault) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{fault: f, inner: file}, nil
 }
 
-func (f *Fault) CreateExclusive(path string) (File, error) {
-	if inj, ok := f.check(OpCreateExl); ok {
-		return nil, inj.err
-	}
-	file, err := f.inner.CreateExclusive(path)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fault: f, inner: file}, nil
-}
-
 func (f *Fault) Rename(oldpath, newpath string) error {
 	if inj, ok := f.check(OpRename); ok {
 		return inj.err
@@ -187,20 +172,6 @@ func (f *Fault) Remove(path string) error {
 		return inj.err
 	}
 	return f.inner.Remove(path)
-}
-
-func (f *Fault) Stat(path string) (fs.FileInfo, error) {
-	if inj, ok := f.check(OpStat); ok {
-		return nil, inj.err
-	}
-	return f.inner.Stat(path)
-}
-
-func (f *Fault) Chtimes(path string, atime, mtime time.Time) error {
-	if inj, ok := f.check(OpChtimes); ok {
-		return inj.err
-	}
-	return f.inner.Chtimes(path, atime, mtime)
 }
 
 func (f *Fault) SyncDir(dir string) error {

@@ -69,12 +69,12 @@ func TestFaultCrashLatches(t *testing.T) {
 	if _, err := f.ReadFile(filepath.Join(dir, "a")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash ReadFile = %v, want ErrCrashed", err)
 	}
-	if _, err := f.Stat(dir); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash Stat = %v, want ErrCrashed", err)
+	if _, err := f.ReadDir(dir); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash ReadDir = %v, want ErrCrashed", err)
 	}
 	f.Revive()
-	if _, err := f.Stat(dir); err != nil {
-		t.Fatalf("post-revive Stat failed: %v", err)
+	if _, err := f.ReadDir(dir); err != nil {
+		t.Fatalf("post-revive ReadDir failed: %v", err)
 	}
 }
 

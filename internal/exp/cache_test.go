@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dcasim/internal/config"
@@ -143,19 +144,64 @@ func TestTraceRunsBypassCache(t *testing.T) {
 func TestCacheSharedAcrossScenarios(t *testing.T) {
 	dir := t.TempDir()
 	one := cachedRunner(t, dir, 1)
-	if _, err := one.Fig8(); err != nil {
+	if _, err := one.Figure("fig8"); err != nil {
 		t.Fatal(err)
 	}
 	// Mix 2 adds new runs but mix 1's runs (and its alone runs) are warm.
 	two := cachedRunner(t, dir, 2)
-	if _, err := two.Fig8(); err != nil {
+	if _, err := two.Figure("fig8"); err != nil {
 		t.Fatal(err)
 	}
 	solo := NewRunner(config.Test(), workload.TableI()[1:2], 2)
-	if _, err := solo.Fig8(); err != nil {
+	if _, err := solo.Figure("fig8"); err != nil {
 		t.Fatal(err)
 	}
 	if two.SimRuns() >= one.SimRuns()+solo.SimRuns() {
 		t.Fatalf("overlapping runs not shared: %d + %d vs %d new", one.SimRuns(), solo.SimRuns(), two.SimRuns())
+	}
+}
+
+// TestConcurrentHandlesDuplicateWorkNeverWrongResults is the property
+// the cache's lack of cross-process coordination rests on: two runners
+// on two separate cache handles (two processes, as far as the directory
+// can tell) that render Fig. 8 at the same time may both simulate a
+// missing key and both Put it, but each must render exactly the table a
+// cache-less runner does, and the directory they leave must be warm.
+func TestConcurrentHandlesDuplicateWorkNeverWrongResults(t *testing.T) {
+	dir := t.TempDir()
+	want, err := NewRunner(config.Test(), workload.TableI()[:1], 2).Figure("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []*Runner{cachedRunner(t, dir, 1), cachedRunner(t, dir, 1)}
+	got := make([]string, len(runners))
+	errs := make([]error, len(runners))
+	var wg sync.WaitGroup
+	for i, r := range runners {
+		wg.Add(1)
+		go func(i int, r *Runner) {
+			defer wg.Done()
+			tbl, err := r.Figure("fig8")
+			if err == nil {
+				got[i], err = tbl.String(), r.CacheErr()
+			}
+			errs[i] = err
+		}(i, r)
+	}
+	wg.Wait()
+	for i := range runners {
+		if errs[i] != nil {
+			t.Fatalf("runner %d: %v", i, errs[i])
+		}
+		if got[i] != want.String() {
+			t.Fatalf("runner %d diverged from the cache-less table:\n--- got\n%s\n--- want\n%s", i, got[i], want)
+		}
+	}
+	warm := cachedRunner(t, dir, 1)
+	if _, err := warm.Figure("fig8"); err != nil {
+		t.Fatal(err)
+	}
+	if n := warm.SimRuns(); n != 0 {
+		t.Fatalf("third runner on the warm directory executed %d simulations, want 0", n)
 	}
 }

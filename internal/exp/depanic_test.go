@@ -208,7 +208,7 @@ func TestKeepGoingSweepZeroOpTrace(t *testing.T) {
 		},
 		Metrics: []string{"totalNS"},
 	}
-	tbl, runner, err := RunSweepOpts(spec, SweepOpts{Workers: 2, KeepGoing: true})
+	tbl, runner, err := RunSweep(spec, SweepOpts{Workers: 2, KeepGoing: true})
 	if err == nil {
 		t.Fatalf("zero-op trace sweep succeeded:\n%s", tbl)
 	}

@@ -38,7 +38,7 @@ func TestTableII(t *testing.T) {
 
 func TestFig8ShapeAndMemoization(t *testing.T) {
 	r := testRunner(t, 2)
-	tbl, err := r.Fig8()
+	tbl, err := r.Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFig8ShapeAndMemoization(t *testing.T) {
 	}
 	runsAfter := r.SimRuns()
 	// Rerunning must reuse every memoized simulation.
-	if _, err := r.Fig8(); err != nil {
+	if _, err := r.Figure("fig8"); err != nil {
 		t.Fatal(err)
 	}
 	if r.SimRuns() != runsAfter {
@@ -58,7 +58,7 @@ func TestFig8ShapeAndMemoization(t *testing.T) {
 
 func TestFig8CDBaselineIsOne(t *testing.T) {
 	r := testRunner(t, 2)
-	tbl, err := r.Fig8()
+	tbl, err := r.Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +72,17 @@ func TestFig8CDBaselineIsOne(t *testing.T) {
 
 func TestFiguresShareRuns(t *testing.T) {
 	r := testRunner(t, 1)
-	if _, err := r.Fig10(); err != nil { // needs SA, all designs, both remaps
+	if _, err := r.Figure("fig10"); err != nil { // needs SA, all designs, both remaps
 		t.Fatal(err)
 	}
 	n := r.SimRuns()
-	if _, err := r.Fig12(); err != nil { // same runs, different metric
+	if _, err := r.Figure("fig12"); err != nil { // same runs, different metric
 		t.Fatal(err)
 	}
-	if _, err := r.Fig14(); err != nil {
+	if _, err := r.Figure("fig14"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Fig16(); err != nil {
+	if _, err := r.Figure("fig16"); err != nil {
 		t.Fatal(err)
 	}
 	if r.SimRuns() != n {
@@ -92,7 +92,7 @@ func TestFiguresShareRuns(t *testing.T) {
 
 func TestFig18RowsPerSize(t *testing.T) {
 	r := testRunner(t, 1)
-	tbl, err := r.Fig18()
+	tbl, err := r.Figure("fig18")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFig18RowsPerSize(t *testing.T) {
 
 func TestFig19Runs(t *testing.T) {
 	r := testRunner(t, 1)
-	tbl, err := r.Fig19()
+	tbl, err := r.Figure("fig19")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"dcasim/internal/core"
 	"dcasim/internal/sched"
 	"dcasim/internal/simtime"
-	"dcasim/internal/stats"
 )
 
 // The extension studies go beyond the paper's figures but test claims
@@ -189,16 +188,3 @@ func extensionSpecs() []TableSpec {
 
 	return []TableSpec{twtr, sched, bear}
 }
-
-// TWTRSweep reports the average speedup of ROD and DCA over CD on the
-// direct-mapped organization as the write-to-read turnaround delay
-// varies (the twtr spec).
-func (r *Runner) TWTRSweep() (*stats.Table, error) { return r.Figure("twtr") }
-
-// SchedulerStudy reports DCA's speedup over CD under different base
-// scheduling algorithms on both organizations (the sched spec).
-func (r *Runner) SchedulerStudy() (*stats.Table, error) { return r.Figure("sched") }
-
-// BEARStudy reports each design's speedup over plain CD with an ideal
-// BEAR writeback-probe filter enabled (the bear spec).
-func (r *Runner) BEARStudy() (*stats.Table, error) { return r.Figure("bear") }

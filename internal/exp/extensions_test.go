@@ -32,7 +32,7 @@ func TestTWTRBaselineSharesRuns(t *testing.T) {
 
 func TestTWTRSweep(t *testing.T) {
 	r := testRunner(t, 1)
-	tbl, err := r.TWTRSweep()
+	tbl, err := r.Figure("twtr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTWTRSweep(t *testing.T) {
 
 func TestSchedulerStudy(t *testing.T) {
 	r := testRunner(t, 1)
-	tbl, err := r.SchedulerStudy()
+	tbl, err := r.Figure("sched")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSchedulerStudy(t *testing.T) {
 
 func TestBEARStudy(t *testing.T) {
 	r := testRunner(t, 1)
-	tbl, err := r.BEARStudy()
+	tbl, err := r.Figure("bear")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func TestSweepSurvivesCacheFSFailure(t *testing.T) {
 	}
 	fault.CrashAt(cachefs.OpReadFile, 1) // every cache operation fails from the first Get on
 
-	tbl, r, err := RunSweepOpts(parallelSweepSpec(), SweepOpts{Workers: 2, Cache: cache})
+	tbl, r, err := RunSweep(parallelSweepSpec(), SweepOpts{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("sweep failed on a dead cache filesystem: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestKeepGoingSweepResumable(t *testing.T) {
 		{Label: "ghost", Set: raw(`{"TracePath":"testdata/no-such-trace.dct","Benchmarks":[]}`)},
 	}})
 
-	tbl, r, err := RunSweepOpts(spec, SweepOpts{Workers: 4, Cache: cache, KeepGoing: true})
+	tbl, r, err := RunSweep(spec, SweepOpts{Workers: 4, Cache: cache, KeepGoing: true})
 	if err == nil {
 		t.Fatal("keep-going sweep swallowed the ghost-trace failures")
 	}
@@ -238,7 +238,7 @@ func TestKeepGoingSweepResumable(t *testing.T) {
 
 	// Resume with the failures fixed (drop the ghost axis): every
 	// surviving point must come from the cache.
-	tbl2, r2, err := RunSweepOpts(parallelSweepSpec(), SweepOpts{Workers: 4, Cache: cache})
+	tbl2, r2, err := RunSweep(parallelSweepSpec(), SweepOpts{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}

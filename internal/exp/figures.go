@@ -246,44 +246,6 @@ func buildFigures() []TableSpec {
 	return specs
 }
 
-// Fig8 reproduces the average normalized weighted speedup of CD, ROD, and
-// DCA for both organizations (no remapping), normalized to CD.
-func (r *Runner) Fig8() (*stats.Table, error) { return r.Figure("fig8") }
-
-// Fig9 reproduces the average speedups with the XOR remapping scheme,
-// still normalized to CD without remapping.
-func (r *Runner) Fig9() (*stats.Table, error) { return r.Figure("fig9") }
-
-// Fig10 is the per-workload speedup table for the set-associative cache.
-func (r *Runner) Fig10() (*stats.Table, error) { return r.Figure("fig10") }
-
-// Fig11 is the per-workload speedup table for the direct-mapped cache.
-func (r *Runner) Fig11() (*stats.Table, error) { return r.Figure("fig11") }
-
-// Fig12 is the set-associative L2 miss latency improvement.
-func (r *Runner) Fig12() (*stats.Table, error) { return r.Figure("fig12") }
-
-// Fig13 is the direct-mapped L2 miss latency improvement.
-func (r *Runner) Fig13() (*stats.Table, error) { return r.Figure("fig13") }
-
-// Fig14 is accesses per turnaround, set-associative.
-func (r *Runner) Fig14() (*stats.Table, error) { return r.Figure("fig14") }
-
-// Fig15 is accesses per turnaround, direct-mapped.
-func (r *Runner) Fig15() (*stats.Table, error) { return r.Figure("fig15") }
-
-// Fig16 is the read row-buffer hit rate, set-associative.
-func (r *Runner) Fig16() (*stats.Table, error) { return r.Figure("fig16") }
-
-// Fig17 is the read row-buffer hit rate, direct-mapped.
-func (r *Runner) Fig17() (*stats.Table, error) { return r.Figure("fig17") }
-
-// Fig18 is the tag-cache study (see the fig18 spec).
-func (r *Runner) Fig18() (*stats.Table, error) { return r.Figure("fig18") }
-
-// Fig19 is the Lee DRAM-aware writeback study (see the fig19 spec).
-func (r *Runner) Fig19() (*stats.Table, error) { return r.Figure("fig19") }
-
 // TableI renders the workload groupings.
 func TableI(mixes []workload.Mix) *stats.Table {
 	t := stats.NewTable("mix", "core0", "core1", "core2", "core3")

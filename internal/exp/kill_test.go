@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,14 +15,6 @@ import (
 // killChildEnv points a re-executed child test process at the shared
 // cache directory; empty (the normal case) skips the child body.
 const killChildEnv = "DCASIM_KILL_CHILD_DIR"
-
-// killTuning is the shrunk claim-liveness timing both the child and the
-// survivor use, so staleness is observable in milliseconds.
-var killTuning = rescache.Tuning{
-	StaleAfter: 400 * time.Millisecond,
-	Heartbeat:  80 * time.Millisecond,
-	Poll:       5 * time.Millisecond,
-}
 
 // killSweepSpec is the sweep the killed child and the survivor share:
 // one seed axis of distinct points, so progress is simply "entries in
@@ -48,8 +39,8 @@ func killSweepSpec() SweepSpec {
 
 // TestKillRecoveryChild is the victim body of TestKillRecovery, run in
 // a separate process (the parent re-executes the test binary with
-// killChildEnv set) so it can be SIGKILLed mid-sweep with its claims
-// left orphaned on disk. In a normal test run it skips immediately.
+// killChildEnv set) so it can be SIGKILLed mid-sweep with no chance to
+// clean up. In a normal test run it skips immediately.
 func TestKillRecoveryChild(t *testing.T) {
 	dir := os.Getenv(killChildEnv)
 	if dir == "" {
@@ -59,45 +50,43 @@ func TestKillRecoveryChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Tune(killTuning)
-	if _, _, err := RunSweepOpts(killSweepSpec(), SweepOpts{Workers: 2, Cache: cache}); err != nil {
+	if _, _, err := RunSweep(killSweepSpec(), SweepOpts{Workers: 2, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// countSuffix counts dir entries with the given suffix, excluding any
-// longer suffix in except (so ".claim" does not count ".claim.break").
-func countSuffix(t *testing.T, dir, suffix, except string) int {
+// entryNames lists dir's final entry files (<key>.json).
+func entryNames(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	var names []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), suffix) && (except == "" || !strings.HasSuffix(e.Name(), except)) {
-			n++
+		if strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
 		}
 	}
-	return n
+	return names
 }
 
 // TestKillRecovery is the crash-safety integration test: a child
-// process is SIGKILLed in the middle of a sweep — orphaning its claim
-// files with no chance to clean up — and a survivor sharing the cache
-// directory must then complete the sweep, reusing every entry the
-// victim persisted and breaking the orphaned claims instead of waiting
-// on a dead process.
+// process is SIGKILLed in the middle of a sweep, and a survivor sharing
+// the cache directory must then complete the sweep, reusing every entry
+// the victim persisted and simulating exactly the missing ones. Entries
+// persist because each Put is an fsynced temp file renamed into place,
+// so the kill can orphan a temp file but never a torn entry.
 func TestKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills a child test process")
 	}
 
-	// Kill the child only while it provably holds a claim; if the claim
-	// released in the instant between observing it and the kill landing,
+	// Kill the child once it has persisted at least two entries; if it
+	// finished the whole sweep in the instant before the kill landed,
 	// retry with a fresh directory rather than flake.
 	var dir string
-	var orphans int
+	var pre int
 	for attempt := 1; ; attempt++ {
 		dir = t.TempDir()
 		cmd := exec.Command(os.Args[0], "-test.run=^TestKillRecoveryChild$", "-test.count=1", "-test.v")
@@ -115,10 +104,9 @@ func TestKillRecovery(t *testing.T) {
 		for !killed {
 			select {
 			case err := <-waited:
-				// The child finished before we caught it mid-claim.
 				t.Logf("attempt %d: child exited before the kill (%v); output:\n%s", attempt, err, out)
 			case <-time.After(2 * time.Millisecond):
-				if countSuffix(t, dir, ".json", "") >= 2 && countSuffix(t, dir, ".claim", ".claim.break") >= 1 {
+				if len(entryNames(t, dir)) >= 2 {
 					if err := cmd.Process.Kill(); err != nil {
 						t.Fatal(err)
 					}
@@ -129,40 +117,27 @@ func TestKillRecovery(t *testing.T) {
 				if time.Now().Before(deadline) {
 					continue
 				}
-				t.Fatalf("attempt %d: child never reached 2 entries + 1 live claim; output:\n%s", attempt, out)
+				t.Fatalf("attempt %d: child never persisted 2 entries; output:\n%s", attempt, out)
 			}
 			break
 		}
-		if !killed {
-			if attempt >= 3 {
-				t.Fatal("child completed the sweep before every kill attempt")
+		if killed {
+			pre = len(entryNames(t, dir))
+			if pre < 16 {
+				break
 			}
-			continue
-		}
-		orphans = countSuffix(t, dir, ".claim", ".claim.break")
-		if orphans >= 1 {
-			break
 		}
 		if attempt >= 3 {
-			t.Fatal("no kill attempt left an orphaned claim behind")
+			t.Fatal("child completed the sweep before every kill attempt")
 		}
 	}
+	t.Logf("victim killed with %d entries persisted", pre)
 
-	pre := countSuffix(t, dir, ".json", "")
-	if pre < 2 || pre >= 16 {
-		t.Fatalf("victim persisted %d entries before the kill, want 2..15", pre)
-	}
-	t.Logf("victim killed with %d entries persisted and %d claims orphaned", pre, orphans)
-
-	// Let the orphaned claims (mtime frozen at the kill) age past the
-	// staleness window, then run the survivor in-process.
-	time.Sleep(killTuning.StaleAfter + 200*time.Millisecond)
 	cache, err := rescache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Tune(killTuning)
-	tbl, r, err := RunSweepOpts(killSweepSpec(), SweepOpts{Workers: 2, Cache: cache})
+	tbl, r, err := RunSweep(killSweepSpec(), SweepOpts{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("survivor sweep failed: %v", err)
 	}
@@ -175,25 +150,19 @@ func TestKillRecovery(t *testing.T) {
 	if got := r.SimRuns(); got != int64(16-pre) {
 		t.Errorf("survivor simulated %d runs, want exactly the %d missing", got, 16-pre)
 	}
-	if n := countSuffix(t, dir, ".claim.break", ""); n != 0 {
-		t.Errorf("%d breaker-lock files left behind", n)
-	}
-	// Every claim blocking a missing entry must have been broken. A
-	// claim orphaned after its Put (kill between rename and release) may
-	// survive — it guards an entry that exists, so it can never block
-	// work, and Open sweeps it once it ages past the default window.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".claim") || strings.HasSuffix(name, ".claim.break") {
-			continue
+	// A temp file the kill orphaned may remain (Open sweeps it once it
+	// is an hour old), but never under a final entry name: every entry
+	// must be a whole, checksum-valid result.
+	names := entryNames(t, dir)
+	for _, name := range names {
+		if strings.Contains(name, ".tmp") {
+			t.Errorf("temp file %s sits under a final entry name", name)
 		}
-		key := strings.TrimSuffix(name, ".claim")
-		if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
-			t.Errorf("orphaned claim %s still blocks a missing entry", name)
+		if _, ok := cache.Get(strings.TrimSuffix(name, ".json")); !ok {
+			t.Errorf("entry %s is not a valid result", name)
 		}
+	}
+	if len(names) != 16 {
+		t.Errorf("%d entries after the survivor's sweep, want 16", len(names))
 	}
 }

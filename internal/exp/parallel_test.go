@@ -17,11 +17,11 @@ import (
 // spec order no matter which worker finished first.
 func TestParallelMatchesSequentialFig8(t *testing.T) {
 	mixes := workload.TableI()[:2]
-	seq, err := NewRunner(config.Test(), mixes, 1).Fig8()
+	seq, err := NewRunner(config.Test(), mixes, 1).Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewRunner(config.Test(), mixes, 8).Fig8()
+	par, err := NewRunner(config.Test(), mixes, 8).Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestParallelMatchesSequentialSweep(t *testing.T) {
 	spec := parallelSweepSpec()
 	render := func(workers int) map[string][]byte {
 		t.Helper()
-		tbl, _, err := RunSweep(spec, workers, nil)
+		tbl, _, err := RunSweep(spec, SweepOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestValidateWorkers(t *testing.T) {
 // worker count before any simulation runs.
 func TestRunSweepRejectsBadWorkers(t *testing.T) {
 	for _, j := range []int{0, -3} {
-		_, r, err := RunSweep(parallelSweepSpec(), j, nil)
+		_, r, err := RunSweep(parallelSweepSpec(), SweepOpts{Workers: j})
 		if err == nil || !strings.Contains(err.Error(), "workers") {
 			t.Fatalf("RunSweep(workers=%d) = %v, want workers error", j, err)
 		}
@@ -233,7 +233,7 @@ func TestSweepJSONStableAcrossWorkers(t *testing.T) {
 	spec := parallelSweepSpec()
 	rows := func(workers int) [][]string {
 		t.Helper()
-		tbl, _, err := RunSweep(spec, workers, nil)
+		tbl, _, err := RunSweep(spec, SweepOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

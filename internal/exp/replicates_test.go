@@ -55,13 +55,13 @@ func TestValidateReplicates(t *testing.T) {
 // acceptance bar that keeps every golden green.
 func TestTableReplicatesOne(t *testing.T) {
 	mixes := workload.TableI()[:2]
-	plain, err := NewRunner(config.Test(), mixes, 2).Fig8()
+	plain, err := NewRunner(config.Test(), mixes, 2).Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(config.Test(), mixes, 2)
 	r.SetReplicates(1)
-	rep1, err := r.Fig8()
+	rep1, err := r.Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTableReplicatesCI(t *testing.T) {
 	mixes := workload.TableI()[:1]
 	r := NewRunner(config.Test(), mixes, 4)
 	r.SetReplicates(2)
-	tbl, err := r.Fig8()
+	tbl, err := r.Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTableReplicatesCI(t *testing.T) {
 // wins over the runner default.
 func TestTableSpecReplicatesOverridesRunner(t *testing.T) {
 	mixes := workload.TableI()[:1]
-	plain, err := NewRunner(config.Test(), mixes, 2).Fig8()
+	plain, err := NewRunner(config.Test(), mixes, 2).Figure("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSweepReplicatesDeterministicAndCached(t *testing.T) {
 	spec.Replicates = 3
 	render := func(workers int) map[string][]byte {
 		t.Helper()
-		tbl, _, err := RunSweepOpts(spec, SweepOpts{Workers: workers, Cache: cache})
+		tbl, _, err := RunSweep(spec, SweepOpts{Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestSweepReplicatesDeterministicAndCached(t *testing.T) {
 
 	// Warm pass: same spec, same seeds, fresh runner — everything must
 	// come from the persistent cache.
-	_, warm, err := RunSweepOpts(spec, SweepOpts{Workers: 4, Cache: cache})
+	_, warm, err := RunSweep(spec, SweepOpts{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,13 @@ func TestSweepReplicatesDeterministicAndCached(t *testing.T) {
 // over the spec's replicates value, and replicates=1 output is
 // bit-identical to the plain sweep.
 func TestSweepOptsReplicatesOverrideSpec(t *testing.T) {
-	plainTbl, _, err := RunSweep(parallelSweepSpec(), 2, nil)
+	plainTbl, _, err := RunSweep(parallelSweepSpec(), SweepOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := parallelSweepSpec()
 	spec.Replicates = 3
-	tbl, _, err := RunSweepOpts(spec, SweepOpts{Workers: 2, Replicates: 1})
+	tbl, _, err := RunSweep(spec, SweepOpts{Workers: 2, Replicates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSweepOptsReplicatesOverrideSpec(t *testing.T) {
 	}
 	bad := parallelSweepSpec()
 	bad.Replicates = -2
-	if _, _, err := RunSweepOpts(bad, SweepOpts{Workers: 1}); err == nil {
+	if _, _, err := RunSweep(bad, SweepOpts{Workers: 1}); err == nil {
 		t.Fatal("negative spec.Replicates accepted")
 	}
 }
@@ -216,7 +216,7 @@ func TestTableReplicatesWarmCache(t *testing.T) {
 		r := NewRunner(config.Test(), mixes, 4)
 		r.SetCache(cache)
 		r.SetReplicates(2)
-		tbl, err := r.Fig8()
+		tbl, err := r.Figure("fig8")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,65 +225,36 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 	r.mu.Unlock()
 
 	fromCache := false
-	release := func() {}
-	if r.cache != nil && Cacheable(cfg) {
+	cacheable := r.cache != nil && Cacheable(cfg)
+	if cacheable {
 		// Validate before consulting the cache: a bad config must fail
 		// loudly even if a stale entry happens to exist under its hash.
 		if c.err = cfg.Validate(); c.err == nil {
 			c.res, fromCache = r.cache.Get(h)
-			if !fromCache {
-				// Claim the key so sibling processes sharing this cache
-				// directory wait for our entry instead of duplicating
-				// the run. If someone else already holds the claim,
-				// wait for their entry; if they die or fail, the claim
-				// goes away and we compute after all.
-				if rel, ok := r.cache.TryClaim(h); ok {
-					release = rel
-				} else if res, ok := r.cache.WaitForClaim(h); ok {
-					c.res, fromCache = res, true
-				} else if rel, ok := r.cache.TryClaim(h); ok {
-					// The wait ended without an entry: the claimant died
-					// (stale claim) or outlived the wait deadline. We are
-					// about to recompute — claim the key so siblings wait
-					// on us, and so a dead owner's claim file is actually
-					// broken and removed rather than left to confuse the
-					// next pass.
-					release = rel
-				}
-			}
 		}
 	}
+	var putErr error
 	if !fromCache && c.err == nil {
 		c.res, c.err = r.execute(cfg)
+		if c.err == nil && cacheable {
+			putErr = r.cache.Put(h, c.res)
+		}
 	}
 
 	r.mu.Lock()
-	if c.err != nil {
+	switch {
+	case c.err != nil:
 		r.errs[h] = c.err
-	} else {
+	case fromCache:
 		r.results[h] = c.res
+		r.cacheHits++
+	default:
+		r.results[h] = c.res
+		r.simRuns++
 	}
-	if c.err == nil {
-		if fromCache {
-			r.cacheHits++
-		} else {
-			r.simRuns++
-		}
+	if putErr != nil && r.cacheErr == nil {
+		r.cacheErr = putErr
 	}
-	r.mu.Unlock()
-	if !fromCache && c.err == nil && r.cache != nil && Cacheable(cfg) {
-		if err := r.cache.Put(h, c.res); err != nil {
-			r.mu.Lock()
-			if r.cacheErr == nil {
-				r.cacheErr = err
-			}
-			r.mu.Unlock()
-		}
-	}
-	// Release only after the Put: a waiter woken by the release must
-	// find the entry, not a miss that sends it off to re-simulate.
-	release()
-	r.mu.Lock()
 	delete(r.inflight, h)
 	r.mu.Unlock()
 	close(c.done)

@@ -180,27 +180,18 @@ type SweepOpts struct {
 }
 
 // RunSweep evaluates the spec: resolve the base config, enumerate the
-// cartesian product, compute every point (bounded-parallel over workers
-// simulations, consulting the persistent cache when one is attached),
-// and render one row per point with the requested metric columns. Rows
+// cartesian product, compute every point (bounded-parallel over
+// opts.Workers simulations, consulting opts.Cache when one is set), and
+// render one row per point with the requested metric columns. Rows
 // commit in cartesian order regardless of which worker finished first,
 // so the rendered table — text, CSV, or JSON — is byte-identical at
 // every worker count. Runs with no sample for a metric render "-".
-// An optional progress observer receives per-run completion events.
-func RunSweep(spec SweepSpec, workers int, cache *rescache.Cache, progress ...ProgressFunc) (*stats.Table, *Runner, error) {
-	opts := SweepOpts{Workers: workers, Cache: cache}
-	for _, p := range progress {
-		opts.Progress = p
-	}
-	return RunSweepOpts(spec, opts)
-}
-
-// RunSweepOpts is RunSweep with the full option set. On failure the
-// returned runner is non-nil whenever the sweep got as far as running
-// (so callers can still inspect cache statistics and CacheErr); the
-// table is nil — a partial table would invite consuming half a sweep
-// as if it were the sweep.
-func RunSweepOpts(spec SweepSpec, opts SweepOpts) (*stats.Table, *Runner, error) {
+//
+// On failure the returned runner is non-nil whenever the sweep got as
+// far as running (so callers can still inspect cache statistics and
+// CacheErr); the table is nil — a partial table would invite consuming
+// half a sweep as if it were the sweep.
+func RunSweep(spec SweepSpec, opts SweepOpts) (*stats.Table, *Runner, error) {
 	// LoadSweep validates too, but specs can also be built in Go and
 	// handed straight here; a structural error must not surface as a
 	// panic after the simulations already ran.

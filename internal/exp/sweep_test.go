@@ -60,7 +60,7 @@ func TestSweepRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, r, err := RunSweep(s, 2, cache)
+	tbl, r, err := RunSweep(s, SweepOpts{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSweepRuns(t *testing.T) {
 	}
 
 	// A second sweep from a cold runner but warm cache is free.
-	_, r2, err := RunSweep(s, 2, cache)
+	_, r2, err := RunSweep(s, SweepOpts{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSweepRejectsRecordPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Base = json.RawMessage(`{"Benchmarks":["mcf"],"RecordPath":"x.dct"}`)
-	_, _, err := RunSweep(s, 1, nil)
+	_, _, err := RunSweep(s, SweepOpts{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "RecordPath") {
 		t.Fatalf("sweep with RecordPath not rejected: %v", err)
 	}

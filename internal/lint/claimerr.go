@@ -7,10 +7,12 @@ import (
 )
 
 // claimErrPkgs are the packages whose errors must never be discarded:
-// the persistent result cache (rescache — a dropped error there means a
-// claim file leaks or a result silently fails to persist, wedging or
-// corrupting every later run that trusts the cache) and trace I/O (a
-// dropped error means a truncated .dct recording that replays wrong).
+// the persistent result cache (rescache — a dropped Put or Open error
+// means a result silently fails to persist, so a pass that looks warm
+// recomputes everything) and trace I/O (a dropped error means a
+// truncated .dct recording that replays wrong). The analyzer keeps its
+// historical name so existing //nolint:dcalint/claimerr directives stay
+// valid.
 var claimErrPkgs = []string{
 	"internal/rescache",
 	"internal/trace",
@@ -23,11 +25,11 @@ var ClaimErr = &Analyzer{
 	Name: "claimerr",
 	Doc: `forbid discarded errors from rescache and trace I/O
 
-Result-cache operations (claims, puts, sweeps) and trace stream I/O
-(writes, flushes, closes) return errors whose loss corrupts persistent
-state: a leaked .claim file wedges later runs until the staleness
-break, an unflushed trace replays differently than it recorded. Every
-such error must be assigned to a non-blank variable (or returned).
+Result-cache operations (Open, Put) and trace stream I/O (writes,
+flushes, closes) return errors whose loss silently damages persistent
+state: an unreported Put failure leaves the next pass cold, an
+unflushed trace replays differently than it recorded. Every such error
+must be assigned to a non-blank variable (or returned).
 errcheck catches the garden-variety cases; this analyzer additionally
 rejects the explicit "_ =" escape hatch for these two packages.`,
 	Run: runClaimErr,

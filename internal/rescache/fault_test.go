@@ -3,10 +3,8 @@ package rescache
 import (
 	"os"
 	"reflect"
-	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"dcasim/internal/cachefs"
 	"dcasim/internal/config"
@@ -235,248 +233,5 @@ func TestCorruptEntriesNeverTrusted(t *testing.T) {
 	}
 	if _, ok := c.Get(other); ok {
 		t.Error("entry misfiled under a different key was trusted")
-	}
-}
-
-// TestClaimAdvisoryOnFaults: a sick filesystem must never block the
-// computation — TryClaim degrades to "proceed unclaimed".
-func TestClaimAdvisoryOnFaults(t *testing.T) {
-	fault := cachefs.NewFault(cachefs.OS())
-	c, err := OpenFS(t.TempDir(), fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := config.Test().Hash()
-	fault.FailAt(cachefs.OpCreateExl, 1, syscall.EIO)
-	release, ok := c.TryClaim(key)
-	if !ok {
-		t.Fatal("TryClaim blocked the caller on an EIO — claims are advisory")
-	}
-	release() // must be a safe no-op
-	if c.ClaimHeld(key) {
-		t.Fatal("a failed claim create left a claim behind")
-	}
-}
-
-// TestHeartbeatKeepsLongClaimLive is the >staleness-window regression:
-// a claim held across many staleness windows must stay live (mtime
-// refreshed by the heartbeat), so a long-running owner is never raced
-// by a claim breaker — the pre-heartbeat false-staleness bug.
-func TestHeartbeatKeepsLongClaimLive(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tune(Tuning{StaleAfter: 400 * time.Millisecond, Heartbeat: 40 * time.Millisecond})
-	key := config.Test().Hash()
-	release, ok := c.TryClaim(key)
-	if !ok {
-		t.Fatal("TryClaim lost on an empty cache")
-	}
-	// Simulate a run 3× longer than the staleness window.
-	deadline := time.Now().Add(1200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if !c.ClaimHeld(key) {
-			t.Fatal("live claim went stale mid-run: heartbeat missing")
-		}
-		if _, ok := c.TryClaim(key); ok {
-			t.Fatal("a second claimant broke a live, heartbeating claim")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	release()
-	if c.ClaimHeld(key) {
-		t.Fatal("claim survives release")
-	}
-}
-
-// TestHeartbeatStopsWhenClaimRemoved: if the claim file disappears
-// under the owner (broken externally, directory swept), the heartbeat
-// must not resurrect it.
-func TestHeartbeatStopsWhenClaimRemoved(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tune(Tuning{StaleAfter: 100 * time.Millisecond, Heartbeat: 10 * time.Millisecond})
-	key := config.Test().Hash()
-	release, ok := c.TryClaim(key)
-	if !ok {
-		t.Fatal("TryClaim lost on an empty cache")
-	}
-	if err := os.Remove(c.claimPath(key)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond) // several heartbeat ticks
-	if _, err := os.Stat(c.claimPath(key)); !os.IsNotExist(err) {
-		t.Fatal("heartbeat resurrected a removed claim file")
-	}
-	release() // removing an already-gone claim must be safe
-}
-
-// TestOrphanedClaimBrokenAfterOwnerDies: the owner's process "dies"
-// (its filesystem crashes, killing the heartbeat), the claim's mtime
-// freezes, and once it ages past the staleness window a survivor
-// breaks it and claims the key. This is the unit-level version of the
-// SIGKILL integration test.
-func TestOrphanedClaimBrokenAfterOwnerDies(t *testing.T) {
-	dir := t.TempDir()
-	fault := cachefs.NewFault(cachefs.OS())
-	owner, err := OpenFS(dir, fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner.Tune(Tuning{StaleAfter: 300 * time.Millisecond, Heartbeat: 50 * time.Millisecond})
-	key := config.Test().Hash()
-	release, ok := owner.TryClaim(key)
-	if !ok {
-		t.Fatal("owner failed to claim an empty cache")
-	}
-	defer release() // after the FS "dies" this is inert, but keeps the goroutine contract
-	fault.CrashAt(cachefs.OpChtimes, 1)
-
-	survivor, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	survivor.Tune(Tuning{StaleAfter: 300 * time.Millisecond})
-	// While the claim is fresh the survivor must respect it.
-	if _, ok := survivor.TryClaim(key); ok {
-		t.Fatal("survivor broke a fresh orphan claim before the staleness window")
-	}
-	time.Sleep(700 * time.Millisecond) // heartbeat is dead; the claim ages out
-	rel2, ok := survivor.TryClaim(key)
-	if !ok {
-		t.Fatal("survivor failed to break the orphaned claim after the staleness window")
-	}
-	rel2()
-}
-
-// TestConcurrentStaleBreakersOneWinner: many claimants race to break
-// the same stale claim. The breaker lock must let exactly one of them
-// win — the historical failure mode is two breakers interleaving
-// remove/create so that one deletes the other's fresh claim and both
-// believe they hold the key.
-func TestConcurrentStaleBreakersOneWinner(t *testing.T) {
-	for round := 0; round < 10; round++ {
-		dir := t.TempDir()
-		c, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := config.Test().Hash()
-		path := c.claimPath(key)
-		if err := os.WriteFile(path, []byte("pid 999999\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		old := time.Now().Add(-claimStale - time.Hour)
-		if err := os.Chtimes(path, old, old); err != nil {
-			t.Fatal(err)
-		}
-
-		const breakers = 16
-		releases := make([]func(), breakers)
-		wins := make([]bool, breakers)
-		var wg sync.WaitGroup
-		for i := 0; i < breakers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				releases[i], wins[i] = c.TryClaim(key)
-			}(i)
-		}
-		wg.Wait()
-		won := 0
-		for i := range wins {
-			if wins[i] {
-				won++
-			}
-		}
-		if won != 1 {
-			t.Fatalf("round %d: %d claimants won a single stale-claim break, want exactly 1", round, won)
-		}
-		for i := range wins {
-			if wins[i] {
-				releases[i]()
-			}
-		}
-		if c.ClaimHeld(key) {
-			t.Fatalf("round %d: claim still held after the winner released", round)
-		}
-	}
-}
-
-// TestReleaseAfterPutWakesWaitersToHits is the ordering regression for
-// the claim protocol: because Runner.Run releases only after Put, a
-// waiter woken by the release must observe the entry — never a miss
-// that sends it off to re-simulate work that just finished.
-func TestReleaseAfterPutWakesWaitersToHits(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tune(Tuning{Poll: time.Millisecond})
-	key := config.Test().Hash()
-	want := sampleResult()
-	release, ok := c.TryClaim(key)
-	if !ok {
-		t.Fatal("TryClaim lost on an empty cache")
-	}
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	misses := make([]bool, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, ok := c.WaitForClaim(key)
-			if !ok {
-				misses[i] = true
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("waiter %d observed a wrong result", i)
-			}
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the waiters block on the claim
-	if err := c.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	wg.Wait()
-	for i, missed := range misses {
-		if missed {
-			t.Errorf("waiter %d woke to a miss although release followed Put", i)
-		}
-	}
-}
-
-// TestWaitForClaimBoundedDeadline: a live, heartbeating claim whose
-// owner never finishes must not hang a waiter forever — WaitForClaim
-// gives up after WaitMax and hands the computation back.
-func TestWaitForClaimBoundedDeadline(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tune(Tuning{StaleAfter: 10 * time.Second, Poll: 2 * time.Millisecond, WaitMax: 150 * time.Millisecond})
-	key := config.Test().Hash()
-	release, ok := c.TryClaim(key) // heartbeating owner that never Puts
-	if !ok {
-		t.Fatal("TryClaim lost on an empty cache")
-	}
-	defer release()
-	start := time.Now()
-	if _, ok := c.WaitForClaim(key); ok {
-		t.Fatal("WaitForClaim reported a hit although no entry was ever written")
-	}
-	elapsed := time.Since(start)
-	if elapsed < 150*time.Millisecond {
-		t.Fatalf("WaitForClaim gave up after %v, before the %v deadline", elapsed, 150*time.Millisecond)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("WaitForClaim took %v to honour a %v deadline", elapsed, 150*time.Millisecond)
 	}
 }

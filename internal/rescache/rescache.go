@@ -16,15 +16,12 @@
 // rename cannot surface a zero-length entry.
 //
 // Concurrency: within a process, writes to the same key serialize on a
-// per-key lock. Across processes, <dir>/<key>.claim files coordinate who
-// computes a missing entry: TryClaim takes the claim with an exclusive
-// create and keeps it visibly alive with a heartbeat goroutine that
-// refreshes the file's mtime, losers can WaitForClaim (bounded, with
-// jittered exponential backoff) until the winner's entry lands or the
-// claim goes stale because its owner died. Claims are purely advisory —
-// duplicated computation is wasted work, never wrong results, because
-// entry writes stay atomic either way. Open sweeps out temp and claim
-// files abandoned by killed processes so they cannot pin a key forever.
+// per-key lock. Across processes there is no coordination: two
+// processes missing the same key both simulate it and both Put, which
+// is wasted work, never a wrong result — runs are deterministic and
+// entry writes are atomic, so the second rename replaces a whole entry
+// with an identical whole entry. Open sweeps out temp files abandoned by
+// killed processes so they do not accumulate.
 //
 // Every filesystem operation goes through the cachefs.FS seam, so the
 // fault-injection suite can prove those invariants under EIO, ENOSPC,
@@ -36,10 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	iofs "io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -55,52 +49,18 @@ import (
 // cachefs.Fault to inject EIO/ENOSPC/torn-write/crash faults.
 type FS = cachefs.FS
 
-// claimStale is the default for Tuning.StaleAfter: how old a claim file
-// may grow before any process may break it. A live claimant's heartbeat
-// refreshes the file's mtime far more often than this, so only a dead
-// owner's claim ever ages out — a run longer than the window no longer
-// loses its claim.
-const claimStale = 10 * time.Minute
-
 // staleTempAge is how old an orphaned temp file must be before Open
 // deletes it. Fresh temp files belong to live writers mid-Put and must
 // survive; anything this old was abandoned by a killed process.
 const staleTempAge = time.Hour
-
-// Tuning groups the liveness timing knobs of the claim protocol. Zero
-// fields keep their current values; tests (and the kill-recovery suite)
-// shrink them to make staleness observable in milliseconds.
-type Tuning struct {
-	// StaleAfter is the claim staleness window: a claim whose mtime is
-	// older than this belongs to a dead process and may be broken.
-	// Default 10 minutes.
-	StaleAfter time.Duration
-	// Heartbeat is how often a claim owner refreshes its claim file's
-	// mtime. Default StaleAfter/4.
-	Heartbeat time.Duration
-	// Poll is WaitForClaim's initial backoff between entry checks; the
-	// backoff doubles (with jitter) up to 32×Poll. Default 50 ms.
-	Poll time.Duration
-	// WaitMax bounds how long WaitForClaim blocks on a live claim
-	// before giving up and letting the caller recompute (claims are
-	// advisory: a stuck-but-heartbeating owner must not stall a waiter
-	// forever). Default 2×StaleAfter.
-	WaitMax time.Duration
-}
 
 // Cache is a directory of content-addressed simulation results.
 type Cache struct {
 	dir string
 	fs  cachefs.FS
 
-	staleAfter time.Duration // claim staleness window
-	hbEvery    time.Duration // claim heartbeat interval
-	pollEvery  time.Duration // WaitForClaim initial backoff
-	waitMax    time.Duration // WaitForClaim deadline
-
-	mu       sync.Mutex
-	keys     map[string]*sync.Mutex // per-key write locks
-	rngState uint64                 // backoff jitter (xorshift, seeded per cache)
+	mu   sync.Mutex
+	keys map[string]*sync.Mutex // per-key write locks
 }
 
 // entry is the on-disk envelope around one result.
@@ -112,11 +72,9 @@ type entry struct {
 }
 
 // Open returns a cache rooted at dir, creating the directory if needed.
-// It also removes temp, claim, and breaker-lock files left behind by
-// killed processes: a partially-written <key>.tmp* never becomes
-// visible (writes are rename-atomic) but used to sit in the directory
-// forever, and a stale <key>.claim would make other processes wait out
-// the staleness window for an owner that no longer exists.
+// It also removes temp files left behind by killed processes: a
+// partially-written <key>.tmp* never becomes visible (writes are
+// rename-atomic) but would otherwise sit in the directory forever.
 func Open(dir string) (*Cache, error) { return OpenFS(dir, cachefs.OS()) }
 
 // OpenFS is Open over an explicit filesystem implementation — the
@@ -128,73 +86,37 @@ func OpenFS(dir string, fsys cachefs.FS) (*Cache, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rescache: %w", err)
 	}
-	c := &Cache{
-		dir:        dir,
-		fs:         fsys,
-		staleAfter: claimStale,
-		hbEvery:    claimStale / 4,
-		pollEvery:  50 * time.Millisecond,
-		waitMax:    2 * claimStale,
-		keys:       make(map[string]*sync.Mutex),
-		rngState:   uint64(os.Getpid())<<32 ^ uint64(time.Now().UnixNano()) | 1,
-	}
-	c.cleanStale()
+	c := &Cache{dir: dir, fs: fsys, keys: make(map[string]*sync.Mutex)}
+	c.cleanStale(time.Now().Add(-staleTempAge))
 	return c, nil
 }
 
-// Tune overrides the claim-liveness timing knobs; zero fields keep
-// their current values. Call it before the cache is shared between
-// goroutines (it does not lock).
-func (c *Cache) Tune(t Tuning) {
-	if t.StaleAfter > 0 {
-		c.staleAfter = t.StaleAfter
-		c.hbEvery = t.StaleAfter / 4
-		c.waitMax = 2 * t.StaleAfter
-	}
-	if t.Heartbeat > 0 {
-		c.hbEvery = t.Heartbeat
-	}
-	if t.Poll > 0 {
-		c.pollEvery = t.Poll
-	}
-	if t.WaitMax > 0 {
-		c.waitMax = t.WaitMax
-	}
-}
-
-// cleanStale removes abandoned temp files and expired claim and breaker
-// files. Best effort: a cleanup failure never fails Open — the worst
-// case is the status quo ante (a little garbage in the directory).
-func (c *Cache) cleanStale() {
+// cleanStale removes temp files last modified before cutoff. Best
+// effort: a cleanup failure never fails Open — the worst case is the
+// status quo ante (a little garbage in the directory).
+func (c *Cache) cleanStale(cutoff time.Time) {
 	entries, err := c.fs.ReadDir(c.dir)
 	if err != nil {
 		return
 	}
-	now := time.Now()
 	for _, e := range entries {
 		name := e.Name()
-		var maxAge time.Duration
-		switch {
-		case strings.Contains(name, ".tmp"):
-			maxAge = staleTempAge
-		case strings.HasSuffix(name, ".claim"), strings.HasSuffix(name, ".claim.break"):
-			maxAge = claimStale
-		default:
+		if !strings.Contains(name, ".tmp") {
 			continue // entry files and anything unrecognized are left alone
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		if now.Sub(info.ModTime()) > maxAge {
+		if info.ModTime().Before(cutoff) {
 			c.removeQuiet(filepath.Join(c.dir, name))
 		}
 	}
 }
 
 // removeQuiet deletes path, tolerating failure by design: every caller
-// is cleaning up a scratch, claim, or breaker file whose survival costs
-// at most a later sweep or staleness break, never wrong results.
+// is cleaning up a temp file whose survival costs at most a later
+// sweep, never wrong results.
 func (c *Cache) removeQuiet(path string) {
 	err := c.fs.Remove(path)
 	_ = err // best effort: a file that refuses to die goes stale and is swept later
@@ -209,11 +131,6 @@ func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// claimPath returns the claim file guarding key's computation.
-func (c *Cache) claimPath(key string) string {
-	return filepath.Join(c.dir, key+".claim")
-}
-
 // keyLock returns the per-key mutex, creating it on first use.
 func (c *Cache) keyLock(key string) *sync.Mutex {
 	c.mu.Lock()
@@ -224,26 +141,6 @@ func (c *Cache) keyLock(key string) *sync.Mutex {
 		c.keys[key] = m
 	}
 	return m
-}
-
-// jitter returns a pseudo-random duration in [0, d/2): claim waiters
-// desynchronize their polls so a released claim is not hammered by
-// every waiter in the same instant. The stream is a per-cache xorshift
-// — deliberately not math/rand's process-global state, and irrelevant
-// to result determinism (it only shifts when a waiter looks, never what
-// it reads).
-func (c *Cache) jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return 0
-	}
-	c.mu.Lock()
-	x := c.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	c.rngState = x
-	c.mu.Unlock()
-	return time.Duration(x % uint64(d/2))
 }
 
 // validKey reports whether key is a hex digest — the only file names the
@@ -356,167 +253,4 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// TryClaim attempts to mark key as "being computed by this process" so
-// sibling processes sharing the directory can wait instead of
-// duplicating the run. ok reports whether the claim was taken; release
-// must be called exactly once (after the entry is Put, so waiters wake
-// to a hit) and is never nil. While the claim is held, a heartbeat
-// goroutine refreshes the claim file's mtime every Tuning.Heartbeat, so
-// a run longer than the staleness window keeps its claim; release stops
-// the heartbeat and removes the file. A claim whose mtime has outlived
-// Tuning.StaleAfter is presumed orphaned and broken (under a per-key
-// breaker lock, so racing breakers cannot delete each other's fresh
-// replacement claims — at most one claimant wins a breaking episode).
-//
-// Claims are advisory: on any unexpected filesystem error the caller is
-// told to proceed (ok=true with a no-op release) — duplicate computation
-// is wasted work, not a correctness hazard.
-func (c *Cache) TryClaim(key string) (release func(), ok bool) {
-	noop := func() {}
-	if !validKey(key) {
-		return noop, true
-	}
-	path := c.claimPath(key)
-	for attempt := 0; attempt < 3; attempt++ {
-		f, err := c.fs.CreateExclusive(path)
-		if err == nil {
-			_, werr := fmt.Fprintf(f, "pid %d\n", os.Getpid())
-			cerr := f.Close()
-			if ferr := firstErr(werr, cerr); ferr != nil {
-				// The claim exists but could not be written out; keep it
-				// (its existence is the lock) and carry on.
-				_ = ferr // the file's contents are diagnostic only
-			}
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go c.heartbeat(path, stop, done)
-			return func() {
-				close(stop)
-				<-done
-				c.removeQuiet(path)
-			}, true
-		}
-		if !errors.Is(err, iofs.ErrExist) {
-			return noop, true // advisory: proceed without a claim
-		}
-		info, serr := c.fs.Stat(path)
-		if serr != nil {
-			continue // claim vanished between create and stat: retry
-		}
-		if time.Since(info.ModTime()) <= c.staleAfter {
-			return noop, false // live claimant
-		}
-		// Stale claim from a dead process: break it under the breaker
-		// lock and retry the exclusive create. A racing claimant may
-		// win that create; we then observe a fresh claim on the next
-		// attempt and report the key as held.
-		if !c.breakStale(path) {
-			return noop, false
-		}
-	}
-	return noop, false
-}
-
-// heartbeat refreshes path's mtime every hbEvery until stop closes, so
-// a live claim never looks stale no matter how long its run computes.
-// Any refresh failure ends the heartbeat: either the claim file is gone
-// (released, broken, or swept — beating would resurrect a file another
-// process now owns) or the filesystem is sick, and in both cases the
-// safe behaviour is to let the claim age out.
-func (c *Cache) heartbeat(path string, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		case <-time.After(c.hbEvery):
-			now := time.Now()
-			if err := c.fs.Chtimes(path, now, now); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// breakStale removes a stale claim under an exclusive per-key breaker
-// lock (<claim>.break). Without the lock, two breakers can interleave
-// remove/create such that one deletes the other's *fresh* replacement
-// claim and both believe they won; with it, the claim file is only ever
-// removed by the lock holder after re-checking staleness, so exactly
-// one claimant can win the subsequent exclusive create. Reports whether
-// the caller should retry that create; false means another process owns
-// the break (or the claim turned out to be live after all).
-func (c *Cache) breakStale(path string) bool {
-	lock := path + ".break"
-	bf, err := c.fs.CreateExclusive(lock)
-	if err != nil {
-		if !errors.Is(err, iofs.ErrExist) {
-			return false // advisory protocol on a sick FS: treat as held
-		}
-		// Another process is mid-break. If its lock is itself stale
-		// (breaker killed between create and remove), sweep it so the
-		// key cannot wedge; the next attempt re-races the break.
-		if info, serr := c.fs.Stat(lock); serr == nil && time.Since(info.ModTime()) > c.staleAfter {
-			c.removeQuiet(lock)
-			return true
-		}
-		return false
-	}
-	cerr := bf.Close()
-	_ = cerr // the lock is the file's existence, not its contents
-	defer c.removeQuiet(lock)
-	// Re-check under the lock: the claim may have been broken and
-	// re-taken (now fresh) while we raced for the lock.
-	info, serr := c.fs.Stat(path)
-	if serr != nil {
-		return true // claim gone already
-	}
-	if time.Since(info.ModTime()) <= c.staleAfter {
-		return false
-	}
-	c.removeQuiet(path)
-	return true
-}
-
-// ClaimHeld reports whether a live (non-stale) claim for key exists.
-func (c *Cache) ClaimHeld(key string) bool {
-	info, err := c.fs.Stat(c.claimPath(key))
-	return err == nil && time.Since(info.ModTime()) <= c.staleAfter
-}
-
-// WaitForClaim blocks while another process holds a live claim on key,
-// waiting for its entry to land with jittered exponential backoff
-// (starting at Tuning.Poll, capped at 32×Poll) instead of a fixed-rate
-// poll. It returns the result as soon as one is readable; ok is false
-// once the claim is gone (released or stale) without an entry
-// appearing, or once Tuning.WaitMax elapses — the caller should then
-// compute the run itself (claims are advisory, so an owner that
-// heartbeats but never finishes costs a duplicated run, never a hang).
-// A caller that never claimed and never saw a claim gets an immediate
-// miss.
-func (c *Cache) WaitForClaim(key string) (sim.Result, bool) {
-	deadline := time.Now().Add(c.waitMax)
-	backoff := c.pollEvery
-	for {
-		if res, ok := c.Get(key); ok {
-			return res, true
-		}
-		if !c.ClaimHeld(key) {
-			// The claimant may have Put and released between our miss
-			// and this check; one last look stops the caller from
-			// re-simulating an entry that just landed.
-			return c.Get(key)
-		}
-		if time.Now().After(deadline) {
-			// Bounded wait: stop trusting the claimant's progress and
-			// recompute. Same final look as above.
-			return c.Get(key)
-		}
-		time.Sleep(backoff + c.jitter(backoff))
-		if backoff < 32*c.pollEvery {
-			backoff *= 2
-		}
-	}
 }

@@ -3,9 +3,12 @@ package rescache
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dcasim/internal/config"
 	"dcasim/internal/sim"
@@ -142,5 +145,91 @@ func TestEntryEnvelopeShape(t *testing.T) {
 	}
 	if e.Schema != config.SchemaVersion || e.Key != key || len(e.SHA256) != 64 || len(e.Result) == 0 {
 		t.Fatalf("unexpected envelope: %+v", e)
+	}
+}
+
+// TestOpenCleansStaleTemp: a temp file left by a killed process must be
+// swept — not accumulate forever — while fresh temp files (a live writer
+// mid-Put), unrelated files, and real entries survive. Open sweeps temp
+// files older than staleTempAge; the test drives the same sweep with a
+// cutoff between the two temp files' mtimes instead of waiting an hour.
+func TestOpenCleansStaleTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := config.Test().Hash()
+	if err := c.Put(key, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+
+	mk := func(name string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	staleTmp := mk(key + ".tmp123456")
+	unrelated := mk("README.txt")     // unrecognized names are never touched
+	time.Sleep(50 * time.Millisecond) // clear the filesystem's mtime granularity
+	cutoff := time.Now()
+	time.Sleep(50 * time.Millisecond)
+	freshTmp := mk(key + ".tmp654321")
+
+	// Everything is younger than staleTempAge: Open must keep it all.
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(staleTmp); err != nil {
+		t.Fatalf("Open swept a temp file younger than staleTempAge: %v", err)
+	}
+
+	c.cleanStale(cutoff)
+	if _, err := os.Stat(staleTmp); !os.IsNotExist(err) {
+		t.Errorf("%s survived the sweep, want it removed", filepath.Base(staleTmp))
+	}
+	for _, p := range []string{freshTmp, unrelated, c.Path(key)} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("%s was swept, want it kept: %v", filepath.Base(p), err)
+		}
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("entry unreadable after cleanup")
+	}
+}
+
+// TestConcurrentPutsSameKey: hammering one key from many goroutines must
+// leave a readable, checksum-valid entry (per-key locking plus atomic
+// rename).
+func TestConcurrentPutsSameKey(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := config.Test().Hash()
+	want := sampleResult()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				if err := c.Put(key, want); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, ok := c.Get(key)
+	if !ok {
+		t.Fatal("entry unreadable after concurrent Puts")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent Puts corrupted the entry: got %+v", got)
 	}
 }
