@@ -19,8 +19,8 @@
 #   make faults     - fault-model suite under -race: cachefs fault
 #                     injection, the rescache crash/corruption tests,
 #                     and the exp panic/watchdog/keep-going,
-#                     SIGKILL-recovery and concurrent-cache-handle
-#                     tests (CI job)
+#                     warm-group failure, SIGKILL-recovery and
+#                     concurrent-cache-handle tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
 #                     result-cache reader, and the event kernel vs its
 #                     heap oracle (CI job)
@@ -86,12 +86,14 @@ race:
 # Fault-model suite under the race detector: the cachefs injector's own
 # tests, the rescache crash/corruption/concurrent-Put tests, and in
 # internal/exp the SIGKILL kill-recovery test, the two-handle concurrent
-# runner test (duplicate work, never a wrong result), and the
-# panic-isolation, watchdog, and keep-going tests. This is the "nothing
-# wedges, nothing lies" gate — see README "Failure model".
+# runner test (duplicate work, never a wrong result), the
+# panic-isolation, watchdog, and keep-going tests, and the warm-group
+# failure tests (a failing member never hands its warm state on). This
+# is the "nothing wedges, nothing lies" gate — see README "Failure
+# model".
 faults:
 	$(GO) test -race -count=1 ./internal/cachefs ./internal/rescache
-	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS|ConcurrentHandles' ./internal/exp
+	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS|ConcurrentHandles|WarmGroup' ./internal/exp
 
 # Short fuzz pass over the byte-level readers and the event kernel: a
 # malformed trace must never panic the simulator, an arbitrary cache

@@ -71,6 +71,14 @@ func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 	return c, nil
 }
 
+// Clone returns an independent copy of the cache: contents, replacement
+// state and counters.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.lines = append([]line(nil), c.lines...)
+	return &d
+}
+
 // split maps a block address to its (set, tag) pair.
 func (c *Cache) split(blockAddr int64) (set, tag int64) {
 	if c.setsPow2 {

@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"dcasim/internal/cache"
+	"dcasim/internal/dcache"
 	"dcasim/internal/event"
 	"dcasim/internal/simtime"
 	"dcasim/internal/workload"
@@ -128,27 +129,41 @@ func (c *Core) Run(target int64, onFinish func(*Core)) {
 }
 
 // Warm advances the core's trace through the functional hierarchy for
-// memops memory operations without consuming simulated time, warming L1,
-// L2, DRAM-cache tags, and the miss predictor.
-func (c *Core) Warm(memops int64) {
+// memops memory operations without consuming simulated time, warming the
+// core's L1, the shared L2 array, and the DRAM cache's tags and miss
+// predictor. It uses nothing else of the core, so a core built with a nil
+// engine and L2 can warm.
+func (c *Core) Warm(memops int64, l2 *cache.Cache, dc *dcache.Contents) {
 	for i := int64(0); i < memops; i++ {
 		op := c.src.Next()
 		if op.Store {
 			res := c.l1.Access(op.Addr, true)
 			if !res.Hit && res.VictimValid && res.VictimDirty {
-				c.l2.WarmWrite(res.VictimAddr, c.id)
+				warmInstall(l2, dc, res.VictimAddr, true, c.id)
 			}
 			continue
 		}
 		res := c.l1.Access(op.Addr, false)
 		if !res.Hit {
 			if res.VictimValid && res.VictimDirty {
-				c.l2.WarmWrite(res.VictimAddr, c.id)
+				warmInstall(l2, dc, res.VictimAddr, true, c.id)
 			}
-			c.l2.WarmRead(op.Addr, c.id, op.PC)
+			if !l2.Touch(op.Addr) {
+				dc.WarmRead(op.Addr, c.id, op.PC)
+				warmInstall(l2, dc, op.Addr, false, c.id)
+			}
 		}
 	}
 	c.l1.ResetStats()
+}
+
+// warmInstall is the functional warm-up fill of the L2 array: a dirty
+// victim becomes a DRAM-cache warm write.
+func warmInstall(l2 *cache.Cache, dc *dcache.Contents, addr int64, dirty bool, coreID int) {
+	res := l2.Access(addr, dirty)
+	if !res.Hit && res.VictimValid && res.VictimDirty {
+		dc.WarmWrite(res.VictimAddr, coreID)
+	}
 }
 
 // step advances the core as far as the trace, the ROB window, and the

@@ -127,7 +127,7 @@ func TestStoresDoNotBlock(t *testing.T) {
 
 func TestWarmDoesNotAdvanceTime(t *testing.T) {
 	r := newRig(t, "gcc", 0, false)
-	r.core.Warm(10_000)
+	r.core.Warm(10_000, r.l2.arr, r.dc.Contents)
 	if r.eng.Now() != 0 {
 		t.Fatalf("warm-up advanced simulated time to %v", r.eng.Now())
 	}

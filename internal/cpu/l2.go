@@ -139,27 +139,6 @@ func (l *L2) leeDrain(victim int64, coreID int) {
 	}
 }
 
-// WarmRead is the functional warm-up read path.
-func (l *L2) WarmRead(addr int64, coreID int, pc uint64) {
-	if l.arr.Touch(addr) {
-		return
-	}
-	l.dc.WarmRead(addr, coreID, pc)
-	l.warmInstall(addr, false, coreID)
-}
-
-// WarmWrite is the functional warm-up write path.
-func (l *L2) WarmWrite(addr int64, coreID int) {
-	l.warmInstall(addr, true, coreID)
-}
-
-func (l *L2) warmInstall(addr int64, dirty bool, coreID int) {
-	res := l.arr.Access(addr, dirty)
-	if !res.Hit && res.VictimValid && res.VictimDirty {
-		l.dc.WarmWrite(res.VictimAddr, coreID)
-	}
-}
-
 // AvgMissLatency returns the mean time the L2 waited on the DRAM cache,
 // the paper's L2-miss-latency metric (Figs. 12/13).
 func (l *L2) AvgMissLatency() simtime.Time {

@@ -30,6 +30,9 @@ type Config struct {
 	// with BEAR by scheduling the residual accesses).
 	BEARProbe bool
 	Cores     int
+	// Contents is the warmed functional state to run over; nil starts
+	// from an empty cache.
+	Contents *Contents
 }
 
 // Stats aggregates request-level counters. DRAM- and controller-level
@@ -67,16 +70,70 @@ func (s Stats) ReadHitRate() float64 {
 	return float64(s.ReadHits) / float64(s.ReadReqs)
 }
 
-// DCache is a die-stacked DRAM cache with tags in DRAM.
+// Contents is the functional state of a DRAM cache — its geometry, tag
+// store and MAP-I predictor — which functional warm-up fills and a timed
+// run's DCache runs over (Config.Contents). Checkpoint and Rollback let
+// several timed runs start in turn from the same warmed contents.
+type Contents struct {
+	geom  Geometry
+	tags  *tagStore
+	mapi  *mempred.MAPI
+	saved *mempred.MAPI // the predictor at the last Checkpoint
+}
+
+// NewContents builds empty contents for cfg's organization, size, DRAM
+// shape, predictor and core count. spare, when non-nil, is contents
+// nothing uses any more: its tag-store memory is reused if large enough,
+// so successive warm-ups do not each allocate a store.
+func NewContents(cfg Config, spare *Contents) (*Contents, error) {
+	geom, err := NewGeometry(cfg.Org, cfg.SizeBytes, cfg.DRAM)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Cores <= 0 {
+		return nil, fmt.Errorf("dcache: non-positive core count %d", cfg.Cores)
+	}
+	var old *tagStore
+	if spare != nil {
+		old = spare.tags
+	}
+	c := &Contents{geom: geom, tags: newTagStore(geom, old)}
+	if cfg.UseMAPI {
+		c.mapi = mempred.New(cfg.Cores)
+	}
+	return c, nil
+}
+
+// Checkpoint marks the current state for Rollback. It copies the small
+// MAP-I table, but only journals tag-store writes from here on rather
+// than copying the store.
+func (c *Contents) Checkpoint() {
+	c.saved = c.mapi.Clone()
+	c.tags.checkpoint()
+}
+
+// Rollback returns the contents to the last Checkpoint and reports
+// whether it could. It cannot when the journal outgrew the tag store and
+// was dropped; the contents then keep every change since the checkpoint.
+func (c *Contents) Rollback() bool {
+	saved := c.saved
+	c.saved = nil
+	if !c.tags.rollback() {
+		return false
+	}
+	c.mapi = saved
+	return true
+}
+
+// DCache is a die-stacked DRAM cache with tags in DRAM, running over its
+// functional Contents.
 type DCache struct {
+	*Contents
 	eng    *event.Engine
-	geom   Geometry
 	mapper addrmap.Mapper
-	tags   *tagStore
 	chans  []*dram.Channel
 	ctrls  []*core.Controller
 	mem    *mainmem.Memory
-	mapi   *mempred.MAPI
 	tcache *tagcache.TagCache
 	bear   bool
 
@@ -89,33 +146,33 @@ type DCache struct {
 
 var _ event.Handler = (*DCache)(nil)
 
-// New builds the DRAM cache, its channels, and one controller per
-// channel.
+// New builds the DRAM cache over cfg.Contents (or empty contents), its
+// channels, and one controller per channel.
 func New(eng *event.Engine, cfg Config, mem *mainmem.Memory) (*DCache, error) {
-	geom, err := NewGeometry(cfg.Org, cfg.SizeBytes, cfg.DRAM)
-	if err != nil {
+	contents := cfg.Contents
+	if contents == nil {
+		var err error
+		if contents, err = NewContents(cfg, nil); err != nil {
+			return nil, err
+		}
+	} else if geom, err := NewGeometry(cfg.Org, cfg.SizeBytes, cfg.DRAM); err != nil {
 		return nil, err
+	} else if contents.geom != geom || (contents.mapi != nil) != cfg.UseMAPI {
+		return nil, fmt.Errorf("dcache: contents were built for another cache shape or predictor setting")
 	}
 	if err := cfg.Ctrl.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("dcache: non-positive core count %d", cfg.Cores)
-	}
 	d := &DCache{
-		eng:    eng,
-		geom:   geom,
-		mapper: addrmap.Mapper{Geom: cfg.DRAM, XORRemap: cfg.XORRemap},
-		tags:   newTagStore(geom),
-		mem:    mem,
+		Contents: contents,
+		eng:      eng,
+		mapper:   addrmap.Mapper{Geom: cfg.DRAM, XORRemap: cfg.XORRemap},
+		mem:      mem,
 	}
 	for i := 0; i < cfg.DRAM.Channels; i++ {
 		ch := dram.NewChannel(cfg.Timing, cfg.DRAM)
 		d.chans = append(d.chans, ch)
 		d.ctrls = append(d.ctrls, core.NewController(eng, ch, cfg.Ctrl, cfg.Cores))
-	}
-	if cfg.UseMAPI {
-		d.mapi = mempred.New(cfg.Cores)
 	}
 	if cfg.TagCache != nil {
 		if cfg.Org != SetAssoc {
@@ -487,30 +544,30 @@ func (d *DCache) issueDataWrite(set int64, way, coreID int, reqType core.Request
 // WarmRead performs a functional (zero-time) read used during cache
 // warm-up: misses install the block clean, as a refill would, and the
 // MAP-I predictor trains on the outcome.
-func (d *DCache) WarmRead(addr int64, coreID int, pc uint64) {
-	set, way, vw := d.tags.lookupOrVictim(addr)
+func (c *Contents) WarmRead(addr int64, coreID int, pc uint64) {
+	set, way, vw := c.tags.lookupOrVictim(addr)
 	hit := way >= 0
-	if d.mapi != nil {
-		p := d.mapi.PredictMiss(coreID, pc)
-		d.mapi.Update(coreID, pc, p, hit)
+	if c.mapi != nil {
+		p := c.mapi.PredictMiss(coreID, pc)
+		c.mapi.Update(coreID, pc, p, hit)
 	}
 	if hit {
-		d.tags.touch(set, way)
+		c.tags.touch(set, way)
 		return
 	}
-	d.tags.install(addr, set, vw, false)
+	c.tags.install(addr, set, vw, false)
 }
 
 // WarmWrite performs a functional writeback: hits become dirty, misses
 // allocate dirty.
-func (d *DCache) WarmWrite(addr int64, coreID int) {
-	set, way, vw := d.tags.lookupOrVictim(addr)
+func (c *Contents) WarmWrite(addr int64, coreID int) {
+	set, way, vw := c.tags.lookupOrVictim(addr)
 	if way >= 0 {
-		d.tags.setDirty(set, way)
-		d.tags.touch(set, way)
+		c.tags.setDirty(set, way)
+		c.tags.touch(set, way)
 		return
 	}
-	d.tags.install(addr, set, vw, true)
+	c.tags.install(addr, set, vw, true)
 }
 
 // RowSpan returns the contiguous block-address window whose members map

@@ -275,3 +275,38 @@ func TestWarmAccessors(t *testing.T) {
 		t.Fatal("WarmWrite should install dirty")
 	}
 }
+
+// TestNewRejectsForeignContents: a DRAM cache runs only over contents
+// built for its own organization, size and predictor setting.
+func TestNewRejectsForeignContents(t *testing.T) {
+	cfg := Config{
+		Org:       SetAssoc,
+		SizeBytes: 1 << 20,
+		DRAM:      paperDRAM(),
+		Timing:    dram.StackedDRAM(),
+		Ctrl:      core.DefaultConfig(core.CD),
+		Cores:     1,
+	}
+	contents, err := NewContents(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"own shape", func(*Config) {}},
+		{"org", func(c *Config) { c.Org = DirectMapped }},
+		{"size", func(c *Config) { c.SizeBytes <<= 1 }},
+		{"predictor", func(c *Config) { c.UseMAPI = true }},
+	} {
+		c := cfg
+		c.Contents = contents
+		tc.mutate(&c)
+		eng := &event.Engine{}
+		_, err := New(eng, c, mainmem.New(eng, mainmem.DefaultConfig()))
+		if (err == nil) != (tc.name == "own shape") {
+			t.Errorf("%s: New returned %v", tc.name, err)
+		}
+	}
+}

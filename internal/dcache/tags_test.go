@@ -1,6 +1,9 @@
 package dcache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func smallTags(t *testing.T) *tagStore {
 	t.Helper()
@@ -8,7 +11,60 @@ func smallTags(t *testing.T) *tagStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTagStore(g)
+	return newTagStore(g, nil)
+}
+
+// snapshot copies a store's arrays and clock for comparison.
+func snapshot(ts *tagStore) ([]int64, []bool, []uint32, uint32) {
+	return append([]int64(nil), ts.tag...), append([]bool(nil), ts.dbit...), append([]uint32(nil), ts.lru...), ts.tick
+}
+
+// TestTagJournalRollback: rollback undoes every write since checkpoint
+// exactly, and a journal that outgrows half the ways is dropped, so
+// rollback then reports failure.
+func TestTagJournalRollback(t *testing.T) {
+	ts := smallTags(t)
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			addr := int64(i * 7919)
+			set, way, vw := ts.lookupOrVictim(addr)
+			if way >= 0 {
+				ts.setDirty(set, way)
+				ts.touch(set, way)
+			} else {
+				ts.install(addr, set, vw, i%3 == 0)
+			}
+		}
+	}
+	write(5000) // warm state
+	tag, dbit, lru, tick := snapshot(ts)
+	ts.checkpoint()
+	write(3000)
+	if !ts.rollback() {
+		t.Fatal("rollback of a small journal failed")
+	}
+	gotTag, gotDbit, gotLRU, gotTick := snapshot(ts)
+	if !reflect.DeepEqual(gotTag, tag) || !reflect.DeepEqual(gotDbit, dbit) || !reflect.DeepEqual(gotLRU, lru) || gotTick != tick {
+		t.Fatal("rollback did not restore the checkpointed store")
+	}
+	ts.checkpoint()
+	write(len(ts.tag))
+	if ts.rollback() {
+		t.Fatal("rollback succeeded after the journal outgrew the store")
+	}
+}
+
+// TestTagStoreReuse: a store built over a spare's arrays starts empty.
+func TestTagStoreReuse(t *testing.T) {
+	old := smallTags(t)
+	old.install(42, old.geom.SetOf(42), 3, true)
+	ts := newTagStore(old.geom, old)
+	if &ts.tag[0] != &old.tag[0] {
+		t.Fatal("the spare's arrays were not reused")
+	}
+	if _, way := ts.lookup(42); way >= 0 || ts.dbit[ts.idx(old.geom.SetOf(42), 3)] || ts.tick != 0 {
+		t.Fatal("a reused store kept the spare's contents")
+	}
 }
 
 func TestTagLookupInstall(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // whose IPCs are all zero — the degenerate sample a poisoned run
 // produces — so the render-time aggregation paths can be driven without
 // a real simulation.
-func zeroIPCSim(cfg config.Config) (sim.Result, error) {
+func zeroIPCSim(cfg config.Config, _ *warmSlot) (sim.Result, error) {
 	n := len(cfg.Benchmarks)
 	return sim.Result{
 		Benchmarks: append([]string(nil), cfg.Benchmarks...),
@@ -99,7 +99,7 @@ func TestPerMixGmeanErrorNotPanic(t *testing.T) {
 // NaN/Inf off as data.
 func TestDivZeroDenominatorRendersDash(t *testing.T) {
 	r := testRunner(t, 1)
-	r.run = func(cfg config.Config) (sim.Result, error) {
+	r.run = func(cfg config.Config, _ *warmSlot) (sim.Result, error) {
 		n := len(cfg.Benchmarks)
 		res := sim.Result{
 			Benchmarks: append([]string(nil), cfg.Benchmarks...),

@@ -36,18 +36,20 @@ func (e *RunTimeoutError) Error() string {
 }
 
 // runIsolated invokes one simulation behind a panic barrier: a panic
-// anywhere under sim.Run surfaces as a *RunPanicError for exactly this
-// config. Isolation is per run, not per process — the memo records the
-// error under the config's hash like any other failure, so a fail-fast
-// pass still reports the lowest failing spec index and a keep-going
-// pass carries on past it.
-func (r *Runner) runIsolated(cfg config.Config) (res sim.Result, err error) {
+// anywhere under the simulator surfaces as a *RunPanicError for exactly
+// this config. Isolation is per run, not per process — the memo records
+// the error under the config's hash like any other failure, so a
+// fail-fast pass still reports the first failure in dispatch order and
+// a keep-going pass carries on past it. A panicking warm-group member
+// leaves its half-run warm state behind; the group's next member warms
+// afresh.
+func (r *Runner) runIsolated(cfg config.Config, s *warmSlot) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &RunPanicError{Hash: cfg.Hash(), Value: fmt.Sprint(v), Stack: debug.Stack()}
 		}
 	}()
-	return r.run(cfg)
+	return r.run(cfg, s)
 }
 
 // execute runs one simulation with panic isolation and, when a run
@@ -56,10 +58,12 @@ func (r *Runner) runIsolated(cfg config.Config) (res sim.Result, err error) {
 // and the simulator deliberately takes no context — the deterministic
 // core must not observe wall-clock): its leak is the accepted price,
 // bounded by one goroutine per timed-out run, and it can never commit
-// a result because the memo records the timeout error first.
-func (r *Runner) execute(cfg config.Config) (sim.Result, error) {
+// a result because the memo records the timeout error first. It keeps
+// the warm slot it was given, and with it any warm state; the group
+// goes on with a fresh slot.
+func (r *Runner) execute(cfg config.Config, s *warmSlot) (sim.Result, error) {
 	if r.runTimeout <= 0 {
-		return r.runIsolated(cfg)
+		return r.runIsolated(cfg, s)
 	}
 	type outcome struct {
 		res sim.Result
@@ -67,7 +71,7 @@ func (r *Runner) execute(cfg config.Config) (sim.Result, error) {
 	}
 	ch := make(chan outcome, 1) // buffered: a late finisher must not block forever
 	go func() {
-		res, err := r.runIsolated(cfg)
+		res, err := r.runIsolated(cfg, s)
 		ch <- outcome{res: res, err: err}
 	}()
 	timer := time.NewTimer(r.runTimeout)

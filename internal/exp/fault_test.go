@@ -26,8 +26,8 @@ func fakeCfg(seed uint64) config.Config {
 // fakeSim is a substitute simulator: instant results, panicking on the
 // seeds in panics, so the panic-isolation machinery can be exercised
 // without multi-second simulations.
-func fakeSim(panics ...uint64) func(config.Config) (sim.Result, error) {
-	return func(cfg config.Config) (sim.Result, error) {
+func fakeSim(panics ...uint64) func(config.Config, *warmSlot) (sim.Result, error) {
+	return func(cfg config.Config, _ *warmSlot) (sim.Result, error) {
 		for _, s := range panics {
 			if cfg.Seed == s {
 				panic(fmt.Sprintf("injected panic at seed %d", s)) // distinct, deterministic value
@@ -73,7 +73,8 @@ func TestRunPanicIsolated(t *testing.T) {
 }
 
 // TestEnsureFailFastPanicDeterministic: with panicking configs in the
-// batch, fail-fast Ensure reports the lowest-spec-index failure with an
+// batch, fail-fast Ensure reports the first failure in dispatch order —
+// here spec order, as every seed is a warm group of its own — with an
 // identical message at every worker count.
 func TestEnsureFailFastPanicDeterministic(t *testing.T) {
 	cfgs := []config.Config{fakeCfg(1), fakeCfg(666), fakeCfg(2), fakeCfg(3), fakeCfg(777)}
@@ -142,7 +143,7 @@ func TestEnsureKeepGoingJoinsAll(t *testing.T) {
 // hash-carrying error instead of hanging the sweep.
 func TestRunTimeout(t *testing.T) {
 	r := NewRunner(config.Test(), nil, 1)
-	r.run = func(cfg config.Config) (sim.Result, error) {
+	r.run = func(cfg config.Config, _ *warmSlot) (sim.Result, error) {
 		if cfg.Seed == 13 {
 			select {} // a run that never returns
 		}

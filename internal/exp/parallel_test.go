@@ -130,8 +130,9 @@ func TestEnsureSingleRun(t *testing.T) {
 }
 
 // TestEnsureFirstErrorDeterministic: with several failing configs in one
-// batch, Ensure must always report the earliest one in spec order — at
-// every worker count — even though goroutine completion order varies.
+// batch, Ensure must always report the earliest one in dispatch order —
+// here spec order, as every config is a warm group of its own — at every
+// worker count, even though goroutine completion order varies.
 func TestEnsureFirstErrorDeterministic(t *testing.T) {
 	good := func(seed uint64) config.Config {
 		cfg := config.Test()

@@ -37,17 +37,28 @@ type Runner struct {
 	progress   ProgressFunc
 	replicates int // default replicate count for Table; specs may override
 
-	run        func(config.Config) (sim.Result, error) // the simulator; tests substitute panicking/hanging fakes
-	keepGoing  bool                                    // Ensure collects every failure instead of cancelling on the first
-	runTimeout time.Duration                           // per-run watchdog; <= 0 disables
+	run        func(config.Config, *warmSlot) (sim.Result, error) // the simulator (simulate); tests substitute panicking/hanging fakes
+	keepGoing  bool                                               // Ensure collects every failure instead of cancelling on the first
+	runTimeout time.Duration                                      // per-run watchdog; <= 0 disables
 
 	mu        sync.Mutex
 	results   map[string]sim.Result // by config.Config.Hash()
 	errs      map[string]error
 	inflight  map[string]*call
 	simRuns   int64 // simulations actually executed (not memo or cache hits)
+	warmUps   int64 // functional warm-ups those simulations needed
 	cacheHits int64 // persistent-cache hits
 	cacheErr  error // first failed cache write, surfaced via CacheErr
+}
+
+// warmSlot carries a worker's warm state from one member's run to the
+// next. Only the run of the current member touches it. After a failure
+// the worker goes on with a fresh slot, so a runaway run that the
+// watchdog abandoned keeps sole ownership of the state it was using.
+type warmSlot struct {
+	w     *sim.Warmed // state the next member runs over; nil warms afresh
+	keep  bool        // another member of the group follows: keep w for it
+	spare *sim.Warmed // a spent state whose memory the next warm-up reuses
 }
 
 // call is the in-flight record of one run (singleflight): concurrent
@@ -65,15 +76,49 @@ func NewRunner(base config.Config, mixes []workload.Mix, workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
+	r := &Runner{
 		base:     base,
 		mixes:    mixes,
 		workers:  workers,
-		run:      sim.Run,
 		results:  make(map[string]sim.Result),
 		errs:     make(map[string]error),
 		inflight: make(map[string]*call),
 	}
+	r.run = r.simulate
+	return r
+}
+
+// simulate is the runner's simulator. A config run on its own (s == nil)
+// warms, then runs its timed region. A warm-group member runs over the
+// state the previous member left in s, warming afresh (over s.spare's
+// memory) when there is none. After a successful run it leaves the state
+// in s for the next member when s.keep is set and the state survived,
+// and as s.spare otherwise.
+func (r *Runner) simulate(cfg config.Config, s *warmSlot) (sim.Result, error) {
+	var w, spare *sim.Warmed
+	keep := false
+	if s != nil {
+		w, s.w, keep = s.w, nil, s.keep
+		spare, s.spare = s.spare, nil
+	}
+	if w == nil {
+		r.mu.Lock()
+		r.warmUps++
+		r.mu.Unlock()
+		var err error
+		if w, err = sim.Warm(cfg, spare); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	res, err := w.Run(cfg, keep)
+	switch {
+	case err != nil || s == nil:
+	case keep && !w.Spent():
+		s.w = w
+	default:
+		s.spare = w
+	}
+	return res, err
 }
 
 // SetCache attaches a persistent result cache, consulted before running
@@ -85,10 +130,11 @@ func (r *Runner) SetCache(c *rescache.Cache) { r.cache = c }
 func (r *Runner) SetProgress(f ProgressFunc) { r.progress = f }
 
 // SetKeepGoing selects Ensure's failure mode: false (the default) stops
-// dispatching on the first failure and reports the lowest-spec-index
-// error; true runs every config and reports all failures joined in spec
-// order — the resumable mode, where every run that can succeed lands in
-// the cache even when some cannot. Set it before the first Ensure call.
+// dispatching on the first failure and reports the first error in
+// dispatch order; true runs every config and reports all failures joined
+// in spec order — the resumable mode, where every run that can succeed
+// lands in the cache even when some cannot. Set it before the first
+// Ensure call.
 func (r *Runner) SetKeepGoing(v bool) { r.keepGoing = v }
 
 // SetRunTimeout arms a per-run watchdog: a simulation that exceeds d
@@ -204,7 +250,11 @@ func Cacheable(cfg config.Config) bool {
 // per runner: the in-memory memo, then the persistent cache, then an
 // actual simulation. Concurrent callers for the same config hash join
 // the in-flight computation (singleflight).
-func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
+func (r *Runner) Run(cfg config.Config) (sim.Result, error) { return r.runIn(cfg, nil) }
+
+// runIn is Run for a member of a warm group: a simulation it needs runs
+// over the group's shared state in s.
+func (r *Runner) runIn(cfg config.Config, s *warmSlot) (sim.Result, error) {
 	h := cfg.Hash()
 	r.mu.Lock()
 	if res, ok := r.results[h]; ok {
@@ -235,7 +285,7 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 	}
 	var putErr error
 	if !fromCache && c.err == nil {
-		c.res, c.err = r.execute(cfg)
+		c.res, c.err = r.execute(cfg, s)
 		if c.err == nil && cacheable {
 			putErr = r.cache.Put(h, c.res)
 		}
@@ -262,39 +312,60 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 }
 
 // Ensure computes every missing config through a bounded worker pool and
-// returns the first error in the order given. Duplicates are launched
+// returns the first error in dispatch order. Duplicates are launched
 // once: a joiner blocked on the singleflight would otherwise hold a
 // worker slot for the whole in-flight simulation.
 //
-// The pool dispatches the distinct configs strictly in order, so the
-// error Ensure reports is deterministic at every worker count: when a
-// run fails, dispatch stops (in-flight siblings drain, and at most one
-// already-offered index — necessarily above the failing one — still
-// starts), and in-order dispatch guarantees every config before the
-// lowest failing index has already run to completion — making
-// "lowest-index recorded error" independent of goroutine scheduling.
-// Results are equally order-independent: runs commit into the
-// hash-keyed memo and the table/sweep renderers read them back in spec
-// order, so parallel output is bit-identical to sequential.
+// The distinct configs are grouped by sim.WarmKey: groups in order of
+// first appearance, members in spec order. A group is one dispatch unit.
+// Its members run one after another on one worker, over one functional
+// warm-up (see sim.Warmed): a member that fails drops the warm state and
+// the next member warms afresh. A worker's next warm-up reuses the
+// tag-store memory of the state its last group consumed. Trace replay
+// and recording configs have no key and run alone.
+//
+// The pool dispatches the groups strictly in order, and a dispatched
+// group runs until its own first failure even after another group's
+// failure cancelled the pass. So the error Ensure reports is
+// deterministic at every worker count: when a run fails, dispatch stops
+// (in-flight groups finish, and at most one already-offered group —
+// necessarily after the failing one — still starts), every group before
+// the first failing group ran to completion, and that group ran up to
+// its first failing member — making "first recorded error in dispatch
+// order" independent of goroutine scheduling. Results are equally
+// order-independent: runs commit into the hash-keyed memo and the
+// table/sweep renderers read them back in spec order, so parallel output
+// is bit-identical to sequential.
 //
 // With SetKeepGoing(true) a failure does not stop dispatch: every
 // config runs (and every success lands in the persistent cache, so a
 // partly-failing sweep is resumable), and Ensure returns all distinct
-// failures joined in spec order — the same determinism argument
-// applies, because the memo keys failures by hash and the final scan
-// reads them back in spec order regardless of which worker hit them.
+// failures joined in spec order — deterministic because the memo keys
+// failures by hash and the final scan reads them back in spec order
+// regardless of which worker hit them.
 func (r *Runner) Ensure(cfgs []config.Config) error {
 	keepGoing := r.keepGoing
 	hashes := make([]string, len(cfgs))
-	var distinct []config.Config
+	var groups [][]int // indices into cfgs of the distinct configs
 	seen := make(map[string]bool, len(cfgs))
+	groupOf := make(map[string]int)
 	for i, cfg := range cfgs {
 		hashes[i] = cfg.Hash()
-		if !seen[hashes[i]] {
-			seen[hashes[i]] = true
-			distinct = append(distinct, cfg)
+		if seen[hashes[i]] {
+			continue
 		}
+		seen[hashes[i]] = true
+		key, ok := sim.WarmKey(cfg)
+		if g, found := groupOf[key]; ok && found {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		if ok {
+			groupOf[key] = len(groups)
+		}
+		groups = append(groups, []int{i})
 	}
+	total := len(seen)
 
 	var (
 		stop     = make(chan struct{}) // closed on the first failure
@@ -305,61 +376,76 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 		done   int
 		start  = time.Now()
 	)
-	// In-order dispatch: an unbuffered channel hands out index i only
-	// after every j < i was handed out (the determinism proof above
-	// leans on this).
+	// In-order dispatch: an unbuffered channel hands out group g only
+	// after every earlier group was handed out (the determinism proof
+	// above leans on this).
 	idxCh := make(chan int)
 	go func() {
 		defer close(idxCh)
-		for i := range distinct {
+		for g := range groups {
 			// Check stop before offering: with a worker already blocked
 			// on idxCh both select cases would be ready and Go picks
 			// randomly, which would keep dealing work after a failure.
 			// If stop closes during the send itself, at most this one
-			// index slips through (the next iteration's check returns).
+			// group slips through (the next iteration's check returns).
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			select {
-			case idxCh <- i:
+			case idxCh <- g:
 			case <-stop:
 				return
 			}
 		}
 	}()
 
+	report := func() {
+		if r.progress == nil {
+			return
+		}
+		r.mu.Lock()
+		p := Progress{Total: total, Simulated: r.simRuns, CacheHits: r.cacheHits}
+		r.mu.Unlock()
+		progMu.Lock()
+		done++
+		p.Done = done
+		p.Elapsed = time.Since(start)
+		r.progress(p)
+		progMu.Unlock()
+	}
 	workers := r.workers
-	if workers > len(distinct) {
-		workers = len(distinct)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idxCh {
-				// Every received index runs, even one that slipped
-				// through the dispatcher's send in the same instant a
-				// failure cancelled the pass: in-order dispatch means
-				// such a straggler is strictly above the failing index,
-				// so running it costs at most one extra run — while
-				// skipping it here could skip an index received BEFORE
-				// the failure and break the lowest-failing-index proof.
-				if _, err := r.Run(distinct[i]); err != nil && !keepGoing {
-					cancel()
-				}
-				if r.progress != nil {
-					r.mu.Lock()
-					p := Progress{Total: len(distinct), Simulated: r.simRuns, CacheHits: r.cacheHits}
-					r.mu.Unlock()
-					progMu.Lock()
-					done++
-					p.Done = done
-					p.Elapsed = time.Since(start)
-					r.progress(p)
-					progMu.Unlock()
+			s := &warmSlot{}
+			for g := range idxCh {
+				// Every received group runs to its own first failure,
+				// even one that slipped through the dispatcher's send in
+				// the same instant a failure cancelled the pass, and even
+				// when another group fails meanwhile: in-order dispatch
+				// means such a straggler comes strictly after the failing
+				// group, so running it costs extra runs only — while
+				// cutting a group short could skip a failure that a
+				// one-worker pass would have reported first.
+				s.w = nil // a group whose last members were cached leaves its state
+				for k, i := range groups[g] {
+					s.keep = k < len(groups[g])-1
+					_, err := r.runIn(cfgs[i], s)
+					report()
+					if err != nil {
+						s = &warmSlot{} // the failed run may still hold the old one
+						if !keepGoing {
+							cancel()
+							break
+						}
+					}
 				}
 			}
 		}()
@@ -372,9 +458,9 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 	// before the error is reported.
 	if r.progress != nil {
 		progMu.Lock()
-		if done < len(distinct) {
+		if done < total {
 			r.mu.Lock()
-			p := Progress{Done: done, Total: len(distinct), Simulated: r.simRuns, CacheHits: r.cacheHits}
+			p := Progress{Done: done, Total: total, Simulated: r.simRuns, CacheHits: r.cacheHits}
 			r.mu.Unlock()
 			p.Elapsed = time.Since(start)
 			p.Final = true
@@ -386,11 +472,11 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !keepGoing {
-		for i, h := range hashes {
-			if err := r.errs[h]; err != nil {
-				cfg := cfgs[i]
-				return fmt.Errorf("exp: run %.12s… (%v/%v %v seed %d): %w",
-					h, cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
+		for _, members := range groups {
+			for _, i := range members {
+				if err := r.errs[hashes[i]]; err != nil {
+					return runError(cfgs[i], hashes[i], err)
+				}
 			}
 		}
 		return nil
@@ -402,12 +488,16 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 	for i, h := range hashes {
 		if err := r.errs[h]; err != nil && !reported[h] {
 			reported[h] = true
-			cfg := cfgs[i]
-			joined = append(joined, fmt.Errorf("exp: run %.12s… (%v/%v %v seed %d): %w",
-				h, cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err))
+			joined = append(joined, runError(cfgs[i], h, err))
 		}
 	}
 	return errors.Join(joined...)
+}
+
+// runError names the failed run of cfg (hash h) in Ensure's report.
+func runError(cfg config.Config, h string, err error) error {
+	return fmt.Errorf("exp: run %.12s… (%v/%v %v seed %d): %w",
+		h, cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
 }
 
 // result returns a memoized run (Ensure must have succeeded for cfg).

@@ -44,6 +44,20 @@ func New(cores int) *MAPI {
 	return m
 }
 
+// Clone returns an independent copy of the predictor, counters included.
+// A nil predictor clones to nil.
+func (m *MAPI) Clone() *MAPI {
+	if m == nil {
+		return nil
+	}
+	c := *m
+	c.table = make([][]uint8, len(m.table))
+	for i, row := range m.table {
+		c.table[i] = append([]uint8(nil), row...)
+	}
+	return &c
+}
+
 func index(pc uint64) int {
 	// Fibonacci hashing folds the PC into the table.
 	return int((pc * 0x9e3779b97f4a7c15) >> 56)

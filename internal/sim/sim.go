@@ -6,8 +6,10 @@ package sim
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
+	"strconv"
 
 	"dcasim/internal/cache"
 	"dcasim/internal/config"
@@ -180,19 +182,188 @@ func (rs *runSources) closeFiles() error {
 // and must stay nil outside tests.
 var testEngineHook func(*event.Engine)
 
-// Run executes one simulation and returns its results.
+// Run executes one simulation — a functional warm-up, then the timed
+// region — and returns its results.
 func Run(cfg config.Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	srcs, err := openSources(&cfg)
+	w, err := Warm(cfg, nil)
 	if err != nil {
 		return Result{}, err
 	}
+	return w.run(cfg, false) // Warm checked cfg
+}
+
+// WarmKey identifies the state Warm(cfg) produces. Configs with equal
+// keys warm to identical L1 and L2 arrays, tag stores, MAP-I tables and
+// generator positions, so one warm-up can serve them all. The key is
+// built from exactly the Config fields the warm-up reads. ok is false
+// for trace replay and recording, whose streams cannot be shared.
+func WarmKey(cfg config.Config) (key string, ok bool) {
+	if cfg.ReplayPath() != "" || cfg.RecordPath != "" {
+		return "", false
+	}
+	var buf [256]byte // keys are built per config, so spare the allocations
+	b := buf[:0]
+	for _, name := range cfg.Benchmarks {
+		b = strconv.AppendQuote(b, name)
+	}
+	b = strconv.AppendUint(append(b, " seed="...), cfg.Seed, 10)
+	b = strconv.AppendFloat(append(b, " ws="...), cfg.WSScale, 'g', -1, 64)
+	b = strconv.AppendBool(append(b, " mapi="...), cfg.UseMAPI)
+	// WarmMemops, Org, cache size, DRAM geometry, L1 and L2 shapes.
+	for _, v := range [...]int64{
+		cfg.WarmMemops, int64(cfg.Org), cfg.CacheSizeBytes,
+		int64(cfg.Channels), int64(cfg.Ranks), int64(cfg.Banks), int64(cfg.RowBytes),
+		cfg.L1Bytes, int64(cfg.L1Ways), cfg.L2Bytes, int64(cfg.L2Ways),
+	} {
+		b = strconv.AppendInt(append(b, ' '), v, 10)
+	}
+	return string(b), true
+}
+
+// Warmed is a system after functional warm-up: each core's operation
+// source and L1, the shared L2 array, and the DRAM cache's tags and MAP-I
+// predictor. Run builds the timing side — event engine, controllers,
+// channels, main memory, tag cache — over it.
+type Warmed struct {
+	cfg   config.Config // the warming config, trace header budgets applied
+	srcs  *runSources
+	l1s   []*cache.Cache
+	l2    *cache.Cache
+	dc    *dcache.Contents
+	spent bool
+}
+
+// Warm builds cfg's functional state and runs the functional warm-up.
+// spare, when non-nil, must be Spent and used by no run: the new state
+// reuses its tag-store memory, so a run of warm-ups allocates one store.
+func Warm(cfg config.Config, spare *Warmed) (*Warmed, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var old *dcache.Contents
+	if spare != nil {
+		if !spare.spent {
+			return nil, errors.New("sim: cannot reuse a warm state that is not spent")
+		}
+		old, spare.dc = spare.dc, nil
+	}
+	srcs, err := openSources(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	warmed := false
+	defer func() {
+		if !warmed {
+			srcs.abort()
+		}
+	}()
+	w := &Warmed{cfg: cfg, srcs: srcs}
+	if w.dc, err = dcache.NewContents(dcache.Config{
+		Org:       cfg.Org,
+		SizeBytes: cfg.CacheSizeBytes,
+		DRAM:      cfg.DRAMGeometry(),
+		UseMAPI:   cfg.UseMAPI,
+		Cores:     len(srcs.srcs),
+	}, old); err != nil {
+		return nil, err
+	}
+	if w.l2, err = cache.New(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways); err != nil {
+		return nil, err
+	}
+	w.l1s = make([]*cache.Cache, len(srcs.srcs))
+	// The cores only warm here (Run builds the timed ones), so one slice
+	// holds them instead of a pointer each.
+	cores := make([]cpu.Core, len(srcs.srcs))
+	for i, src := range srcs.srcs {
+		if w.l1s[i], err = cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways); err != nil {
+			return nil, err
+		}
+		cores[i] = *cpu.NewCore(nil, i, cfg.CPU, src, w.l1s[i], nil)
+	}
+
+	// Interleave the cores in rounds so shared L2 and DRAM-cache state see
+	// the multiprogrammed interleaving, then clear the L2 array's counters
+	// (Core.Warm clears each L1's).
+	const warmRound = 1024
+	for done := int64(0); done < cfg.WarmMemops; done += warmRound {
+		n := warmRound
+		if cfg.WarmMemops-done < int64(n) {
+			n = int(cfg.WarmMemops - done)
+		}
+		for i := range cores {
+			cores[i].Warm(int64(n), w.l2, w.dc)
+		}
+	}
+	w.l2.ResetStats()
+	warmed = true
+	return w, nil
+}
+
+// Spent reports whether w can no longer serve a run: Run without keep
+// consumed it, a run failed, or a kept run's tag-store journal outgrew
+// the store and could not be rolled back.
+func (w *Warmed) Spent() bool { return w.spent }
+
+// Run runs cfg's timed region over w. cfg must have w's WarmKey; a trace
+// replay or recording config must be the one w was warmed with.
+//
+// With keep, the run works on copies of the L1 and L2 arrays, the MAP-I
+// table and the generators, and journals its tag-store writes, which it
+// rolls back afterwards, so another config with the same key can run
+// over w next. Spent reports whether that worked. Without keep, the run
+// uses w itself and consumes it.
+func (w *Warmed) Run(cfg config.Config, keep bool) (Result, error) {
+	// Warm validated the warming config only; a config running over
+	// shared state fails here exactly as it would on its own.
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	key, shareable := WarmKey(cfg)
+	warmKey, _ := WarmKey(w.cfg)
+	switch {
+	case w.spent:
+		return Result{}, errors.New("sim: warm state already consumed")
+	case key != warmKey:
+		return Result{}, errors.New("sim: config does not match the warm state")
+	case keep && !shareable:
+		return Result{}, errors.New("sim: trace replay and recording cannot share warm state")
+	}
+	return w.run(cfg, keep)
+}
+
+// run is Run for a config already checked against w.
+func (w *Warmed) run(cfg config.Config, keep bool) (Result, error) {
+	if w.srcs.reader != nil {
+		cfg.InstrPerCore = w.cfg.InstrPerCore
+	}
+	// A failed run leaves the state half-way through, so w stays spent
+	// unless a kept run rolls back cleanly.
+	w.spent = true
+	srcs, l1s, l2 := w.srcs.srcs, w.l1s, w.l2
+	if keep {
+		srcs = make([]workload.Source, len(w.srcs.srcs))
+		l1s = make([]*cache.Cache, len(w.l1s))
+		for i := range srcs {
+			srcs[i] = w.srcs.srcs[i].(*workload.Gen).Clone() // shareable: no tee, no replay
+			l1s[i] = w.l1s[i].Clone()
+		}
+		l2 = w.l2.Clone()
+		w.dc.Checkpoint()
+	}
+	res, err := w.timed(cfg, srcs, l1s, l2)
+	if err == nil && keep {
+		w.spent = !w.dc.Rollback()
+	}
+	return res, err
+}
+
+// timed builds the timing side of cfg over the warmed state and runs
+// until every core retires its budget.
+func (w *Warmed) timed(cfg config.Config, srcs []workload.Source, l1s []*cache.Cache, l2arr *cache.Cache) (Result, error) {
 	finished := false
 	defer func() {
 		if !finished {
-			srcs.abort()
+			w.srcs.abort()
 		}
 	}()
 	eng := &event.Engine{}
@@ -210,7 +381,8 @@ func Run(cfg config.Config) (Result, error) {
 		Ctrl:      cfg.CtrlConfig(),
 		UseMAPI:   cfg.UseMAPI,
 		BEARProbe: cfg.BEARProbe,
-		Cores:     len(srcs.srcs),
+		Cores:     len(srcs),
+		Contents:  w.dc,
 	}
 	if cfg.TagCacheKB > 0 {
 		tc := tagcache.DefaultConfig(cfg.TagCacheKB << 10)
@@ -220,38 +392,11 @@ func Run(cfg config.Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-
-	l2arr, err := cache.New(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways)
-	if err != nil {
-		return Result{}, err
-	}
 	l2 := cpu.NewL2(eng, l2arr, dc, cfg.L2HitLat, cfg.LeeWriteback)
-
-	cores := make([]*cpu.Core, len(srcs.srcs))
-	for i, src := range srcs.srcs {
-		l1, err := cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways)
-		if err != nil {
-			return Result{}, err
-		}
-		cores[i] = cpu.NewCore(eng, i, cfg.CPU, src, l1, l2)
+	cores := make([]*cpu.Core, len(srcs))
+	for i, src := range srcs {
+		cores[i] = cpu.NewCore(eng, i, cfg.CPU, src, l1s[i], l2)
 	}
-
-	// Functional warm-up: interleave the cores in rounds so shared L2 and
-	// DRAM-cache state see the multiprogrammed interleaving, then clear
-	// all statistics.
-	const warmRound = 1024
-	for done := int64(0); done < cfg.WarmMemops; done += warmRound {
-		n := warmRound
-		if cfg.WarmMemops-done < int64(n) {
-			n = int(cfg.WarmMemops - done)
-		}
-		for _, c := range cores {
-			c.Warm(int64(n))
-		}
-	}
-	dc.ResetStats()
-	l2.ResetStats()
-	mem.ResetStats()
 
 	// Timed region: run until every core retires its budget.
 	remaining := len(cores)
@@ -265,13 +410,13 @@ func Run(cfg config.Config) (Result, error) {
 	}
 	// Any error — including a replay decode error surfaced here — takes
 	// the deferred abort path, which discards a partial recording.
-	if err := srcs.finish(); err != nil {
+	if err := w.srcs.finish(); err != nil {
 		return Result{}, err
 	}
 	finished = true
 
 	res := Result{
-		Benchmarks:      append([]string(nil), srcs.names...),
+		Benchmarks:      append([]string(nil), w.srcs.names...),
 		DCache:          dc.Stats(),
 		DRAM:            dc.DRAMStats(),
 		Ctrl:            dc.CtrlStats(),

@@ -141,6 +141,15 @@ func hashName(s string) uint64 {
 	return h | 1
 }
 
+// Clone returns a generator that continues g's stream from its current
+// position, independently of g.
+func (g *Gen) Clone() *Gen {
+	c := *g
+	r := *g.rng
+	c.rng = &r
+	return &c
+}
+
 // WorkingSetBlocks returns the effective footprint in blocks.
 func (g *Gen) WorkingSetBlocks() int64 { return g.wsBlocks }
 
