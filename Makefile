@@ -1,14 +1,4 @@
-# Tier-1 verification plus the benchmark smoke target.
-#
-# NB on bench-gate baselines: BENCH_controller.json must be recorded by
-# `make bench-json` ON THE GATE MACHINE (the CI runner class that
-# executes bench-gate), at GOMAXPROCS=1 like the gate itself measures.
-# A baseline recorded on a different machine class bakes its clock into
-# every later comparison: the 15% time tolerance absorbs runner-to-
-# runner noise, not a hardware generation. When a PR intentionally
-# moves performance, refresh the baseline from the gate job's uploaded
-# BENCH_current artifact (or re-run make bench-json on that hardware)
-# rather than from a laptop.
+# Tier-1 verification, the CI gates, and the same-machine benchmark A/B.
 #
 #   make            - build + lint + test (what CI runs per PR)
 #   make lint       - go vet + cmd/dcalint (the custom invariant
@@ -22,8 +12,9 @@
 #                     warm-group failure, SIGKILL-recovery and
 #                     concurrent-cache-handle tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
-#                     result-cache reader, and the event kernel vs its
-#                     heap oracle (CI job)
+#                     result-cache reader, the config and sweep-spec
+#                     loaders, and the event kernel vs its heap oracle
+#                     (CI job)
 #   make sweep-smoke - run the example sweep spec end to end against the
 #                      persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -33,17 +24,11 @@
 #                     row in docs/adding-a-policy.md's policy table
 #   make bench-short - one pass over the substrate microbenchmarks and
 #                      one small figure benchmark, with allocation stats
-#   make bench-json  - run the guarded benchmarks (Fig8, SimOneRun,
-#                      ChannelIssue, and the three event-kernel
-#                      microbenchmarks) with -benchmem and emit
-#                      $(BENCH_OUT) (default BENCH_controller.json,
-#                      archived by CI per PR)
-#   make bench-gate  - re-run the guarded benchmarks and fail if they
-#                      regressed past tolerance vs the checked-in
-#                      BENCH_controller.json (CI job, cmd/benchdiff)
-#   make bench-parallel - cold-cache Fig8 A/B at -j 1 vs -j 8, emitted
-#                      as BENCH_parallel.json (the parallel-engine
-#                      speedup record)
+#   make ab         - same-machine A/B of the repository benchmark
+#                     (bench/): ten interleaved pairs of runs of BASE
+#                     (default: the merge-base with main) and of the
+#                     working tree, judged by `go run ./bench compare`;
+#                     fails on any regressed row (CI job)
 #   make determinism - render the Fig8 smoke table at -j 1 and -j 8
 #                      under -race and require byte-identical output,
 #                      then require a -keep-going sweep with injected
@@ -53,9 +38,9 @@
 #                      mean ±CI tables at -j 1 and -j 8 (CI job)
 
 GO ?= go
-BENCH_OUT ?= BENCH_controller.json
+BASE ?= $(shell git merge-base HEAD main 2>/dev/null)
 
-.PHONY: all build vet lint test race faults fuzz-short sweep-smoke docs-check bench-short bench-json bench-gate bench-parallel determinism ci
+.PHONY: all build vet lint test race faults fuzz-short sweep-smoke docs-check bench-short ab determinism ci
 
 all: ci
 
@@ -95,19 +80,22 @@ faults:
 	$(GO) test -race -count=1 ./internal/cachefs ./internal/rescache
 	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS|ConcurrentHandles|WarmGroup' ./internal/exp
 
-# Short fuzz pass over the byte-level readers and the event kernel: a
-# malformed trace must never panic the simulator, an arbitrary cache
-# entry must never be trusted unless its envelope fully verifies
-# (FuzzCacheGet re-checks every accepted entry against an independent
-# oracle), and an arbitrary op program must drive the timing wheel and
-# the retired 4-ary heap to the exact same dispatch sequence
-# (FuzzEngineOps). Seed corpora live in
-# internal/{trace,rescache,event}/testdata/fuzz; CI archives grown
-# corpora.
+# Short fuzz pass over the byte-level readers, the user-supplied config
+# and sweep-spec files, and the event kernel: a malformed trace must
+# never panic the simulator, an arbitrary cache entry must never be
+# trusted unless its envelope fully verifies (FuzzCacheGet re-checks
+# every accepted entry against an independent oracle), an arbitrary
+# config file or sweep spec must load and resolve or fail with an error
+# (FuzzConfigLoad, FuzzSweepSpec), and an arbitrary op program must
+# drive the timing wheel and the retired 4-ary heap to the exact same
+# dispatch sequence (FuzzEngineOps). Checked-in corpora live in
+# internal/<pkg>/testdata/fuzz; CI archives grown corpora.
 fuzz-short:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzDecoder' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
+	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzConfigLoad' -fuzztime 30s
+	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate the example declarative spec at the
 # test scale through the persistent result cache (CI restores the cache
@@ -122,58 +110,47 @@ sweep-smoke:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# Short benchmark pass: substrate microbenchmarks at a real benchtime
-# (their alloc counts are regression-guarded), figure benchmarks at one
-# iteration just to prove the drivers run.
+# Short benchmark pass: substrate microbenchmarks at a real benchtime,
+# figure benchmarks at one iteration just to prove the drivers run.
+# Nothing here is gated: tier-1 tests pin the allocation counts of the
+# whole run, Fig. 8, Channel.Issue and the event wheel, and `make ab`
+# measures time.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventEngine|BenchmarkChannelIssue|BenchmarkWorkloadGen' -benchmem -benchtime 0.2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$|BenchmarkSimOneRun' -benchmem -benchtime 1x .
 
-# Perf trajectory: the whole-run benchmarks the scheduler and event-
-# kernel reworks target, plus the event microbenchmarks that isolate
-# each wheel regime (uniform cascade, DRAM-clustered fast path,
-# far-future spill), emitted as JSON so CI diffs are machine-readable.
-# Fig8 runs few iterations (it is a whole-evaluation sweep); the
-# cheaper benchmarks run more for stability.
-# Each run appends to a scratch file and failures abort the target (no
-# pipeline, so a failing benchmark cannot hide behind benchjson's exit).
-bench-json:
-	@rm -f bench_controller.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$' -benchmem -benchtime 2x . >> bench_controller.out
-	$(GO) test -run '^$$' -bench 'BenchmarkSimOneRun$$' -benchmem -benchtime 20x . >> bench_controller.out
-	$(GO) test -run '^$$' -bench 'BenchmarkChannelIssue$$' -benchmem -benchtime 0.2s . >> bench_controller.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEventUniform$$|BenchmarkEventDRAMClustered$$|BenchmarkEventSpill$$' -benchmem -benchtime 0.2s . >> bench_controller.out
-	$(GO) run ./cmd/benchjson < bench_controller.out > $(BENCH_OUT)
-	@rm -f bench_controller.out
-	@cat $(BENCH_OUT)
-
-# Perf-regression gate: measure the guarded benchmarks into a scratch
-# report and diff it against the checked-in baseline (cmd/benchdiff
-# defaults: >15% time/op fails, allocs/op may grow at most 1% — zero
-# stays strict). GOMAXPROCS is pinned to 1 so the measurement is the
-# serial path the baseline records: otherwise Fig8 (whose worker pool
-# defaults to the core count) would run faster on any multi-core
-# machine and a genuine serial regression could hide inside the
-# parallel speedup, and its allocation count would skew with the pool's
-# goroutine count. Cross-machine clock differences are what the 15%
-# time tolerance absorbs; refresh the baseline (make bench-json) when a
-# PR intentionally moves it.
-bench-gate:
-	GOMAXPROCS=1 $(MAKE) bench-json BENCH_OUT=BENCH_current.json
-	$(GO) run ./cmd/benchdiff BENCH_controller.json BENCH_current.json
-	@rm -f BENCH_current.json
-
-# Parallel-engine speedup record: the same cold-cache Fig8 evaluation at
-# one worker and at eight, A/B in one pass so the pair shares machine
-# conditions. The report carries the recording machine's core count
-# ("cpus"): the ratio only shows scaling when the machine has cores to
-# scale onto.
-bench-parallel:
-	@rm -f bench_parallel.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFig8J1$$|BenchmarkFig8J8$$' -benchmem -benchtime 2x . >> bench_parallel.out
-	$(GO) run ./cmd/benchjson < bench_parallel.out > BENCH_parallel.json
-	@rm -f bench_parallel.out
-	@cat BENCH_parallel.json
+# Same-machine A/B of the repository benchmark (bench/ and
+# BENCHMARK.json): BASE is checked out as a git worktree under .ab/base,
+# and for k = 1..10 each tree runs `sh bench/run.sh -seed k` once, the
+# base first on odd k and the working tree first on even k, so both
+# sides share the host's drift. A run covers every workload at its 20 s
+# window, about 100 s, so the target takes about 35 minutes. Ten pairs
+# is the fewest a verdict of improved needs, so it is fixed. The 20
+# reports and the verdict table of `go run ./bench compare` stay in
+# .ab/; the worktree is removed even when a run fails. Any regressed
+# row fails the target. Unresolved rows and FLAG lines (a sim_digest or
+# model counter that differs between same-seed runs) are printed but do
+# not fail it: a modelling fix moves digests on purpose.
+ab:
+	@test -n "$(BASE)" || { echo "make ab: no merge-base with main; set BASE=<rev>" >&2; exit 1; }
+	rm -rf .ab
+	git worktree prune
+	git worktree add --detach .ab/base $(BASE)
+	@set -e; trap 'git worktree remove --force .ab/base' EXIT; \
+	for k in 1 2 3 4 5 6 7 8 9 10; do \
+		order="a b"; [ $$((k % 2)) -eq 1 ] || order="b a"; \
+		for side in $$order; do \
+			dir=.; [ $$side = b ] || dir=.ab/base; \
+			echo "make ab: pair $$k of 10, $$side ($$dir)" >&2; \
+			(cd $$dir && sh bench/run.sh -seed $$k) > .ab/$$side$$k.json; \
+		done; \
+	done
+	$(GO) run ./bench compare \
+		-a .ab/a1.json,.ab/a2.json,.ab/a3.json,.ab/a4.json,.ab/a5.json,.ab/a6.json,.ab/a7.json,.ab/a8.json,.ab/a9.json,.ab/a10.json \
+		-b .ab/b1.json,.ab/b2.json,.ab/b3.json,.ab/b4.json,.ab/b5.json,.ab/b6.json,.ab/b7.json,.ab/b8.json,.ab/b9.json,.ab/b10.json \
+		> .ab/verdict.txt
+	@cat .ab/verdict.txt
+	@! grep -q ' regressed$$' .ab/verdict.txt || { echo "make ab: regressed against $(BASE)" >&2; exit 1; }
 
 # Parallel determinism: the Fig8 smoke table must render byte-identical
 # at -j 1 and -j 8, with the race detector watching the worker pool.

@@ -64,8 +64,8 @@ func benchFigure(b *testing.B, name string, workers int) {
 	}
 }
 
-// BenchmarkFig8 is the guarded whole-evaluation benchmark (make
-// bench-json, BENCH_controller.json).
+// BenchmarkFig8 is the whole-evaluation benchmark; TestAllocPinFig8
+// pins its allocation count at one worker.
 func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8", 0) }
 
 // BenchmarkFigures runs every registered figure and extension study
@@ -76,10 +76,11 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
-// --- Parallel experiment engine (make bench-parallel) ---
+// --- Parallel experiment engine ---
 
-// The J1/J8 pair recorded in BENCH_parallel.json is the parallel
-// engine's speedup measurement: cold Fig. 8 at a fixed worker count.
+// The J1/J8 pair measures the parallel engine's speedup: cold Fig. 8 at
+// a fixed worker count. Run both in one invocation for a same-machine
+// A/B of a -j change.
 func BenchmarkFig8J1(b *testing.B) { benchFigure(b, "fig8", 1) }
 func BenchmarkFig8J8(b *testing.B) { benchFigure(b, "fig8", 8) }
 
@@ -126,6 +127,9 @@ func BenchmarkAblationScheduleAll(b *testing.B) {
 
 // --- Microbenchmarks of the simulation substrate ---
 
+// BenchmarkChannelIssue times command issue on one channel;
+// TestIssueAllocatesNothing (internal/dram) pins its loop at zero
+// allocations.
 func BenchmarkChannelIssue(b *testing.B) {
 	g := addrmap.Geometry{Channels: 1, Ranks: 1, Banks: 16, RowBytes: 4096, BlockSize: 64}
 	ch := dram.NewChannel(dram.StackedDRAM(), g)
@@ -160,7 +164,8 @@ func BenchmarkEventEngine(b *testing.B) {
 // benchEventDeltas schedules bursts of 64 events at the given delta
 // menu and drains between bursts — the schedule/fire rhythm the
 // simulator itself produces. Each menu targets one regime of the
-// timing wheel (see internal/event/wheel.go).
+// timing wheel (see internal/event/wheel.go); TestZeroAllocScheduling
+// runs the same menus with allocations pinned at zero.
 func benchEventDeltas(b *testing.B, deltas []simtime.Time) {
 	var eng event.Engine
 	fn := func() {}
@@ -223,7 +228,8 @@ func BenchmarkWorkloadGen(b *testing.B) {
 }
 
 // BenchmarkSimOneRun measures one complete small multiprogrammed
-// simulation (warm-up plus timed region).
+// simulation (warm-up plus timed region); TestAllocPinSimOneRun pins
+// its allocation count.
 func BenchmarkSimOneRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := TestConfig()

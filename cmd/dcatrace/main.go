@@ -25,12 +25,12 @@
 // -verify performs the round trip for every registered design ×
 // organization (the grid follows the design registry) and
 // fails loudly unless each replayed result is bit-identical to its live
-// counterpart; the grid fans out over -j parallel workers (default: all
-// CPUs) with output committed in grid order. The live halves of the
-// grid are ordinary cacheable simulations, so -cache (default
-// $DCASIM_CACHE) makes repeated verifications skip them; the replay
-// halves always run — their input is the trace file, whose contents the
-// cache key does not cover.
+// counterpart; the grid's runs fan out over -j parallel workers
+// (default: all CPUs) with output committed in grid order. The live
+// halves of the grid are ordinary cacheable simulations, so -cache
+// (default $DCASIM_CACHE) makes repeated verifications skip them; the
+// replay halves always run — their input is the trace file, whose
+// contents the cache key does not cover.
 package main
 
 import (
@@ -42,7 +42,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 
 	"dcasim/internal/config"
 	"dcasim/internal/core"
@@ -158,14 +157,14 @@ func runReplay(path, cfgName, design, alg, org string) {
 
 // runVerify records the mix once, then checks that replaying the file
 // reproduces a live run bit for bit under every design × organization.
-// The grid cells are independent (each replay opens its own handle on
-// the recorded trace), so they fan out over a bounded pool of workers;
-// per-cell reports are committed by grid index, keeping the output
-// byte-identical at every -j. The live halves route through an exp
-// runner so a persistent cache (when configured) can satisfy them;
-// replays and the recording never touch the cache — exp.Cacheable
-// excludes them, since the cache key covers the trace path, not the
-// trace bytes.
+// The live and replay configs of every grid cell go to one Ensure call
+// on an exp runner: the live cells of one organization share a
+// functional warm-up, every run fans out over the runner's workers, and
+// the reports are read back in grid order from the runner's memo,
+// keeping the output byte-identical at every -j. A persistent cache
+// (when configured) can satisfy the live halves; replays and the
+// recording never touch the cache — exp.Cacheable excludes them, since
+// the cache key covers the trace path, not the trace bytes.
 func runVerify(mix, cfgName, alg string, seed uint64, workers int, cacheDir string) {
 	dir, err := os.MkdirTemp("", "dcatrace-verify")
 	if err != nil {
@@ -203,55 +202,40 @@ func runVerify(mix, cfgName, alg string, seed uint64, workers int, cacheDir stri
 			cells = append(cells, cell{d, o})
 		}
 	}
-
-	reports := make([]string, len(cells))
-	failures := make([]bool, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	live := make([]config.Config, len(cells))
+	replay := make([]config.Config, len(cells))
 	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			live := baseConfig(cfgName, "cd", alg, "sa")
-			live.Benchmarks = strings.Split(mix, ",")
-			live.Seed = seed
-			live.Design, live.Org = c.d, c.o
-			want, err := runner.Run(live)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rep := baseConfig(cfgName, "cd", alg, "sa")
-			rep.Design, rep.Org = c.d, c.o
-			rep.TracePath = path
-			got, err := sim.Run(rep)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if reflect.DeepEqual(got, want) {
-				reports[i] = fmt.Sprintf("%-4v %-13v bit-identical (IPC %s)", c.d, c.o, ipcs(want.IPC))
-			} else {
-				failures[i] = true
-				reports[i] = fmt.Sprintf("%-4v %-13v MISMATCH\n  live:   %+v\n  replay: %+v", c.d, c.o, want, got)
-			}
-		}(i, c)
+		live[i] = baseConfig(cfgName, "cd", alg, "sa")
+		live[i].Benchmarks = strings.Split(mix, ",")
+		live[i].Seed = seed
+		live[i].Design, live[i].Org = c.d, c.o
+		replay[i] = baseConfig(cfgName, "cd", alg, "sa")
+		replay[i].Design, replay[i].Org = c.d, c.o
+		replay[i].TracePath = path
 	}
-	wg.Wait()
+	err = runner.Ensure(append(append([]config.Config(nil), live...), replay...))
+	exp.WarnCacheErr(os.Stderr, runner)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	failed := false
-	for i := range cells {
-		if errs[i] != nil {
-			exp.WarnCacheErr(os.Stderr, runner)
-			log.Fatal(errs[i])
+	for i, c := range cells {
+		want, err := runner.Run(live[i])
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Println(reports[i])
-		failed = failed || failures[i]
+		got, err := runner.Run(replay[i])
+		if err != nil {
+			log.Fatal(err)
+		}
+		if reflect.DeepEqual(got, want) {
+			fmt.Printf("%-4v %-13v bit-identical (IPC %s)\n", c.d, c.o, ipcs(want.IPC))
+		} else {
+			failed = true
+			fmt.Printf("%-4v %-13v MISMATCH\n  live:   %+v\n  replay: %+v\n", c.d, c.o, want, got)
+		}
 	}
-	exp.WarnCacheErr(os.Stderr, runner)
 	if failed {
 		log.Fatal("replay verification FAILED")
 	}

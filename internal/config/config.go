@@ -224,6 +224,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: non-positive instruction budget %d", c.InstrPerCore)
 	case c.WSScale <= 0 && c.ReplayPath() == "":
 		return fmt.Errorf("config: non-positive working-set scale %v", c.WSScale)
+	case c.WarmMemops < 0:
+		return fmt.Errorf("config: negative warm-up budget WarmMemops %d", c.WarmMemops)
+	case !(c.CPU.FreqGHz > 0): // NaN too
+		return fmt.Errorf("config: non-positive CPU.FreqGHz %v", c.CPU.FreqGHz)
+	case c.CPU.Width <= 0:
+		return fmt.Errorf("config: non-positive CPU.Width %d", c.CPU.Width)
+	case c.CPU.ROB <= 0:
+		return fmt.Errorf("config: non-positive CPU.ROB %d", c.CPU.ROB)
+	case c.CPU.MSHRs <= 0:
+		return fmt.Errorf("config: non-positive CPU.MSHRs %d", c.CPU.MSHRs)
 	case c.L1Bytes <= 0 || c.L2Bytes <= 0:
 		return fmt.Errorf("config: non-positive cache sizes L1=%d L2=%d", c.L1Bytes, c.L2Bytes)
 	case c.TagCacheKB < 0:

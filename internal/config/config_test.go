@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"dcasim/internal/core"
@@ -75,6 +76,46 @@ func TestValidationErrors(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: validation passed", name)
+		}
+	}
+}
+
+// TestValidateRejectsBrokenCPU covers the processor and warm-up
+// settings that would otherwise panic (Width 0 divides by zero),
+// deadlock (MSHRs 0) or run to meaningless numbers, against every
+// preset: each preset validates, each broken setting fails with an error
+// naming its field, and a zero warm-up stays legal.
+func TestValidateRejectsBrokenCPU(t *testing.T) {
+	cases := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"CPU.Width", func(c *Config) { c.CPU.Width = 0 }},
+		{"CPU.MSHRs", func(c *Config) { c.CPU.MSHRs = 0 }},
+		{"CPU.FreqGHz", func(c *Config) { c.CPU.FreqGHz = 0 }},
+		{"CPU.ROB", func(c *Config) { c.CPU.ROB = 0 }},
+		{"WarmMemops", func(c *Config) { c.WarmMemops = -5 }},
+	}
+	for _, scale := range []string{"paper", "bench", "test"} {
+		preset, err := ParsePreset(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preset = withMix(preset)
+		if err := preset.Validate(); err != nil {
+			t.Errorf("%s preset invalid: %v", scale, err)
+		}
+		for _, tc := range cases {
+			c := preset
+			tc.mutate(&c)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s with broken %s: Validate = %v, want an error naming %s", scale, tc.field, err, tc.field)
+			}
+		}
+		c := preset
+		c.WarmMemops = 0
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s with WarmMemops 0: %v", scale, err)
 		}
 	}
 }

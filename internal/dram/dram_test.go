@@ -258,3 +258,22 @@ func TestPeekBankMatchesPeek(t *testing.T) {
 		}
 	}
 }
+
+// TestIssueAllocatesNothing pins BenchmarkChannelIssue's loop at zero
+// allocations: issuing a command is on every access's path.
+func TestIssueAllocatesNothing(t *testing.T) {
+	ch := NewChannel(StackedDRAM(), geom())
+	accs := make([]*Access, 64)
+	for i := range accs {
+		accs[i] = read(i%16, int64(i/16), i%64)
+	}
+	now := ch.BusFreeAt()
+	n := testing.AllocsPerRun(100, func() {
+		for _, a := range accs {
+			now = ch.Issue(a, now)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Issue allocates %v times per %d calls, want 0", n, len(accs))
+	}
+}

@@ -21,29 +21,55 @@ type sinkHandler struct{}
 func (*sinkHandler) OnEvent(simtime.Time, Payload) {}
 
 // TestZeroAllocScheduling is the kernel's allocation regression test:
-// once the pool, free list, and heap have reached their high-water
-// marks, a schedule/fire cycle must not allocate at all.
+// once the pool, the firing batch and the spill have reached their
+// high-water marks, a schedule/fire cycle must not allocate at all. Each
+// input is a menu of delays, cycled through in bursts of 64 with a drain
+// after each burst: a ramp within a few level-0 buckets, and the menus
+// of the root package's BenchmarkEventUniform, BenchmarkEventDRAMClustered
+// and BenchmarkEventSpill, one per wheel regime.
 func TestZeroAllocScheduling(t *testing.T) {
-	var e Engine
-	h := &sinkHandler{}
-
-	// Warm to the high-water mark used by the measured loop.
-	const burst = 64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < burst; j++ {
-			e.ScheduleAfter(simtime.Time(j), h, Payload{U64: uint64(j)})
-		}
-		e.Run()
+	ramp := make([]simtime.Time, 64)
+	for i := range ramp {
+		ramp[i] = simtime.Time(i)
 	}
-
-	avg := testing.AllocsPerRun(100, func() {
-		for j := 0; j < burst; j++ {
-			e.ScheduleAfter(simtime.Time(j), h, Payload{U64: uint64(j), I64: -1})
-		}
-		e.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state scheduling allocates %.2f per %d-event burst, want 0", avg, burst)
+	// Uniform over the inner two wheel levels (up to ~1 µs).
+	uniform := make([]simtime.Time, 1024)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range uniform {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		uniform[i] = simtime.Time(x%(1<<20) + 1)
+	}
+	for _, tc := range []struct {
+		name   string
+		deltas []simtime.Time
+	}{
+		{"ramp", ramp},
+		{"uniform", uniform},
+		{"dram-clustered", []simtime.Time{250, 1670, 3330, 5000, 7500, 8000, 11330, 15000, 27330, 30000, 50000}},
+		{"spill", []simtime.Time{1 << 41, 1<<41 + 512, 3 << 40, 1<<41 + 3*256, 1 << 42}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e Engine
+			h := &sinkHandler{}
+			const burst = 64
+			k := 0
+			cycle := func() {
+				for j := 0; j < burst; j++ {
+					e.ScheduleAfter(tc.deltas[k%len(tc.deltas)], h, Payload{U64: uint64(j), I64: -1})
+					k++
+				}
+				e.Run()
+			}
+			// Warm to the high-water marks over a full pass of the menu.
+			for i := 0; i < 4+len(tc.deltas)/burst; i++ {
+				cycle()
+			}
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Fatalf("steady-state scheduling allocates %.2f per %d-event burst, want 0", avg, burst)
+			}
+		})
 	}
 }
 

@@ -159,6 +159,44 @@ func (s SweepSpec) pointLabel(idx []int) string {
 	return b.String()
 }
 
+// resolve returns the spec's base config and the validated configs of
+// the given points: cfgs[i][k] is replicate k of points[i]. Replicate 0
+// is the point config itself, later replicates are ordinary Seed patches
+// — so they content-address, cache, and deduplicate like any other run.
+func (s SweepSpec) resolve(points [][]int, reps int) (config.Config, [][]config.Config, error) {
+	base, err := config.ParsePreset(s.Scale)
+	if err != nil {
+		return base, nil, err
+	}
+	base, err = base.Patch(s.Base)
+	if err != nil {
+		return base, nil, fmt.Errorf("exp: sweep base: %w", err)
+	}
+	cfgs := make([][]config.Config, len(points))
+	for i, idx := range points {
+		cfgs[i] = make([]config.Config, reps)
+		if cfgs[i][0], err = s.pointConfig(base, idx); err != nil {
+			return base, nil, err
+		}
+		if err := cfgs[i][0].Validate(); err != nil {
+			return base, nil, fmt.Errorf("exp: sweep point %s: %w", s.pointLabel(idx), err)
+		}
+		// Points run in parallel, so a shared RecordPath would have
+		// every run truncating (and, on failure, deleting) the same
+		// trace file mid-write.
+		if cfgs[i][0].RecordPath != "" {
+			return base, nil, fmt.Errorf("exp: sweep point %s: RecordPath is not supported in sweeps (parallel points would overwrite one trace file)", s.pointLabel(idx))
+		}
+		for k := 1; k < reps; k++ {
+			cfgs[i][k], err = cfgs[i][0].Patch(config.SeedPatch(config.ReplicateSeed(cfgs[i][0].Seed, k)))
+			if err != nil {
+				return base, nil, fmt.Errorf("exp: sweep point %s replicate %d: %w", s.pointLabel(idx), k, err)
+			}
+		}
+	}
+	return base, cfgs, nil
+}
+
 // SweepOpts bundles the execution knobs of a sweep.
 type SweepOpts struct {
 	// Workers bounds concurrent simulations; must be >= 1.
@@ -201,15 +239,6 @@ func RunSweep(spec SweepSpec, opts SweepOpts) (*stats.Table, *Runner, error) {
 	if err := ValidateWorkers(opts.Workers); err != nil {
 		return nil, nil, err
 	}
-	base, err := config.ParsePreset(spec.Scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err = base.Patch(spec.Base)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: sweep base: %w", err)
-	}
-
 	reps := opts.Replicates
 	if reps == 0 {
 		reps = spec.Replicates
@@ -217,34 +246,14 @@ func RunSweep(spec SweepSpec, opts SweepOpts) (*stats.Table, *Runner, error) {
 	if reps < 1 {
 		reps = 1
 	}
-
 	points := spec.Points()
-	// cfgs[i][k] is replicate k of point i; replicate 0 is the point
-	// config itself, later replicates are ordinary Seed patches — so
-	// they content-address, cache, and deduplicate like any other run.
-	cfgs := make([][]config.Config, len(points))
+	base, cfgs, err := spec.resolve(points, reps)
+	if err != nil {
+		return nil, nil, err
+	}
 	need := make([]config.Config, 0, len(points)*reps)
-	for i, idx := range points {
-		cfgs[i] = make([]config.Config, reps)
-		if cfgs[i][0], err = spec.pointConfig(base, idx); err != nil {
-			return nil, nil, err
-		}
-		if err := cfgs[i][0].Validate(); err != nil {
-			return nil, nil, fmt.Errorf("exp: sweep point %s: %w", spec.pointLabel(idx), err)
-		}
-		// Points run in parallel, so a shared RecordPath would have
-		// every run truncating (and, on failure, deleting) the same
-		// trace file mid-write.
-		if cfgs[i][0].RecordPath != "" {
-			return nil, nil, fmt.Errorf("exp: sweep point %s: RecordPath is not supported in sweeps (parallel points would overwrite one trace file)", spec.pointLabel(idx))
-		}
-		for k := 1; k < reps; k++ {
-			cfgs[i][k], err = cfgs[i][0].Patch(config.SeedPatch(config.ReplicateSeed(cfgs[i][0].Seed, k)))
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp: sweep point %s replicate %d: %w", spec.pointLabel(idx), k, err)
-			}
-		}
-		need = append(need, cfgs[i]...)
+	for _, c := range cfgs {
+		need = append(need, c...)
 	}
 
 	r := NewRunner(base, nil, opts.Workers)

@@ -29,7 +29,6 @@ var DeterministicPkgs = []string{
 	"internal/mempred",
 	"internal/rng",
 	"internal/simtime",
-	"internal/benchfmt",
 }
 
 // OrderSensitivePkgs additionally may not iterate maps without an

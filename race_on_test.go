@@ -1,0 +1,5 @@
+//go:build race
+
+package dcasim
+
+const raceEnabled = true
