@@ -15,8 +15,8 @@
 #                     result-cache reader, the config and sweep-spec
 #                     loaders, and the event kernel vs its heap oracle
 #                     (CI job)
-#   make sweep-smoke - run the example sweep spec end to end against the
-#                      persistent result cache (CI job)
+#   make sweep-smoke - run every example sweep spec end to end against
+#                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
 #                     markdown link integrity over README /
 #                     ARCHITECTURE / docs / examples, plus the guard
@@ -97,11 +97,14 @@ fuzz-short:
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzConfigLoad' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 
-# End-to-end sweep smoke: evaluate the example declarative spec at the
-# test scale through the persistent result cache (CI restores the cache
-# between runs, so warm invocations simulate nothing).
+# End-to-end sweep smoke: evaluate every example declarative spec at
+# the test scale through the persistent result cache (CI restores the
+# cache between runs, so warm invocations simulate nothing).
 sweep-smoke:
-	$(GO) run ./cmd/dcasim sweep -spec examples/sweep/flushing_factor.json -cache .dcasim-cache
+	@set -e; for spec in examples/sweep/*.json; do \
+		echo "$(GO) run ./cmd/dcasim sweep -spec $$spec -cache .dcasim-cache"; \
+		$(GO) run ./cmd/dcasim sweep -spec $$spec -cache .dcasim-cache; \
+	done
 
 # Documentation gate: relative markdown links (files and #anchors) must
 # resolve across README / ARCHITECTURE / docs / examples, and every

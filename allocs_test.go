@@ -50,5 +50,5 @@ func TestAllocPinFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllocPin(t, `Figure("fig8")`, n, 40206)
+	checkAllocPin(t, `Figure("fig8")`, n, 32490)
 }

@@ -1,10 +1,5 @@
 package config
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // replicateStride separates the seed streams of replicate runs. It is
 // prime and larger than the maximum per-mix seed offset the experiment
 // runner applies (mixID*1_000_003 with mixID <= 30), so replicate k of
@@ -16,11 +11,4 @@ const replicateStride = 100_000_007
 // bit-identical to an unreplicated one.
 func ReplicateSeed(seed uint64, k int) uint64 {
 	return seed + uint64(k)*replicateStride
-}
-
-// SeedPatch returns a JSON patch setting only the Seed field — the
-// ordinary Config.Patch form replicate configs are built from, so they
-// content-address, cache, and deduplicate like any other config.
-func SeedPatch(seed uint64) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf(`{"Seed":%d}`, seed))
 }

@@ -34,29 +34,3 @@ func TestReplicateSeedDistinct(t *testing.T) {
 		}
 	}
 }
-
-// TestSeedPatch: the patch changes Seed and nothing else, so replicate
-// configs content-address like ordinary config variants.
-func TestSeedPatch(t *testing.T) {
-	base := Test()
-	base.Benchmarks = []string{"mcf", "lbm", "libquantum", "omnetpp"}
-	patched, err := base.Patch(SeedPatch(ReplicateSeed(base.Seed, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if patched.Seed != ReplicateSeed(base.Seed, 3) {
-		t.Fatalf("patched seed = %d, want %d", patched.Seed, ReplicateSeed(base.Seed, 3))
-	}
-	if patched.Hash() == base.Hash() {
-		t.Fatal("seed patch did not change the config hash")
-	}
-	// Restoring the seed restores the exact config, proving the patch
-	// touched only Seed.
-	restored, err := patched.Patch(SeedPatch(base.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Hash() != base.Hash() {
-		t.Fatal("seed patch changed fields beyond Seed")
-	}
-}

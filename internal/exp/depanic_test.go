@@ -136,6 +136,31 @@ func TestDivZeroDenominatorRendersDash(t *testing.T) {
 	}
 }
 
+// TestNoSampleRendersDash: a table column whose metric has no sample in
+// any mix renders "-" under either aggregation, as a sweep does, not an
+// empty mean or geomean passed off as 0.000. Without a tag cache there
+// are no tag-cache lookups.
+func TestNoSampleRendersDash(t *testing.T) {
+	r := testRunner(t, 1)
+	spec := TableSpec{
+		Name:    "no-sample",
+		Headers: []string{"x"},
+		Patch:   raw(`{"TagCacheKB":0}`),
+		Rows:    []RowSpec{{Labels: []string{"row"}}},
+		Cols: []ColSpec{
+			{Header: "mean", Metric: "tagCacheHitRate", Agg: "mean"},
+			{Header: "geomean", Metric: "tagCacheHitRate", Agg: "geomean"},
+		},
+	}
+	tbl, err := r.Table(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Rows()[0][1:]; got[0] != "-" || got[1] != "-" {
+		t.Fatalf("no-sample cells = %q, want \"-\" under mean and geomean\n%s", got, tbl)
+	}
+}
+
 // TestDivValidateRejectsStrayFields: validate must reject run-driven
 // fields on a Div column before any simulation runs — they would be
 // silently ignored otherwise, the exact failure mode validate exists to

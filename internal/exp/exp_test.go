@@ -36,6 +36,24 @@ func TestTableII(t *testing.T) {
 	}
 }
 
+// TestByteSize: Table II sizes render exactly, in the largest unit that
+// divides them.
+func TestByteSize(t *testing.T) {
+	for n, want := range map[int64]string{
+		0:          "0 MB",
+		32 << 10:   "32 KB",
+		512 << 10:  "512 KB",
+		1536 << 10: "1536 KB",
+		4 << 20:    "4 MB",
+		256 << 20:  "256 MB",
+		1000:       "1000 B",
+	} {
+		if got := byteSize(n); got != want {
+			t.Errorf("byteSize(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
 func TestFig8ShapeAndMemoization(t *testing.T) {
 	r := testRunner(t, 2)
 	tbl, err := r.Figure("fig8")
@@ -115,16 +133,26 @@ func TestFig19Runs(t *testing.T) {
 	}
 }
 
+// aloneCfgs returns the alone configs behind the weighted speedups of
+// the runner's first mix on the set-associative organization.
+func aloneCfgs(r *Runner) []config.Config {
+	var cfgs []config.Config
+	for _, b := range r.Mixes()[0].Benchmarks {
+		cfgs = append(cfgs, r.aloneConfig(b, dcache.SetAssoc))
+	}
+	return cfgs
+}
+
 func TestAloneIPCMemoized(t *testing.T) {
 	r := testRunner(t, 1)
-	if err := r.Ensure(r.aloneConfigs(dcache.SetAssoc, 1)); err != nil {
+	if err := r.Ensure(aloneCfgs(r)); err != nil {
 		t.Fatal(err)
 	}
 	n := r.SimRuns()
 	if n == 0 {
 		t.Fatal("no alone IPCs computed")
 	}
-	if err := r.Ensure(r.aloneConfigs(dcache.SetAssoc, 1)); err != nil {
+	if err := r.Ensure(aloneCfgs(r)); err != nil {
 		t.Fatal(err)
 	}
 	if r.SimRuns() != n {
@@ -138,9 +166,8 @@ func TestAloneIPCMemoized(t *testing.T) {
 // let two drivers duplicate a full run.
 func TestAloneIPCSingleflight(t *testing.T) {
 	r := testRunner(t, 1)
-	mix := r.Mixes()[0]
 	distinct := make(map[string]bool)
-	for _, b := range mix.Benchmarks {
+	for _, b := range r.Mixes()[0].Benchmarks {
 		distinct[b] = true
 	}
 
@@ -152,7 +179,14 @@ func TestAloneIPCSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.aloneIPCs(mix, dcache.SetAssoc, 0)
+			for _, cfg := range aloneCfgs(r) {
+				res, err := r.Run(cfg)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i] = append(results[i], res.IPC[0])
+			}
 		}(i)
 	}
 	wg.Wait()

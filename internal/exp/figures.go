@@ -261,10 +261,10 @@ func (r *Runner) TableII() *stats.Table {
 	t := stats.NewTable("parameter", "value")
 	t.AddRowf("processor", fmt.Sprintf("%.0f GHz, %d-wide, %d ROB entries, %d MSHRs",
 		c.CPU.FreqGHz, c.CPU.Width, c.CPU.ROB, c.CPU.MSHRs))
-	t.AddRowf("L1", fmt.Sprintf("%d KB / %d-way", c.L1Bytes>>10, c.L1Ways))
-	t.AddRowf("L2", fmt.Sprintf("%d MB / %d-way, %v hit", c.L2Bytes>>20, c.L2Ways, c.L2HitLat))
-	t.AddRowf("DRAM cache", fmt.Sprintf("%d MB, %d channels x %d banks, %d B rows",
-		c.CacheSizeBytes>>20, c.Channels, c.Banks, c.RowBytes))
+	t.AddRowf("L1", fmt.Sprintf("%s / %d-way", byteSize(c.L1Bytes), c.L1Ways))
+	t.AddRowf("L2", fmt.Sprintf("%s / %d-way, %v hit", byteSize(c.L2Bytes), c.L2Ways, c.L2HitLat))
+	t.AddRowf("DRAM cache", fmt.Sprintf("%s, %d channels x %d banks, %d B rows",
+		byteSize(c.CacheSizeBytes), c.Channels, c.Banks, c.RowBytes))
 	t.AddRowf("timing", fmt.Sprintf("tRCD/tCAS/tRP/tRAS %v/%v/%v/%v",
 		c.Timing.TRCD, c.Timing.TCAS, c.Timing.TRP, c.Timing.TRAS))
 	t.AddRowf("turnaround", fmt.Sprintf("tWTR %v, tRTW %v, tWR %v, tBURST %v",
@@ -278,4 +278,16 @@ func (r *Runner) TableII() *stats.Table {
 	t.AddRowf("run", fmt.Sprintf("%d instr/core, %d warm memops/core, WS x%.2f",
 		c.InstrPerCore, c.WarmMemops, c.WSScale))
 	return t
+}
+
+// byteSize renders a size exactly: in MB when it is a whole number of
+// MiB, else in KB when a whole number of KiB, else in bytes.
+func byteSize(n int64) string {
+	switch {
+	case n%(1<<20) == 0:
+		return fmt.Sprintf("%d MB", n>>20)
+	case n%(1<<10) == 0:
+		return fmt.Sprintf("%d KB", n>>10)
+	}
+	return fmt.Sprintf("%d B", n)
 }

@@ -8,9 +8,10 @@ import (
 
 // FuzzSweepSpec feeds arbitrary bytes to LoadSweep through a file, the
 // way `dcasim sweep -spec` reads one. Whatever the input, LoadSweep
-// either rejects it or returns a spec whose points all resolve to
-// validated configs or fail with an error, exactly as RunSweep resolves
-// them before simulating anything. Nothing may panic.
+// either rejects it or returns a spec whose points all compile to
+// validated configs and plan their runs, or fail with an error, exactly
+// as RunSweep compiles and plans them before simulating anything.
+// Nothing may panic.
 func FuzzSweepSpec(f *testing.F) {
 	for _, pattern := range []string{"../../examples/sweep/*.json", "../../testdata/sweep_*.json"} {
 		paths, err := filepath.Glob(pattern)
@@ -18,6 +19,10 @@ func FuzzSweepSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, p := range paths {
+			// Every checked-in spec stays within the validation bounds.
+			if _, err := LoadSweep(p); err != nil {
+				f.Fatal(err)
+			}
 			data, err := os.ReadFile(p)
 			if err != nil {
 				f.Fatal(err)
@@ -34,18 +39,25 @@ func FuzzSweepSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A large product is a long sweep, not a malformed one: resolve
-		// at most 64 runs per input.
-		reps := spec.Replicates
-		if reps < 1 {
-			reps = 1
-		}
-		runs := reps
+		// A large product is a long sweep, not a malformed one: plan at
+		// most 64 runs per input.
+		runs := max(spec.Replicates, 1)
 		for _, ax := range spec.Axes {
 			if runs *= len(ax.Values); runs > 64 {
 				return
 			}
 		}
-		_, _, _ = spec.resolve(spec.Points(), reps)
+		base, g, err := spec.grid()
+		if err != nil {
+			return
+		}
+		for _, row := range g.rows {
+			for _, c := range row.cells {
+				if err := c.cfg.Validate(); err != nil {
+					t.Fatalf("point %v compiled to an invalid config: %v", row.labels, err)
+				}
+			}
+		}
+		_, _ = NewRunner(base, nil, 1).plan(g)
 	})
 }

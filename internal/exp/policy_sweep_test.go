@@ -20,21 +20,15 @@ func TestPolicyComparisonSpecResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := config.ParsePreset(spec.Scale)
+	_, g, err := spec.grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base, err = base.Patch(spec.Base); err != nil {
-		t.Fatal(err)
-	}
 	sawATLAS := false
-	for _, idx := range spec.Points() {
-		cfg, err := spec.pointConfig(base, idx)
-		if err != nil {
-			t.Fatalf("point %s: %v", spec.pointLabel(idx), err)
-		}
+	for _, row := range g.rows {
+		cfg := row.cells[0].cfg
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("point %s does not validate: %v", spec.pointLabel(idx), err)
+			t.Errorf("point %v does not validate: %v", row.labels, err)
 		}
 		if cfg.Algorithm == "ATLAS" {
 			sawATLAS = true

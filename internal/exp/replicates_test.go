@@ -38,12 +38,12 @@ func TestReplicateConfigs(t *testing.T) {
 }
 
 func TestValidateReplicates(t *testing.T) {
-	for _, n := range []int{0, -1} {
+	for _, n := range []int{0, -1, 1001} {
 		if err := ValidateReplicates(n); err == nil {
 			t.Errorf("ValidateReplicates(%d) accepted", n)
 		}
 	}
-	for _, n := range []int{1, 3, 10} {
+	for _, n := range []int{1, 3, 10, 1000} {
 		if err := ValidateReplicates(n); err != nil {
 			t.Errorf("ValidateReplicates(%d) rejected: %v", n, err)
 		}
@@ -117,6 +117,14 @@ func TestTableSpecReplicatesOverridesRunner(t *testing.T) {
 	}
 	if _, err := r.Table(TableSpec{Name: "neg", Replicates: -1, Rows: []RowSpec{{}}}); err == nil {
 		t.Fatal("negative spec replicates accepted")
+	}
+	spec.Replicates = 1001
+	runs := r.SimRuns()
+	if _, err := r.Table(spec); err == nil || !strings.Contains(err.Error(), "1000") {
+		t.Fatalf("spec replicates past the bound: want an error naming it, got %v", err)
+	}
+	if r.SimRuns() != runs {
+		t.Fatal("replicates past the bound still launched simulations")
 	}
 }
 
@@ -199,6 +207,9 @@ func TestSweepOptsReplicatesOverrideSpec(t *testing.T) {
 	bad.Replicates = -2
 	if _, _, err := RunSweep(bad, SweepOpts{Workers: 1}); err == nil {
 		t.Fatal("negative spec.Replicates accepted")
+	}
+	if _, _, err := RunSweep(parallelSweepSpec(), SweepOpts{Workers: 1, Replicates: 1001}); err == nil || !strings.Contains(err.Error(), "1000") {
+		t.Fatalf("SweepOpts.Replicates past the bound: want an error naming it, got %v", err)
 	}
 }
 

@@ -147,13 +147,18 @@ func (r *Runner) SetRunTimeout(d time.Duration) { r.runTimeout = d }
 // runs and renders as mean ±CI95. n <= 1 (and the zero default) keeps
 // the single-run behaviour, bit-identical to the unreplicated engine.
 // A spec's own Replicates field, when positive, wins over this default.
+// A count above 1000 fails Table before any simulation.
 func (r *Runner) SetReplicates(n int) { r.replicates = n }
 
-// ValidateReplicates rejects a nonsensical replicate count up front, so
-// a bad -seeds flag fails before any simulation work.
+// maxReplicates bounds every replicate count: the -seeds flags, a
+// spec's replicates field and the runner default.
+const maxReplicates = 1000
+
+// ValidateReplicates rejects a replicate count outside 1..1000 up front,
+// so a bad -seeds flag fails before any simulation work.
 func ValidateReplicates(n int) error {
-	if n < 1 {
-		return fmt.Errorf("exp: replicates must be >= 1, got %d", n)
+	if n < 1 || n > maxReplicates {
+		return fmt.Errorf("exp: replicates must be in 1..%d, got %d", maxReplicates, n)
 	}
 	return nil
 }
@@ -334,8 +339,8 @@ func (r *Runner) runIn(cfg config.Config, s *warmSlot) (sim.Result, error) {
 // its first failing member — making "first recorded error in dispatch
 // order" independent of goroutine scheduling. Results are equally
 // order-independent: runs commit into the hash-keyed memo and the
-// table/sweep renderers read them back in spec order, so parallel output
-// is bit-identical to sequential.
+// renderer reads them back in spec order, so parallel output is
+// bit-identical to sequential.
 //
 // With SetKeepGoing(true) a failure does not stop dispatch: every
 // config runs (and every success lands in the persistent cache, so a
@@ -512,61 +517,19 @@ func (r *Runner) result(cfg config.Config) sim.Result {
 	return res
 }
 
-// aloneIPC returns the alone IPC for one (benchmark, org) pair at
-// replicate k through the memoized, cache-backed run path.
-func (r *Runner) aloneIPC(bench string, org dcache.Org, k int) (float64, error) {
-	res, err := r.Run(replicateCfg(r.aloneConfig(bench, org), k))
-	if err != nil {
-		return 0, err
-	}
-	return res.IPC[0], nil
-}
-
-// aloneIPCs returns per-core alone IPCs for a mix under an organization
-// at replicate k.
-func (r *Runner) aloneIPCs(mix workload.Mix, org dcache.Org, k int) ([]float64, error) {
-	out := make([]float64, len(mix.Benchmarks))
-	for i, b := range mix.Benchmarks {
-		ipc, err := r.aloneIPC(b, org, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ipc
-	}
-	return out, nil
-}
-
-// aloneConfigs enumerates the alone runs behind every benchmark of the
-// runner's mixes under an organization, across reps replicates.
-func (r *Runner) aloneConfigs(org dcache.Org, reps int) []config.Config {
-	seen := map[string]bool{}
-	var cfgs []config.Config
-	for _, m := range r.mixes {
-		for _, b := range m.Benchmarks {
-			if !seen[b] {
-				seen[b] = true
-				for k := 0; k < reps; k++ {
-					cfgs = append(cfgs, replicateCfg(r.aloneConfig(b, org), k))
-				}
-			}
-		}
-	}
-	return cfgs
-}
-
 // weightedSpeedup computes the weighted speedup of a memoized run over
-// the alone IPCs of its mix at replicate k. The shared and alone runs
-// use the same replicate index, so each replicate is an internally
-// consistent speedup measurement.
-func (r *Runner) weightedSpeedup(cfg config.Config, mix workload.Mix, k int) (float64, error) {
-	alone, err := r.aloneIPCs(mix, cfg.Org, k)
-	if err != nil {
-		return 0, err
+// the memoized alone IPCs of its benchmarks at replicate k. The shared
+// and alone runs use the same replicate index, so each replicate is an
+// internally consistent speedup measurement.
+func (r *Runner) weightedSpeedup(run config.Config, k int) (float64, error) {
+	alone := make([]float64, len(run.Benchmarks))
+	for i, b := range run.Benchmarks {
+		alone[i] = r.result(replicateCfg(r.aloneConfig(b, run.Org), k)).IPC[0]
 	}
-	ws, err := stats.WeightedSpeedup(r.result(cfg).IPC, alone)
+	ws, err := stats.WeightedSpeedup(r.result(run).IPC, alone)
 	if err != nil {
 		return 0, fmt.Errorf("exp: weighted speedup (%v/%v %v seed %d): %w",
-			cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
+			run.Design, run.Org, run.Benchmarks, run.Seed, err)
 	}
 	return ws, nil
 }

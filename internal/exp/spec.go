@@ -47,7 +47,8 @@ type ColSpec struct {
 	Patch  json.RawMessage `json:"patch,omitempty"`
 	Metric string          `json:"metric"` // registry name, or MetricWS
 
-	// Agg folds the per-mix samples into the cell: "geomean" or "mean".
+	// Agg folds the per-mix samples into the cell: "geomean" or "mean"
+	// (the default). A cell with no sample renders "-".
 	Agg string `json:"agg,omitempty"`
 
 	// Baseline, when set, is a further patch selecting the variant each
@@ -93,369 +94,366 @@ func (c ColSpec) validate(earlier map[string]bool) error {
 		case len(c.Patch) != 0:
 			return fmt.Errorf("exp: column %q: div columns take no patch", c.Header)
 		}
-		switch c.Format {
-		case "", "pct0":
-			return nil
+	} else {
+		if c.Metric != MetricWS {
+			if _, err := lookupMetric(c.Metric); err != nil {
+				return err
+			}
 		}
-		return fmt.Errorf("exp: column %q: unknown format %q", c.Header, c.Format)
-	}
-	if c.Metric != MetricWS {
-		if _, err := lookupMetric(c.Metric); err != nil {
-			return err
+		switch c.Agg {
+		case "geomean", "mean", "":
+		default:
+			return fmt.Errorf("exp: column %q: unknown aggregation %q", c.Header, c.Agg)
 		}
-	}
-	switch c.Agg {
-	case "geomean", "mean", "":
-	default:
-		return fmt.Errorf("exp: column %q: unknown aggregation %q", c.Header, c.Agg)
-	}
-	switch c.Op {
-	case "ratio", "pctImprove", "":
-	default:
-		return fmt.Errorf("exp: column %q: unknown op %q", c.Header, c.Op)
+		switch c.Op {
+		case "ratio", "pctImprove", "":
+		default:
+			return fmt.Errorf("exp: column %q: unknown op %q", c.Header, c.Op)
+		}
 	}
 	switch c.Format {
 	case "", "pct0":
-	default:
-		return fmt.Errorf("exp: column %q: unknown format %q", c.Header, c.Format)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("exp: column %q: unknown format %q", c.Header, c.Format)
 }
 
-// aggregate folds samples per the column spec. A degenerate sample set
-// (a non-positive value under geomean) is reported as an error: it
-// reaches this at render time, after every simulation has completed, so
-// panicking here would escape runIsolated and take down the process.
+// aggregate folds samples per the column's Agg, which validate has
+// checked. A degenerate sample set (a non-positive value under geomean)
+// is reported as an error: it reaches this at render time, after every
+// simulation has completed, so panicking here would escape runIsolated
+// and take down the process.
 func (c ColSpec) aggregate(vals []float64) (float64, error) {
-	switch c.Agg {
-	case "geomean":
-		g, err := stats.GeoMean(vals)
-		if err != nil {
-			return 0, fmt.Errorf("exp: column %q: %w", c.Header, err)
-		}
-		return g, nil
-	case "mean", "":
+	if c.Agg != "geomean" {
 		return stats.Mean(vals), nil
 	}
-	return 0, fmt.Errorf("exp: column %q: unknown aggregation %q", c.Header, c.Agg)
+	g, err := stats.GeoMean(vals)
+	if err != nil {
+		return 0, fmt.Errorf("exp: column %q: %w", c.Header, err)
+	}
+	return g, nil
 }
 
 // normalize applies the column's baseline op to one per-mix sample.
-func (c ColSpec) normalize(v, base float64) (float64, error) {
-	switch c.Op {
-	case "ratio", "":
-		return v / base, nil
-	case "pctImprove":
-		return 100 * (base - v) / base, nil
+func (c ColSpec) normalize(v, base float64) float64 {
+	if c.Op == "pctImprove" {
+		return 100 * (base - v) / base
 	}
-	return 0, fmt.Errorf("exp: column %q: unknown op %q", c.Header, c.Op)
+	return v / base
 }
 
-// cell renders the aggregated value per the column's format.
-func (c ColSpec) cell(v float64) (interface{}, error) {
-	switch c.Format {
-	case "":
-		return v, nil
-	case "pct0":
-		return fmt.Sprintf("%.0f%%", 100*v), nil
-	}
-	return nil, fmt.Errorf("exp: column %q: unknown format %q", c.Header, c.Format)
-}
-
-// cellSample renders a replicated cell. The default format passes the
-// stats.Sample through so the table renders "mean ±CI" in text and
-// splits CSV/JSON columns; pct0 folds both numbers into one percentage
-// string (percentages stay a single column in every format).
-func (c ColSpec) cellSample(s stats.Sample) (interface{}, error) {
-	switch c.Format {
-	case "":
-		return s, nil
-	case "pct0":
-		return fmt.Sprintf("%.0f%% ±%.0f%%", 100*s.Mean, 100*s.CI), nil
-	}
-	return nil, fmt.Errorf("exp: column %q: unknown format %q", c.Header, c.Format)
-}
-
-// variant resolves the cell config of (row, col) and, when the column is
-// normalized, its baseline config.
-func (s TableSpec) variant(base config.Config, row RowSpec, col ColSpec) (cfg, bl config.Config, err error) {
-	cfg, err = base.Patch(s.Patch, row.Patch, col.Patch)
-	if err != nil {
-		return cfg, bl, fmt.Errorf("exp: %s row %v col %q: %w", s.Name, row.Labels, col.Header, err)
-	}
-	if col.Baseline != nil {
-		bl, err = base.Patch(s.Patch, row.Patch, col.Patch, col.Baseline)
-		if err != nil {
-			return cfg, bl, fmt.Errorf("exp: %s row %v col %q baseline: %w", s.Name, row.Labels, col.Header, err)
+// cell renders a column's per-replicate values per its format: the
+// value itself at one replicate (bit-identical to the unreplicated
+// engine), else a mean ±CI95 stats.Sample, which the table renders
+// "mean ±CI" in text and splits into two CSV/JSON columns. pct0 renders
+// 100*v as a whole-number percentage and folds a replicated cell into
+// one string, so percentages stay one column in every format.
+func (c ColSpec) cell(perRep []float64) interface{} {
+	if len(perRep) == 1 {
+		if c.Format == "pct0" {
+			return fmt.Sprintf("%.0f%%", 100*perRep[0])
 		}
+		return perRep[0]
 	}
-	return cfg, bl, nil
+	s := stats.Summarize(perRep)
+	if c.Format == "pct0" {
+		return fmt.Sprintf("%.0f%% ±%.0f%%", 100*s.Mean, 100*s.CI)
+	}
+	return s
 }
 
-// Table evaluates a spec: it enumerates every run the grid needs
-// (cells, baselines, the alone runs behind weighted speedups, and every
-// seeded replicate of each), computes the missing ones in parallel
-// through the memo and persistent cache, and renders the table. With
-// more than one replicate each cell aggregates per replicate exactly as
-// the single-run engine would and then folds the per-replicate values
-// into a mean ±CI95 Sample.
+// A grid is a table or sweep spec compiled against a runner: labelled
+// rows of resolved cell configs under ColSpec columns. Table and
+// RunSweep both build one and hand it to evaluate, so every figure and
+// every sweep goes through one planner (plan) and one renderer
+// (render).
+type grid struct {
+	name    string
+	headers []string // label column headers
+	cols    []ColSpec
+	cells   [][]cellCfg // per row spec or sweep point, one per column
+	rows    []gridRow
+	reps    int // seeded replicates of every run
+}
+
+// cellCfg is the resolved config of one cell and, when its column is
+// normalized, of its baseline. Div cells stay zero.
+type cellCfg struct{ cfg, bl config.Config }
+
+// gridRow is one rendered row: its labels and the cells it reads. It
+// samples each cell once per mix, or samples the cell config itself
+// when it has no mixes, as sweep rows do. agg, when set, replaces every
+// column's aggregation: a per-mix row holds one raw sample, which the
+// mean keeps exactly, and the gmean row takes the geomean of every mix.
+type gridRow struct {
+	labels []string
+	cells  []cellCfg
+	mixes  []workload.Mix
+	agg    string
+}
+
+// Table evaluates a spec: it resolves the grid of cell configs,
+// computes every run the grid reads (cells, baselines, the alone runs
+// behind weighted speedups, and every seeded replicate of each) in
+// parallel through the memo and persistent cache, and renders the
+// table. With more than one replicate each cell aggregates per
+// replicate exactly as the single-run engine would and then folds the
+// per-replicate values into a mean ±CI95 Sample.
 func (r *Runner) Table(spec TableSpec) (*stats.Table, error) {
+	g, err := r.tableGrid(spec)
+	if err != nil {
+		return nil, err
+	}
+	return r.evaluate(g)
+}
+
+// tableGrid compiles a table spec: one row per row spec, or under
+// PerMix one row per mix plus a gmean row. Each row spec is patched
+// once and each baseline from its cell config; Patch applies its
+// patches in order, so this equals patching the base with every patch
+// of the cell at once.
+func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 	if spec.PerMix && len(spec.Rows) != 1 {
 		return nil, fmt.Errorf("exp: %s: perMix wants exactly one row spec, got %d", spec.Name, len(spec.Rows))
 	}
 	if spec.Replicates < 0 {
 		return nil, fmt.Errorf("exp: %s: negative replicates %d", spec.Name, spec.Replicates)
 	}
-	reps := spec.Replicates
-	if reps == 0 {
-		reps = r.replicates
-	}
-	if reps < 1 {
-		reps = 1
-	}
 	earlier := map[string]bool{}
 	for _, col := range spec.Cols {
-		if spec.PerMix && col.Div != nil {
-			return nil, fmt.Errorf("exp: %s: div columns are not supported with perMix", spec.Name)
-		}
 		if err := col.validate(earlier); err != nil {
 			return nil, err
 		}
 		earlier[col.Header] = true
 	}
-
-	// Resolve the variant grid once.
-	type cellVariant struct {
-		cfg, bl config.Config
+	reps := spec.Replicates
+	if reps == 0 {
+		reps = r.replicates
 	}
-	grid := make([][]cellVariant, len(spec.Rows))
-	var need []config.Config
-	aloneOrgs := map[string]config.Config{} // org name -> a config under that org
-	for i, row := range spec.Rows {
-		grid[i] = make([]cellVariant, len(spec.Cols))
+	g := &grid{name: spec.Name, headers: spec.Headers, cols: spec.Cols, reps: max(reps, 1)}
+	for _, row := range spec.Rows {
+		rowCfg, err := r.base.Patch(spec.Patch, row.Patch)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s row %v: %w", spec.Name, row.Labels, err)
+		}
+		cells := make([]cellCfg, len(spec.Cols))
 		for j, col := range spec.Cols {
 			if col.Div != nil {
 				continue
 			}
-			cfg, bl, err := spec.variant(r.base, row, col)
+			c := &cells[j]
+			if c.cfg, err = rowCfg.Patch(col.Patch); err == nil && col.Baseline != nil {
+				c.bl, err = c.cfg.Patch(col.Baseline)
+			}
 			if err != nil {
-				return nil, err
-			}
-			grid[i][j] = cellVariant{cfg: cfg, bl: bl}
-			for _, m := range r.mixes {
-				for k := 0; k < reps; k++ {
-					need = append(need, replicateCfg(mixConfig(cfg, r.base, m), k))
-					if col.Baseline != nil {
-						need = append(need, replicateCfg(mixConfig(bl, r.base, m), k))
-					}
-				}
-			}
-			if col.Metric == MetricWS {
-				aloneOrgs[cfg.Org.String()] = cfg
-				if col.Baseline != nil {
-					aloneOrgs[bl.Org.String()] = bl
-				}
+				return nil, fmt.Errorf("exp: %s row %v col %q: %w", spec.Name, row.Labels, col.Header, err)
 			}
 		}
+		g.cells = append(g.cells, cells)
+		if !spec.PerMix {
+			g.rows = append(g.rows, gridRow{labels: row.Labels, cells: cells, mixes: r.mixes})
+			continue
+		}
+		for i, m := range r.mixes {
+			label := fmt.Sprintf("%d(%s)", m.ID, m.Benchmarks[0])
+			g.rows = append(g.rows, gridRow{labels: []string{label}, cells: cells, mixes: r.mixes[i : i+1], agg: "mean"})
+		}
+		g.rows = append(g.rows, gridRow{labels: []string{"gmean"}, cells: cells, mixes: r.mixes, agg: "geomean"})
 	}
-	// Sorted key order keeps the need list deterministic: Ensure
-	// dispatches in list order and reports the first failure in that
-	// order, so a map-ordered list would make the reported error (and
-	// the dispatch schedule) vary run to run.
-	orgNames := make([]string, 0, len(aloneOrgs))
-	for name := range aloneOrgs {
-		orgNames = append(orgNames, name)
-	}
-	sort.Strings(orgNames)
-	for _, name := range orgNames {
-		need = append(need, r.aloneConfigs(aloneOrgs[name].Org, reps)...)
+	return g, nil
+}
+
+// evaluate computes every run the grid reads and renders it.
+func (r *Runner) evaluate(g *grid) (*stats.Table, error) {
+	need, err := r.plan(g)
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Ensure(need); err != nil {
 		return nil, err
 	}
+	return r.render(g)
+}
 
-	// sample extracts the per-mix metric value of a variant at one
-	// replicate index.
-	sample := func(col ColSpec, cfg config.Config, m workload.Mix, k int) (float64, bool, error) {
-		run := replicateCfg(mixConfig(cfg, r.base, m), k)
-		if col.Metric == MetricWS {
-			ws, err := r.weightedSpeedup(run, m, k)
-			return ws, true, err
-		}
-		f, err := lookupMetric(col.Metric)
-		if err != nil {
-			return 0, false, err
-		}
-		v, ok := f(r.result(run))
-		return v, ok, nil
+// plan lists every run the grid reads, in the order Ensure dispatches
+// them: per cell, mix-major then replicate, each run before its
+// baseline; then the alone runs behind weighted speedups, by sorted org
+// name. Ensure's warm groups and its first reported failure follow this
+// order, so nothing in it may depend on map iteration.
+func (r *Runner) plan(g *grid) ([]config.Config, error) {
+	if g.reps > maxReplicates {
+		return nil, fmt.Errorf("exp: %s: %d replicates exceed the maximum of %d", g.name, g.reps, maxReplicates)
 	}
-	// samples collects the normalized per-mix series of one grid cell at
-	// one replicate index.
-	samples := func(col ColSpec, cv cellVariant, k int) ([]float64, error) {
-		var vals []float64
-		for _, m := range r.mixes {
-			v, ok, err := sample(col, cv.cfg, m, k)
-			if err != nil {
-				return nil, err
-			}
-			if col.Baseline != nil {
-				base, bok, err := sample(col, cv.bl, m, k)
-				if err != nil {
-					return nil, err
-				}
-				// The hand-written drivers skipped a mix when its
-				// normalization denominator carried no samples (Fig. 18's
-				// zero-tag-access guard); keep that exact behaviour.
-				if !bok || base <= 0 {
-					continue
-				}
-				if v, err = col.normalize(v, base); err != nil {
-					return nil, err
-				}
-			}
-			if ok {
-				vals = append(vals, v)
+	var need, alone []config.Config
+	seen := map[[2]string]bool{} // (org, benchmark) pairs in alone
+	add := func(run config.Config, ws bool) {
+		need = append(need, run)
+		if !ws {
+			return
+		}
+		for _, b := range run.Benchmarks {
+			if key := [2]string{run.Org.String(), b}; !seen[key] {
+				seen[key] = true
+				alone = append(alone, r.aloneConfig(b, run.Org))
 			}
 		}
-		return vals, nil
 	}
-	// fold renders per-replicate aggregated values as a cell value: the
-	// single value at one replicate (bit-identical to the unreplicated
-	// engine), a mean ±CI95 Sample otherwise.
-	fold := func(col ColSpec, perRep []float64) (interface{}, error) {
-		if len(perRep) == 1 {
-			return col.cell(perRep[0])
-		}
-		return col.cellSample(stats.Summarize(perRep))
-	}
-
-	tbl := stats.NewTable(append(append([]string{}, spec.Headers...),
-		colHeaders(spec.Cols)...)...)
-
-	if spec.PerMix {
-		// One row per mix; cells are the raw per-mix samples (folded
-		// across replicates), then a geomean summary row per column
-		// (geomean per replicate, then folded).
-		series := make([][][]float64, len(spec.Cols)) // [col][rep][mix]
-		for j, col := range spec.Cols {
-			series[j] = make([][]float64, reps)
-			for k := 0; k < reps; k++ {
-				vals, err := samples(col, grid[0][j], k)
-				if err != nil {
-					return nil, err
-				}
-				if len(vals) != len(r.mixes) {
-					return nil, fmt.Errorf("exp: %s col %q: %d samples for %d mixes", spec.Name, col.Header, len(vals), len(r.mixes))
-				}
-				series[j][k] = vals
-			}
-		}
-		perRep := make([]float64, reps)
-		for i, m := range r.mixes {
-			row := []interface{}{fmt.Sprintf("%d(%s)", m.ID, m.Benchmarks[0])}
-			for j := range spec.Cols {
-				if reps == 1 {
-					row = append(row, series[j][0][i])
-					continue
-				}
-				for k := 0; k < reps; k++ {
-					perRep[k] = series[j][k][i]
-				}
-				row = append(row, stats.Summarize(perRep))
-			}
-			tbl.AddRowf(row...)
-		}
-		sum := []interface{}{"gmean"}
-		for j := range spec.Cols {
-			for k := 0; k < reps; k++ {
-				g, err := stats.GeoMean(series[j][k])
-				if err != nil {
-					return nil, fmt.Errorf("exp: %s col %q gmean: %w", spec.Name, spec.Cols[j].Header, err)
-				}
-				perRep[k] = g
-			}
-			if reps == 1 {
-				sum = append(sum, perRep[0])
-			} else {
-				sum = append(sum, stats.Summarize(perRep))
-			}
-		}
-		tbl.AddRowf(sum...)
-		return tbl, nil
-	}
-
-	for i, rowSpec := range spec.Rows {
-		row := make([]interface{}, 0, len(spec.Headers)+len(spec.Cols))
-		for _, l := range rowSpec.Labels {
-			row = append(row, l)
-		}
-		// Per-replicate aggregated values by column header, for Div
-		// references; aggOK marks columns whose value is defined (a Div
-		// with a zero denominator is not). Both maps are only ever
-		// indexed by header, never ranged.
-		aggVals := map[string][]float64{}
-		aggOK := map[string]bool{}
-		for j, col := range spec.Cols {
-			var perRep []float64
-			ok := true
+	for _, cells := range g.cells {
+		for j, col := range g.cols {
 			if col.Div != nil {
-				num, nok := aggVals[col.Div[0]]
-				den, dok := aggVals[col.Div[1]]
-				if !nok || !dok {
-					return nil, fmt.Errorf("exp: %s col %q: div references unknown columns %v", spec.Name, col.Header, *col.Div)
-				}
-				ok = aggOK[col.Div[0]] && aggOK[col.Div[1]]
-				for k := 0; ok && k < len(den); k++ {
-					// A zero denominator has no ratio; render "-" like
-					// the sweep engine does for missing metrics rather
-					// than passing NaN/Inf off as data.
-					if den[k] == 0 {
-						ok = false
-					}
-				}
-				if ok {
-					perRep = make([]float64, len(num))
-					for k := range num {
-						perRep[k] = num[k] / den[k]
-					}
-				}
-			} else {
-				perRep = make([]float64, reps)
-				for k := 0; k < reps; k++ {
-					vals, err := samples(col, grid[i][j], k)
-					if err != nil {
-						return nil, err
-					}
-					v, err := col.aggregate(vals)
-					if err != nil {
-						return nil, fmt.Errorf("exp: %s row %v: %w", spec.Name, rowSpec.Labels, err)
-					}
-					perRep[k] = v
-				}
-			}
-			aggVals[col.Header] = perRep
-			aggOK[col.Header] = ok
-			if !ok {
-				row = append(row, "-")
 				continue
 			}
-			cell, err := fold(col, perRep)
-			if err != nil {
-				return nil, err
+			ws := col.Metric == MetricWS
+			for i := 0; i < max(len(r.mixes), 1); i++ {
+				for k := 0; k < g.reps; k++ {
+					add(r.runCfg(cells[j].cfg, r.mixes, i, k), ws)
+					if col.Baseline != nil {
+						add(r.runCfg(cells[j].bl, r.mixes, i, k), ws)
+					}
+				}
 			}
-			row = append(row, cell)
 		}
-		tbl.AddRowf(row...)
+	}
+	sort.SliceStable(alone, func(a, b int) bool { return alone[a].Org.String() < alone[b].Org.String() })
+	for _, a := range alone {
+		for k := 0; k < g.reps; k++ {
+			need = append(need, replicateCfg(a, k))
+		}
+	}
+	// Runs execute in parallel, so a shared RecordPath would have every
+	// run truncating (and, on failure, deleting) one trace file.
+	for _, run := range need {
+		if run.RecordPath != "" {
+			return nil, fmt.Errorf("exp: %s: RecordPath %q is not supported in tables or sweeps (parallel runs would overwrite one trace file)", g.name, run.RecordPath)
+		}
+	}
+	return need, nil
+}
+
+// runCfg is the run behind sample i of a cell config at replicate k:
+// the config under mixes[i], or the config itself without mixes.
+func (r *Runner) runCfg(cfg config.Config, mixes []workload.Mix, i, k int) config.Config {
+	if len(mixes) > 0 {
+		cfg = mixConfig(cfg, r.base, mixes[i])
+	}
+	return replicateCfg(cfg, k)
+}
+
+// render reads the grid's values from the memo (plan's runs must all be
+// there) into a table. A value with no sample renders "-", as does a
+// Div cell over such a value or a zero denominator: a partly sampled
+// replicate mean, NaN or Inf would pass off as data.
+func (r *Runner) render(g *grid) (*stats.Table, error) {
+	header := append([]string{}, g.headers...)
+	for _, col := range g.cols {
+		header = append(header, col.Header)
+	}
+	tbl := stats.NewTable(header...)
+	for _, row := range g.rows {
+		out := make([]interface{}, 0, len(g.headers)+len(g.cols))
+		for _, l := range row.labels {
+			out = append(out, l)
+		}
+		// Per-replicate values by column header for Div references, nil
+		// where a column has none. Only ever indexed, never ranged.
+		vals := map[string][]float64{}
+		for j, col := range g.cols {
+			var perRep []float64
+			if col.Div != nil {
+				perRep = divide(vals[col.Div[0]], vals[col.Div[1]])
+			} else {
+				var err error
+				if perRep, err = r.values(g, row, j); err != nil {
+					return nil, err
+				}
+			}
+			vals[col.Header] = perRep
+			if perRep == nil {
+				out = append(out, "-")
+			} else {
+				out = append(out, col.cell(perRep))
+			}
+		}
+		tbl.AddRowf(out...)
 	}
 	return tbl, nil
 }
 
-func colHeaders(cols []ColSpec) []string {
-	h := make([]string, len(cols))
-	for i, c := range cols {
-		h[i] = c.Header
+// values aggregates cell j of a row at every replicate; nil when some
+// replicate has no sample.
+func (r *Runner) values(g *grid, row gridRow, j int) ([]float64, error) {
+	col := g.cols[j]
+	if row.agg != "" {
+		col.Agg = row.agg
 	}
-	return h
+	perRep := make([]float64, g.reps)
+	for k := range perRep {
+		vals, err := r.samples(row, col, row.cells[j], k)
+		if err != nil {
+			return nil, err
+		}
+		if len(vals) == 0 {
+			return nil, nil
+		}
+		if perRep[k], err = col.aggregate(vals); err != nil {
+			return nil, fmt.Errorf("exp: %s row %v: %w", g.name, row.labels, err)
+		}
+	}
+	return perRep, nil
+}
+
+// samples collects one cell's normalized samples at replicate k: one
+// per mix of the row, or one of the cell config itself when the row has
+// no mixes. A sample whose baseline has no positive value is skipped,
+// as Fig. 18's zero-tag-access guard needs.
+func (r *Runner) samples(row gridRow, col ColSpec, c cellCfg, k int) ([]float64, error) {
+	var vals []float64
+	for i := 0; i < max(len(row.mixes), 1); i++ {
+		v, ok, err := r.sample(col, r.runCfg(c.cfg, row.mixes, i, k), k)
+		if err != nil {
+			return nil, err
+		}
+		if col.Baseline != nil {
+			base, bok, err := r.sample(col, r.runCfg(c.bl, row.mixes, i, k), k)
+			if err != nil {
+				return nil, err
+			}
+			if !bok || base <= 0 {
+				continue
+			}
+			v = col.normalize(v, base)
+		}
+		if ok {
+			vals = append(vals, v)
+		}
+	}
+	return vals, nil
+}
+
+// sample reads a column's metric from one memoized run at replicate k.
+func (r *Runner) sample(col ColSpec, run config.Config, k int) (float64, bool, error) {
+	if col.Metric == MetricWS {
+		ws, err := r.weightedSpeedup(run, k)
+		return ws, true, err
+	}
+	v, ok := metrics[col.Metric](r.result(run))
+	return v, ok, nil
+}
+
+// divide divides two columns' per-replicate values; nil when either has
+// none or a denominator is zero.
+func divide(num, den []float64) []float64 {
+	if num == nil || den == nil {
+		return nil
+	}
+	out := make([]float64, len(num))
+	for k := range num {
+		if den[k] == 0 {
+			return nil
+		}
+		out[k] = num[k] / den[k]
+	}
+	return out
 }
 
 // FigureNames lists the registered table specs in presentation order.

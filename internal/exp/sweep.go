@@ -34,10 +34,10 @@ type SweepSpec struct {
 	Metrics []string    `json:"metrics"`
 
 	// Replicates, when > 1, fans every point into that many seed-derived
-	// runs (replicate k patches Seed to config.ReplicateSeed of the
-	// point's seed) and renders each metric cell as mean ±CI95. 0/1 keep
-	// the single-run output bit-identical to the unreplicated engine.
-	// SweepOpts.Replicates, when positive, overrides this.
+	// runs (replicate k sets Seed to config.ReplicateSeed of the point's
+	// seed) and renders each metric cell as mean ±CI95. 0/1 keep the
+	// single-run output bit-identical to the unreplicated engine.
+	// SweepOpts.Replicates, when nonzero, overrides this.
 	Replicates int `json:"replicates,omitempty"`
 }
 
@@ -77,6 +77,11 @@ func LoadSweep(path string) (SweepSpec, error) {
 	return s, nil
 }
 
+// maxSweepRuns bounds a sweep's points times replicates, so a runaway
+// cartesian product fails with an error instead of allocating every
+// run's config up front.
+const maxSweepRuns = 100_000
+
 // Validate reports the first structural problem with the spec.
 func (s SweepSpec) Validate() error {
 	if s.Schema != config.SchemaVersion {
@@ -98,6 +103,17 @@ func (s SweepSpec) Validate() error {
 	}
 	if s.Replicates < 0 {
 		return fmt.Errorf("negative replicates %d", s.Replicates)
+	}
+	if s.Replicates > maxReplicates {
+		return fmt.Errorf("replicates %d exceed the maximum of %d", s.Replicates, maxReplicates)
+	}
+	// Compare before multiplying, so the product cannot overflow.
+	runs := max(s.Replicates, 1)
+	for _, ax := range s.Axes {
+		if len(ax.Values) > maxSweepRuns/runs {
+			return fmt.Errorf("more than %d runs (points x replicates); split the sweep", maxSweepRuns)
+		}
+		runs *= len(ax.Values)
 	}
 	for _, m := range s.Metrics {
 		if m == MetricWS {
@@ -135,19 +151,6 @@ func (s SweepSpec) Points() [][]int {
 	}
 }
 
-// pointConfig resolves the config of one cartesian point.
-func (s SweepSpec) pointConfig(base config.Config, idx []int) (config.Config, error) {
-	patches := make([]json.RawMessage, 0, len(idx))
-	for i, v := range idx {
-		patches = append(patches, s.Axes[i].Values[v].Set)
-	}
-	cfg, err := base.Patch(patches...)
-	if err != nil {
-		return cfg, fmt.Errorf("exp: sweep point %s: %w", s.pointLabel(idx), err)
-	}
-	return cfg, nil
-}
-
 func (s SweepSpec) pointLabel(idx []int) string {
 	var b bytes.Buffer
 	for i, v := range idx {
@@ -159,42 +162,45 @@ func (s SweepSpec) pointLabel(idx []int) string {
 	return b.String()
 }
 
-// resolve returns the spec's base config and the validated configs of
-// the given points: cfgs[i][k] is replicate k of points[i]. Replicate 0
-// is the point config itself, later replicates are ordinary Seed patches
-// — so they content-address, cache, and deduplicate like any other run.
-func (s SweepSpec) resolve(points [][]int, reps int) (config.Config, [][]config.Config, error) {
+// grid compiles the sweep against its base config: one row per
+// cartesian point, labelled by its axis values, with the validated point
+// config under one column per metric. The sweep's runner has no mixes,
+// so each row samples its point config itself.
+func (s SweepSpec) grid() (config.Config, *grid, error) {
 	base, err := config.ParsePreset(s.Scale)
 	if err != nil {
 		return base, nil, err
 	}
-	base, err = base.Patch(s.Base)
-	if err != nil {
+	if base, err = base.Patch(s.Base); err != nil {
 		return base, nil, fmt.Errorf("exp: sweep base: %w", err)
 	}
-	cfgs := make([][]config.Config, len(points))
-	for i, idx := range points {
-		cfgs[i] = make([]config.Config, reps)
-		if cfgs[i][0], err = s.pointConfig(base, idx); err != nil {
-			return base, nil, err
+	g := &grid{name: s.Name, reps: max(s.Replicates, 1)}
+	for _, ax := range s.Axes {
+		g.headers = append(g.headers, ax.Name)
+	}
+	for _, m := range s.Metrics {
+		g.cols = append(g.cols, ColSpec{Header: m, Metric: m})
+	}
+	for _, idx := range s.Points() {
+		row := gridRow{labels: make([]string, len(idx)), cells: make([]cellCfg, len(g.cols))}
+		patches := make([]json.RawMessage, len(idx))
+		for i, v := range idx {
+			row.labels[i], patches[i] = s.Axes[i].Values[v].Label, s.Axes[i].Values[v].Set
 		}
-		if err := cfgs[i][0].Validate(); err != nil {
+		cfg, err := base.Patch(patches...)
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
 			return base, nil, fmt.Errorf("exp: sweep point %s: %w", s.pointLabel(idx), err)
 		}
-		// Points run in parallel, so a shared RecordPath would have
-		// every run truncating (and, on failure, deleting) the same
-		// trace file mid-write.
-		if cfgs[i][0].RecordPath != "" {
-			return base, nil, fmt.Errorf("exp: sweep point %s: RecordPath is not supported in sweeps (parallel points would overwrite one trace file)", s.pointLabel(idx))
+		for j := range row.cells {
+			row.cells[j].cfg = cfg
 		}
-		for k := 1; k < reps; k++ {
-			cfgs[i][k], err = cfgs[i][0].Patch(config.SeedPatch(config.ReplicateSeed(cfgs[i][0].Seed, k)))
-			if err != nil {
-				return base, nil, fmt.Errorf("exp: sweep point %s replicate %d: %w", s.pointLabel(idx), k, err)
-			}
-		}
+		g.cells = append(g.cells, row.cells)
+		g.rows = append(g.rows, row)
 	}
-	return base, cfgs, nil
+	return base, g, nil
 }
 
 // SweepOpts bundles the execution knobs of a sweep.
@@ -212,98 +218,48 @@ type SweepOpts struct {
 	KeepGoing bool
 	// RunTimeout arms the per-run watchdog; <= 0 (the default) disables.
 	RunTimeout time.Duration
-	// Replicates, when > 0, overrides the spec's replicate count (the
-	// -seeds flag); 0 defers to spec.Replicates (default 1).
+	// Replicates, when nonzero, overrides the spec's replicate count
+	// (the -seeds flag); 0 defers to spec.Replicates (default 1).
 	Replicates int
 }
 
-// RunSweep evaluates the spec: resolve the base config, enumerate the
-// cartesian product, compute every point (bounded-parallel over
-// opts.Workers simulations, consulting opts.Cache when one is set), and
-// render one row per point with the requested metric columns. Rows
-// commit in cartesian order regardless of which worker finished first,
-// so the rendered table — text, CSV, or JSON — is byte-identical at
-// every worker count. Runs with no sample for a metric render "-".
+// RunSweep evaluates the spec: it compiles the cartesian product into a
+// grid of one row per point and one column per metric, computes every
+// run (bounded-parallel over opts.Workers simulations, consulting
+// opts.Cache when one is set), and renders it through the renderer
+// every table uses. Rows commit in cartesian order regardless of which
+// worker finished first, so the rendered table — text, CSV, or JSON —
+// is byte-identical at every worker count. A metric with no sample in
+// some replicate renders "-".
 //
 // On failure the returned runner is non-nil whenever the sweep got as
-// far as running (so callers can still inspect cache statistics and
-// CacheErr); the table is nil — a partial table would invite consuming
-// half a sweep as if it were the sweep.
+// far as planning its runs (so callers can still inspect cache
+// statistics and CacheErr); the table is nil — a partial table would
+// invite consuming half a sweep as if it were the sweep.
 func RunSweep(spec SweepSpec, opts SweepOpts) (*stats.Table, *Runner, error) {
+	if opts.Replicates != 0 {
+		spec.Replicates = opts.Replicates
+	}
 	// LoadSweep validates too, but specs can also be built in Go and
-	// handed straight here; a structural error must not surface as a
-	// panic after the simulations already ran.
+	// handed straight here, and the override above is checked only here.
 	if err := spec.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("exp: sweep %s: %w", spec.Name, err)
 	}
 	if err := ValidateWorkers(opts.Workers); err != nil {
 		return nil, nil, err
 	}
-	reps := opts.Replicates
-	if reps == 0 {
-		reps = spec.Replicates
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	points := spec.Points()
-	base, cfgs, err := spec.resolve(points, reps)
+	base, g, err := spec.grid()
 	if err != nil {
 		return nil, nil, err
 	}
-	need := make([]config.Config, 0, len(points)*reps)
-	for _, c := range cfgs {
-		need = append(need, c...)
-	}
-
 	r := NewRunner(base, nil, opts.Workers)
-	if opts.Cache != nil {
-		r.SetCache(opts.Cache)
-	}
+	r.SetCache(opts.Cache)
 	r.SetProgress(opts.Progress)
 	r.SetKeepGoing(opts.KeepGoing)
 	r.SetRunTimeout(opts.RunTimeout)
-	if err := r.Ensure(need); err != nil {
+	tbl, err := r.evaluate(g)
+	if err != nil {
 		return nil, r, err
-	}
-
-	header := make([]string, 0, len(spec.Axes)+len(spec.Metrics))
-	for _, ax := range spec.Axes {
-		header = append(header, ax.Name)
-	}
-	header = append(header, spec.Metrics...)
-	tbl := stats.NewTable(header...)
-	vals := make([]float64, 0, reps)
-	for i, idx := range points {
-		row := make([]interface{}, 0, len(header))
-		for ai, v := range idx {
-			row = append(row, spec.Axes[ai].Values[v].Label)
-		}
-		for _, m := range spec.Metrics {
-			f, _ := lookupMetric(m)
-			vals = vals[:0]
-			ok := true
-			for k := 0; ok && k < reps; k++ {
-				v, vok := f(r.result(cfgs[i][k]))
-				if !vok {
-					ok = false
-					break
-				}
-				vals = append(vals, v)
-			}
-			switch {
-			case !ok:
-				// A metric with no sample in any replicate renders "-":
-				// a partially sampled mean would not be comparable
-				// across rows.
-				row = append(row, "-")
-			case reps == 1:
-				row = append(row, vals[0])
-			default:
-				row = append(row, stats.Summarize(vals))
-			}
-		}
-		tbl.AddRowf(row...)
 	}
 	return tbl, r, nil
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -129,6 +130,42 @@ func TestSweepValidation(t *testing.T) {
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	// A product of 60^10 points and 10^12 replicates each fail with an
+	// error naming the bound, from Validate and from LoadSweep, rather
+	// than allocating every run's config.
+	wide, err := json.Marshal(mutate(func(s *SweepSpec) {
+		s.Axes = nil
+		for i := 0; i < 10; i++ {
+			ax := SweepAxis{Name: fmt.Sprintf("a%d", i)}
+			for v := 0; v < 60; v++ {
+				ax.Values = append(ax.Values, SweepPoint{Label: fmt.Sprint(v), Set: raw(`{}`)})
+			}
+			s.Axes = append(s.Axes, ax)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bound, doc := range map[string]string{
+		"100000": string(wide),
+		"1000":   strings.Replace(testSweepJSON, `"scale"`, `"replicates": 1000000000000, "scale"`, 1),
+	} {
+		var s SweepSpec
+		if err := json.Unmarshal([]byte(doc), &s); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "big.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := LoadSweep(path)
+		for _, err := range []error{s.Validate(), loadErr} {
+			if err == nil || !strings.Contains(err.Error(), bound) {
+				t.Errorf("want an error naming the bound %s, got %v", bound, err)
+			}
 		}
 	}
 
