@@ -13,7 +13,8 @@
 #                     concurrent-cache-handle tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
 #                     result-cache reader, the config and sweep-spec
-#                     loaders, and the event kernel vs its heap oracle
+#                     loaders, config patching vs its JSON-merge
+#                     oracle, and the event kernel vs its heap oracle
 #                     (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
@@ -86,7 +87,9 @@ faults:
 # trusted unless its envelope fully verifies (FuzzCacheGet re-checks
 # every accepted entry against an independent oracle), an arbitrary
 # config file or sweep spec must load and resolve or fail with an error
-# (FuzzConfigLoad, FuzzSweepSpec), and an arbitrary op program must
+# (FuzzConfigLoad, FuzzSweepSpec), a chain of config patches must agree
+# with the JSON-merge implementation it replaced and never write through
+# to its base (FuzzPatch), and an arbitrary op program must
 # drive the timing wheel and the retired 4-ary heap to the exact same
 # dispatch sequence (FuzzEngineOps). Checked-in corpora live in
 # internal/<pkg>/testdata/fuzz; CI archives grown corpora.
@@ -95,6 +98,7 @@ fuzz-short:
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzConfigLoad' -fuzztime 30s
+	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzPatch' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate every example declarative spec at

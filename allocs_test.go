@@ -1,6 +1,10 @@
 package dcasim
 
-import "testing"
+import (
+	"testing"
+
+	"dcasim/internal/exp"
+)
 
 // Allocation pins: whole-run allocation counts, which do not depend on
 // the host the way times do. Each pin is the count measured when it was
@@ -50,5 +54,41 @@ func TestAllocPinFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllocPin(t, `Figure("fig8")`, n, 32490)
+	checkAllocPin(t, `Figure("fig8")`, n, 25498)
+}
+
+// TestAllocPinWarmFigures pins the sweep-cached benchmark's pass: every
+// registered figure rendered on a fresh one-worker runner at
+// TestConfig() over two mixes, served entirely from a result cache that
+// an earlier pass filled.
+func TestAllocPinWarmFigures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes this path's allocation count")
+	}
+	cache, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(workers int) (*Runner, error) {
+		r := NewRunner(TestConfig(), TableIMixes()[:2], workers)
+		r.SetCache(cache)
+		for _, name := range exp.FigureNames() {
+			if _, err := r.Figure(name); err != nil {
+				return nil, err
+			}
+		}
+		return r, nil
+	}
+	if _, err := pass(0); err != nil {
+		t.Fatal(err)
+	}
+	var r *Runner
+	n := testing.AllocsPerRun(1, func() { r, err = pass(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sims := r.SimRuns(); sims != 0 {
+		t.Fatalf("warm pass simulated %d runs, want 0", sims)
+	}
+	checkAllocPin(t, "warm all-figures pass", n, 17876)
 }

@@ -7,8 +7,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
+	"strings"
+
+	"dcasim/internal/core"
 )
 
 // SchemaVersion identifies the serialized Config layout. It is folded
@@ -108,100 +113,133 @@ func ParsePreset(s string) (Config, error) {
 }
 
 // Patch overlays partial configurations, given as JSON objects, onto c,
-// applying them in order. Nested objects merge recursively (so
-// {"Timing":{"TWTR":2500}} changes one timing parameter and keeps the
-// rest); arrays and scalars replace. Unknown fields anywhere in a patch
-// are errors.
+// applying them in order. Each patch decodes strictly into a copy of the
+// config, so keys match fields as they do in Load (case-insensitively),
+// objects merge into structs and maps (so {"Timing":{"TWTR":2500}}
+// changes one timing parameter and keeps the rest), and arrays and
+// scalars replace. Unknown fields anywhere in a patch are errors, and so
+// is a null anywhere but as the value of Ctrl: decoding null into a
+// field would silently keep or zero it. A key repeated within one patch
+// takes its last value. The result shares no memory with c.
 //
 // A patch touching Ctrl while Ctrl is nil first materializes the
 // effective controller parameters (CtrlConfig(), i.e. the Table II
 // defaults for the design selected by the same patch): a single-knob
 // override like {"Ctrl":{"FlushFactor":2}} edits the machine the run
 // would actually use instead of producing a zeroed controller config.
+// An explicit "Ctrl": null restores the defaults.
 func (c Config) Patch(patches ...json.RawMessage) (Config, error) {
 	out := c
+	out.Benchmarks = slices.Clone(c.Benchmarks)
+	out.AlgParams = maps.Clone(c.AlgParams)
+	if c.Ctrl != nil {
+		out.Ctrl = cloneCtrl(*c.Ctrl)
+	}
 	for _, p := range patches {
 		if len(p) == 0 {
 			continue
 		}
-		var pm map[string]interface{}
-		dec := json.NewDecoder(bytes.NewReader(p))
-		dec.UseNumber() // keep int64 fields (times, budgets, seeds) exact
-		if err := dec.Decode(&pm); err != nil {
-			return Config{}, fmt.Errorf("config: decode patch %s: %w", p, err)
-		}
-		ctrlPatch, hasCtrl := pm["Ctrl"]
-		delete(pm, "Ctrl")
-		var err error
-		if out, err = out.applyPatchMap(pm); err != nil {
+		pm, ctrls, err := decodePatch(p)
+		if err != nil {
 			return Config{}, err
 		}
-		if !hasCtrl {
-			continue
-		}
-		if ctrlPatch == nil {
-			out.Ctrl = nil // explicit "Ctrl": null restores the defaults
-			continue
-		}
-		if out.Ctrl == nil {
-			eff := out.CtrlConfig()
-			out.Ctrl = &eff
-		}
-		if out, err = out.applyPatchMap(map[string]interface{}{"Ctrl": ctrlPatch}); err != nil {
+		if err := decodeInto(&out, pm); err != nil {
 			return Config{}, err
+		}
+		for _, v := range ctrls {
+			if v == nil {
+				out.Ctrl = nil
+				continue
+			}
+			if out.Ctrl == nil {
+				out.Ctrl = cloneCtrl(out.CtrlConfig())
+			}
+			if err := decodeInto(out.Ctrl, v); err != nil {
+				return Config{}, fmt.Errorf("%w (in Ctrl)", err)
+			}
 		}
 	}
 	return out, nil
 }
 
-// applyPatchMap deep-merges one decoded patch object onto the config's
-// canonical JSON and strictly re-decodes the result.
-func (c Config) applyPatchMap(pm map[string]interface{}) (Config, error) {
-	if len(pm) == 0 {
-		return c, nil
-	}
-	base, err := c.Canonical()
-	if err != nil {
-		return Config{}, fmt.Errorf("config: encode base: %w", err)
-	}
-	var m map[string]interface{}
-	baseDec := json.NewDecoder(bytes.NewReader(base))
-	baseDec.UseNumber()
-	if err := baseDec.Decode(&m); err != nil {
-		return Config{}, fmt.Errorf("config: decode base: %w", err)
-	}
-	mergeJSON(m, pm)
-	merged, err := json.Marshal(m)
-	if err != nil {
-		return Config{}, fmt.Errorf("config: encode merged: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(merged))
-	dec.DisallowUnknownFields()
-	var out Config
-	if err := dec.Decode(&out); err != nil {
-		return Config{}, fmt.Errorf("config: apply patch: %w", err)
-	}
-	return out, nil
+// cloneCtrl returns a copy of cc that shares no map with it: CtrlConfig
+// hands back the top-level AlgParams map itself.
+func cloneCtrl(cc core.Config) *core.Config {
+	cc.AlgParams = maps.Clone(cc.AlgParams)
+	return &cc
 }
 
-// mergeJSON merges src into dst recursively: object-into-object merges
-// per key, anything else replaces the destination value. Keys are
-// visited in sorted order so the merge — and anything derived from a
-// traversal of it — is deterministic regardless of map iteration order.
-func mergeJSON(dst, src map[string]interface{}) {
-	keys := make([]string, 0, len(src))
-	for k := range src {
-		keys = append(keys, k)
+// decodePatch normalizes one patch object: numbers stay exact, a
+// repeated key keeps its last value, and a null is an error except as
+// the value of Ctrl. It returns the patch without its Ctrl keys, and
+// the values of those keys (any spelling) in the order decoding would
+// meet them.
+func decodePatch(p json.RawMessage) (map[string]interface{}, []interface{}, error) {
+	var pm map[string]interface{}
+	dec := json.NewDecoder(bytes.NewReader(p))
+	dec.UseNumber() // keep int64 fields (times, budgets, seeds) exact
+	if err := dec.Decode(&pm); err != nil {
+		return nil, nil, fmt.Errorf("config: decode patch %s: %w", p, err)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sv := src[k]
-		if sm, ok := sv.(map[string]interface{}); ok {
-			if dm, ok := dst[k].(map[string]interface{}); ok {
-				mergeJSON(dm, sm)
+	var ctrls []interface{}
+	for _, k := range sortedKeys(pm) {
+		v := pm[k]
+		if strings.EqualFold(k, "Ctrl") {
+			ctrls = append(ctrls, v)
+			delete(pm, k)
+			if v == nil {
 				continue
 			}
 		}
-		dst[k] = sv
+		if err := checkNulls(k, v); err != nil {
+			return nil, nil, err
+		}
 	}
+	return pm, ctrls, nil
+}
+
+// checkNulls reports the first null at or below path, visiting object
+// keys in sorted order.
+func checkNulls(path string, v interface{}) error {
+	switch v := v.(type) {
+	case nil:
+		return fmt.Errorf("config: patch sets %s to null; only Ctrl accepts null", path)
+	case map[string]interface{}:
+		for _, k := range sortedKeys(v) {
+			if err := checkNulls(path+"."+k, v[k]); err != nil {
+				return err
+			}
+		}
+	case []interface{}:
+		for i, e := range v {
+			if err := checkNulls(fmt.Sprintf("%s[%d]", path, i), e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func sortedKeys(m map[string]interface{}) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// decodeInto strictly decodes a normalized patch value into dst, which
+// keeps every field the value does not name.
+func decodeInto(dst, v interface{}) error {
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("config: encode patch: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(enc))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("config: apply patch: %w", err)
+	}
+	return nil
 }

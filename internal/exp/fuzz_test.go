@@ -58,6 +58,6 @@ func FuzzSweepSpec(f *testing.F) {
 				}
 			}
 		}
-		_, _ = NewRunner(base, nil, 1).plan(g)
+		_ = NewRunner(base, nil, 1).plan(g)
 	})
 }

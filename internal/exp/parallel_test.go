@@ -124,7 +124,7 @@ func TestEnsureSingleRun(t *testing.T) {
 		t.Fatalf("single-run Ensure executed %d simulations, want 1", got)
 	}
 	// The memoized result must be readable back.
-	if res := r.result(cfg); len(res.IPC) != 4 {
+	if res := r.result(cfg.Hash()); len(res.IPC) != 4 {
 		t.Fatalf("result has %d IPCs, want 4", len(res.IPC))
 	}
 }

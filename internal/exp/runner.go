@@ -24,7 +24,6 @@ import (
 	"dcasim/internal/dcache"
 	"dcasim/internal/rescache"
 	"dcasim/internal/sim"
-	"dcasim/internal/stats"
 	"dcasim/internal/workload"
 )
 
@@ -255,12 +254,11 @@ func Cacheable(cfg config.Config) bool {
 // per runner: the in-memory memo, then the persistent cache, then an
 // actual simulation. Concurrent callers for the same config hash join
 // the in-flight computation (singleflight).
-func (r *Runner) Run(cfg config.Config) (sim.Result, error) { return r.runIn(cfg, nil) }
+func (r *Runner) Run(cfg config.Config) (sim.Result, error) { return r.runIn(cfg, cfg.Hash(), nil) }
 
-// runIn is Run for a member of a warm group: a simulation it needs runs
-// over the group's shared state in s.
-func (r *Runner) runIn(cfg config.Config, s *warmSlot) (sim.Result, error) {
-	h := cfg.Hash()
+// runIn is Run for cfg, whose hash is h, as a member of a warm group: a
+// simulation it needs runs over the group's shared state in s.
+func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, error) {
 	r.mu.Lock()
 	if res, ok := r.results[h]; ok {
 		r.mu.Unlock()
@@ -349,13 +347,21 @@ func (r *Runner) runIn(cfg config.Config, s *warmSlot) (sim.Result, error) {
 // failures by hash and the final scan reads them back in spec order
 // regardless of which worker hit them.
 func (r *Runner) Ensure(cfgs []config.Config) error {
-	keepGoing := r.keepGoing
 	hashes := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		hashes[i] = cfg.Hash()
+	}
+	return r.ensure(cfgs, hashes)
+}
+
+// ensure is Ensure over configs whose hashes the caller has computed:
+// hashes[i] is cfgs[i].Hash().
+func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
+	keepGoing := r.keepGoing
 	var groups [][]int // indices into cfgs of the distinct configs
 	seen := make(map[string]bool, len(cfgs))
 	groupOf := make(map[string]int)
 	for i, cfg := range cfgs {
-		hashes[i] = cfg.Hash()
 		if seen[hashes[i]] {
 			continue
 		}
@@ -442,7 +448,7 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 				s.w = nil // a group whose last members were cached leaves its state
 				for k, i := range groups[g] {
 					s.keep = k < len(groups[g])-1
-					_, err := r.runIn(cfgs[i], s)
+					_, err := r.runIn(cfgs[i], hashes[i], s)
 					report()
 					if err != nil {
 						s = &warmSlot{} // the failed run may still hold the old one
@@ -505,9 +511,9 @@ func runError(cfg config.Config, h string, err error) error {
 		h, cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
 }
 
-// result returns a memoized run (Ensure must have succeeded for cfg).
-func (r *Runner) result(cfg config.Config) sim.Result {
-	h := cfg.Hash()
+// result returns the memoized run of hash h (Ensure must have succeeded
+// for its config).
+func (r *Runner) result(h string) sim.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res, ok := r.results[h]
@@ -515,21 +521,4 @@ func (r *Runner) result(cfg config.Config) sim.Result {
 		panic(fmt.Sprintf("exp: result %.12s… not computed", h))
 	}
 	return res
-}
-
-// weightedSpeedup computes the weighted speedup of a memoized run over
-// the memoized alone IPCs of its benchmarks at replicate k. The shared
-// and alone runs use the same replicate index, so each replicate is an
-// internally consistent speedup measurement.
-func (r *Runner) weightedSpeedup(run config.Config, k int) (float64, error) {
-	alone := make([]float64, len(run.Benchmarks))
-	for i, b := range run.Benchmarks {
-		alone[i] = r.result(replicateCfg(r.aloneConfig(b, run.Org), k)).IPC[0]
-	}
-	ws, err := stats.WeightedSpeedup(r.result(run).IPC, alone)
-	if err != nil {
-		return 0, fmt.Errorf("exp: weighted speedup (%v/%v %v seed %d): %w",
-			run.Design, run.Org, run.Benchmarks, run.Seed, err)
-	}
-	return ws, nil
 }

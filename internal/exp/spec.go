@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"dcasim/internal/config"
+	"dcasim/internal/dcache"
 	"dcasim/internal/stats"
-	"dcasim/internal/workload"
 )
 
 // TableSpec declares one evaluation table as data: a grid of config
@@ -174,21 +174,39 @@ type grid struct {
 	cells   [][]cellCfg // per row spec or sweep point, one per column
 	rows    []gridRow
 	reps    int // seeded replicates of every run
+
+	// Set by plan: the need list, the content hash of each entry, and
+	// the need-list index of replicate 0 of each alone run.
+	need   []config.Config
+	hashes []string
+	alone  map[aloneKey]int
 }
 
 // cellCfg is the resolved config of one cell and, when its column is
-// normalized, of its baseline. Div cells stay zero.
-type cellCfg struct{ cfg, bl config.Config }
+// normalized, of its baseline. plan records the need-list indices of
+// their runs: sample i at replicate k is runs[i*reps+k] (bls for the
+// baseline). Div cells stay zero.
+type cellCfg struct {
+	cfg, bl   config.Config
+	runs, bls []int
+}
 
-// gridRow is one rendered row: its labels and the cells it reads. It
-// samples each cell once per mix, or samples the cell config itself
-// when it has no mixes, as sweep rows do. agg, when set, replaces every
+// aloneKey names the alone run of one benchmark under one organization.
+type aloneKey struct {
+	org   dcache.Org
+	bench string
+}
+
+// gridRow is one rendered row: its labels and the cells it reads, which
+// it shares with grid.cells. It reads samples lo..hi-1 of each cell: one
+// per runner mix, or sample 0 alone, the cell config itself, when the
+// runner has no mixes, as for sweep rows. agg, when set, replaces every
 // column's aggregation: a per-mix row holds one raw sample, which the
 // mean keeps exactly, and the gmean row takes the geomean of every mix.
 type gridRow struct {
 	labels []string
 	cells  []cellCfg
-	mixes  []workload.Mix
+	lo, hi int
 	agg    string
 }
 
@@ -231,6 +249,7 @@ func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 		reps = r.replicates
 	}
 	g := &grid{name: spec.Name, headers: spec.Headers, cols: spec.Cols, reps: max(reps, 1)}
+	samples := max(len(r.mixes), 1)
 	for _, row := range spec.Rows {
 		rowCfg, err := r.base.Patch(spec.Patch, row.Patch)
 		if err != nil {
@@ -251,25 +270,24 @@ func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 		}
 		g.cells = append(g.cells, cells)
 		if !spec.PerMix {
-			g.rows = append(g.rows, gridRow{labels: row.Labels, cells: cells, mixes: r.mixes})
+			g.rows = append(g.rows, gridRow{labels: row.Labels, cells: cells, hi: samples})
 			continue
 		}
 		for i, m := range r.mixes {
 			label := fmt.Sprintf("%d(%s)", m.ID, m.Benchmarks[0])
-			g.rows = append(g.rows, gridRow{labels: []string{label}, cells: cells, mixes: r.mixes[i : i+1], agg: "mean"})
+			g.rows = append(g.rows, gridRow{labels: []string{label}, cells: cells, lo: i, hi: i + 1, agg: "mean"})
 		}
-		g.rows = append(g.rows, gridRow{labels: []string{"gmean"}, cells: cells, mixes: r.mixes, agg: "geomean"})
+		g.rows = append(g.rows, gridRow{labels: []string{"gmean"}, cells: cells, hi: samples, agg: "geomean"})
 	}
 	return g, nil
 }
 
 // evaluate computes every run the grid reads and renders it.
 func (r *Runner) evaluate(g *grid) (*stats.Table, error) {
-	need, err := r.plan(g)
-	if err != nil {
+	if err := r.plan(g); err != nil {
 		return nil, err
 	}
-	if err := r.Ensure(need); err != nil {
+	if err := r.ensure(g.need, g.hashes); err != nil {
 		return nil, err
 	}
 	return r.render(g)
@@ -279,62 +297,79 @@ func (r *Runner) evaluate(g *grid) (*stats.Table, error) {
 // them: per cell, mix-major then replicate, each run before its
 // baseline; then the alone runs behind weighted speedups, by sorted org
 // name. Ensure's warm groups and its first reported failure follow this
-// order, so nothing in it may depend on map iteration.
-func (r *Runner) plan(g *grid) ([]config.Config, error) {
+// order, so nothing in it may depend on map iteration. It hashes each
+// entry once and records where each cell's runs and each alone run sit
+// in the list, so nothing after it rebuilds or re-hashes a config.
+func (r *Runner) plan(g *grid) error {
 	if g.reps > maxReplicates {
-		return nil, fmt.Errorf("exp: %s: %d replicates exceed the maximum of %d", g.name, g.reps, maxReplicates)
+		return fmt.Errorf("exp: %s: %d replicates exceed the maximum of %d", g.name, g.reps, maxReplicates)
 	}
-	var need, alone []config.Config
-	seen := map[[2]string]bool{} // (org, benchmark) pairs in alone
-	add := func(run config.Config, ws bool) {
+	var need []config.Config
+	var alone []aloneKey
+	seen := map[aloneKey]bool{}
+	add := func(run config.Config, ws bool) int {
 		need = append(need, run)
-		if !ws {
-			return
-		}
-		for _, b := range run.Benchmarks {
-			if key := [2]string{run.Org.String(), b}; !seen[key] {
-				seen[key] = true
-				alone = append(alone, r.aloneConfig(b, run.Org))
+		if ws {
+			for _, b := range run.Benchmarks {
+				if key := (aloneKey{run.Org, b}); !seen[key] {
+					seen[key] = true
+					alone = append(alone, key)
+				}
 			}
 		}
+		return len(need) - 1
 	}
+	samples := max(len(r.mixes), 1)
 	for _, cells := range g.cells {
 		for j, col := range g.cols {
 			if col.Div != nil {
 				continue
 			}
 			ws := col.Metric == MetricWS
-			for i := 0; i < max(len(r.mixes), 1); i++ {
+			c := &cells[j]
+			c.runs = make([]int, samples*g.reps)
+			if col.Baseline != nil {
+				c.bls = make([]int, samples*g.reps)
+			}
+			for i := 0; i < samples; i++ {
 				for k := 0; k < g.reps; k++ {
-					add(r.runCfg(cells[j].cfg, r.mixes, i, k), ws)
+					c.runs[i*g.reps+k] = add(r.runCfg(c.cfg, i, k), ws)
 					if col.Baseline != nil {
-						add(r.runCfg(cells[j].bl, r.mixes, i, k), ws)
+						c.bls[i*g.reps+k] = add(r.runCfg(c.bl, i, k), ws)
 					}
 				}
 			}
 		}
 	}
-	sort.SliceStable(alone, func(a, b int) bool { return alone[a].Org.String() < alone[b].Org.String() })
-	for _, a := range alone {
+	sort.SliceStable(alone, func(a, b int) bool { return alone[a].org.String() < alone[b].org.String() })
+	g.alone = make(map[aloneKey]int, len(alone))
+	for _, key := range alone {
+		g.alone[key] = len(need)
+		cfg := r.aloneConfig(key.bench, key.org)
 		for k := 0; k < g.reps; k++ {
-			need = append(need, replicateCfg(a, k))
+			need = append(need, replicateCfg(cfg, k))
 		}
 	}
 	// Runs execute in parallel, so a shared RecordPath would have every
 	// run truncating (and, on failure, deleting) one trace file.
 	for _, run := range need {
 		if run.RecordPath != "" {
-			return nil, fmt.Errorf("exp: %s: RecordPath %q is not supported in tables or sweeps (parallel runs would overwrite one trace file)", g.name, run.RecordPath)
+			return fmt.Errorf("exp: %s: RecordPath %q is not supported in tables or sweeps (parallel runs would overwrite one trace file)", g.name, run.RecordPath)
 		}
 	}
-	return need, nil
+	g.need, g.hashes = need, make([]string, len(need))
+	for i, run := range need {
+		g.hashes[i] = run.Hash()
+	}
+	return nil
 }
 
 // runCfg is the run behind sample i of a cell config at replicate k:
-// the config under mixes[i], or the config itself without mixes.
-func (r *Runner) runCfg(cfg config.Config, mixes []workload.Mix, i, k int) config.Config {
-	if len(mixes) > 0 {
-		cfg = mixConfig(cfg, r.base, mixes[i])
+// the config under the runner's mix i, or the config itself without
+// mixes.
+func (r *Runner) runCfg(cfg config.Config, i, k int) config.Config {
+	if len(r.mixes) > 0 {
+		cfg = mixConfig(cfg, r.base, r.mixes[i])
 	}
 	return replicateCfg(cfg, k)
 }
@@ -388,7 +423,7 @@ func (r *Runner) values(g *grid, row gridRow, j int) ([]float64, error) {
 	}
 	perRep := make([]float64, g.reps)
 	for k := range perRep {
-		vals, err := r.samples(row, col, row.cells[j], k)
+		vals, err := r.samples(g, row, col, row.cells[j], k)
 		if err != nil {
 			return nil, err
 		}
@@ -402,19 +437,18 @@ func (r *Runner) values(g *grid, row gridRow, j int) ([]float64, error) {
 	return perRep, nil
 }
 
-// samples collects one cell's normalized samples at replicate k: one
-// per mix of the row, or one of the cell config itself when the row has
-// no mixes. A sample whose baseline has no positive value is skipped,
-// as Fig. 18's zero-tag-access guard needs.
-func (r *Runner) samples(row gridRow, col ColSpec, c cellCfg, k int) ([]float64, error) {
+// samples collects one cell's normalized samples at replicate k, one
+// per sample index of the row. A sample whose baseline has no positive
+// value is skipped, as Fig. 18's zero-tag-access guard needs.
+func (r *Runner) samples(g *grid, row gridRow, col ColSpec, c cellCfg, k int) ([]float64, error) {
 	var vals []float64
-	for i := 0; i < max(len(row.mixes), 1); i++ {
-		v, ok, err := r.sample(col, r.runCfg(c.cfg, row.mixes, i, k), k)
+	for i := row.lo; i < row.hi; i++ {
+		v, ok, err := r.sample(g, col, c.runs[i*g.reps+k], k)
 		if err != nil {
 			return nil, err
 		}
 		if col.Baseline != nil {
-			base, bok, err := r.sample(col, r.runCfg(c.bl, row.mixes, i, k), k)
+			base, bok, err := r.sample(g, col, c.bls[i*g.reps+k], k)
 			if err != nil {
 				return nil, err
 			}
@@ -430,14 +464,33 @@ func (r *Runner) samples(row gridRow, col ColSpec, c cellCfg, k int) ([]float64,
 	return vals, nil
 }
 
-// sample reads a column's metric from one memoized run at replicate k.
-func (r *Runner) sample(col ColSpec, run config.Config, k int) (float64, bool, error) {
+// sample reads a column's metric from the memoized run at need-list
+// index run, of replicate k.
+func (r *Runner) sample(g *grid, col ColSpec, run, k int) (float64, bool, error) {
 	if col.Metric == MetricWS {
-		ws, err := r.weightedSpeedup(run, k)
+		ws, err := r.weightedSpeedup(g, run, k)
 		return ws, true, err
 	}
-	v, ok := metrics[col.Metric](r.result(run))
+	v, ok := metrics[col.Metric](r.result(g.hashes[run]))
 	return v, ok, nil
+}
+
+// weightedSpeedup computes the weighted speedup of the memoized run at
+// need-list index run over the memoized alone IPCs of its benchmarks at
+// replicate k. The shared and alone runs use the same replicate index,
+// so each replicate is an internally consistent speedup measurement.
+func (r *Runner) weightedSpeedup(g *grid, run, k int) (float64, error) {
+	cfg := g.need[run]
+	alone := make([]float64, len(cfg.Benchmarks))
+	for i, b := range cfg.Benchmarks {
+		alone[i] = r.result(g.hashes[g.alone[aloneKey{cfg.Org, b}]+k]).IPC[0]
+	}
+	ws, err := stats.WeightedSpeedup(r.result(g.hashes[run]).IPC, alone)
+	if err != nil {
+		return 0, fmt.Errorf("exp: weighted speedup (%v/%v %v seed %d): %w",
+			cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
+	}
+	return ws, nil
 }
 
 // divide divides two columns' per-replicate values; nil when either has

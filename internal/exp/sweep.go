@@ -182,7 +182,7 @@ func (s SweepSpec) grid() (config.Config, *grid, error) {
 		g.cols = append(g.cols, ColSpec{Header: m, Metric: m})
 	}
 	for _, idx := range s.Points() {
-		row := gridRow{labels: make([]string, len(idx)), cells: make([]cellCfg, len(g.cols))}
+		row := gridRow{labels: make([]string, len(idx)), cells: make([]cellCfg, len(g.cols)), hi: 1}
 		patches := make([]json.RawMessage, len(idx))
 		for i, v := range idx {
 			row.labels[i], patches[i] = s.Axes[i].Values[v].Label, s.Axes[i].Values[v].Set

@@ -106,6 +106,24 @@ func TestSweepRejectsRecordPath(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsNullSet: a null in an axis value's patch fails when
+// the sweep compiles, naming its key path, before a runner exists to
+// simulate anything.
+func TestSweepRejectsNullSet(t *testing.T) {
+	var s SweepSpec
+	if err := json.Unmarshal([]byte(testSweepJSON), &s); err != nil {
+		t.Fatal(err)
+	}
+	s.Axes[1].Values[1].Set = raw(`{"Timing":{"TWTR":null}}`)
+	tbl, r, err := RunSweep(s, SweepOpts{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "patch sets Timing.TWTR to null") {
+		t.Fatalf("sweep with a null set value not rejected: %v", err)
+	}
+	if tbl != nil || r != nil {
+		t.Fatal("a sweep that failed to compile returned a table or a runner")
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	ok := testSweep(t)
 

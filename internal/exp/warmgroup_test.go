@@ -68,7 +68,7 @@ func checkIndependent(t *testing.T, r *Runner, cfgs []config.Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.result(cfg); !reflect.DeepEqual(got, want) {
+		if got := r.result(cfg.Hash()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v/%v: grouped result diverges from an independent run", cfg.Design, cfg.Org)
 		}
 	}
