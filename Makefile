@@ -12,7 +12,8 @@
 #                     warm-group failure, SIGKILL-recovery and
 #                     concurrent-cache-handle tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
-#                     result-cache reader, the config and sweep-spec
+#                     result-cache reader and its payload decoder, the
+#                     config and sweep-spec
 #                     loaders, config patching vs its JSON-merge
 #                     oracle, and the event kernel vs its heap oracle
 #                     (CI job)
@@ -84,8 +85,11 @@ faults:
 # Short fuzz pass over the byte-level readers, the user-supplied config
 # and sweep-spec files, and the event kernel: a malformed trace must
 # never panic the simulator, an arbitrary cache entry must never be
-# trusted unless its envelope fully verifies (FuzzCacheGet re-checks
-# every accepted entry against an independent oracle), an arbitrary
+# trusted unless it fully verifies (FuzzCacheGet re-checks every
+# accepted entry against an independent oracle), an arbitrary result
+# payload must decode without panicking, in memory bounded by its
+# length, and re-encode to exactly itself when accepted
+# (FuzzDecodeResult), an arbitrary
 # config file or sweep spec must load and resolve or fail with an error
 # (FuzzConfigLoad, FuzzSweepSpec), a chain of config patches must agree
 # with the JSON-merge implementation it replaced and never write through
@@ -96,6 +100,7 @@ faults:
 fuzz-short:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzDecoder' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
+	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzDecodeResult' -fuzztime 30s
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzConfigLoad' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzPatch' -fuzztime 30s

@@ -90,5 +90,5 @@ func TestAllocPinWarmFigures(t *testing.T) {
 	if sims := r.SimRuns(); sims != 0 {
 		t.Fatalf("warm pass simulated %d runs, want 0", sims)
 	}
-	checkAllocPin(t, "warm all-figures pass", n, 17876)
+	checkAllocPin(t, "warm all-figures pass", n, 16068)
 }

@@ -74,11 +74,11 @@ func TestCorruptCacheEntryIsRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	first := evaluate(t, cachedRunner(t, dir, 1))
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entries written (err=%v)", err)
+	entries := entryNames(t, dir)
+	if len(entries) == 0 {
+		t.Fatal("no cache entries written")
 	}
-	victim := entries[len(entries)/2]
+	victim := filepath.Join(dir, entries[len(entries)/2])
 	if err := os.WriteFile(victim, []byte(`{"schema":1,"key":"bogus","result":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTraceRunsBypassCache(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "rec.dct")
 	noEntries := func(when string) {
 		t.Helper()
-		if entries, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(entries) != 0 {
+		if entries := entryNames(t, dir); len(entries) != 0 {
 			t.Fatalf("%s: trace run left %d cache entries", when, len(entries))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +56,12 @@ func TestKillRecoveryChild(t *testing.T) {
 	}
 }
 
-// entryNames lists dir's final entry files (<key>.json).
+// entryExt is the extension of a result-cache entry file. It is taken
+// from Cache.Path, which needs no open cache, so that the tests follow
+// any change of the on-disk format instead of silently finding nothing.
+var entryExt = filepath.Ext((&rescache.Cache{}).Path(config.Test().Hash()))
+
+// entryNames lists dir's final entry files (<key><entryExt>).
 func entryNames(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -64,7 +70,7 @@ func entryNames(t *testing.T, dir string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
+		if strings.HasSuffix(e.Name(), entryExt) {
 			names = append(names, e.Name())
 		}
 	}
@@ -158,7 +164,7 @@ func TestKillRecovery(t *testing.T) {
 		if strings.Contains(name, ".tmp") {
 			t.Errorf("temp file %s sits under a final entry name", name)
 		}
-		if _, ok := cache.Get(strings.TrimSuffix(name, ".json")); !ok {
+		if _, ok := cache.Get(strings.TrimSuffix(name, entryExt)); !ok {
 			t.Errorf("entry %s is not a valid result", name)
 		}
 	}

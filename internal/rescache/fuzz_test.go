@@ -3,21 +3,20 @@ package rescache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"os"
 	"testing"
 
 	"dcasim/internal/config"
 )
 
-// FuzzCacheGet feeds arbitrary bytes to the entry-envelope decode path.
-// The cache shares its directory with other processes, so an entry file
-// can hold anything — a torn write, bit rot, output of an older or
-// newer version. The contract under fuzzing: Get never panics, and it
-// reports a hit only for an envelope that independently passes every
-// integrity check (schema, key binding, SHA-256 of the canonical
-// payload bytes); everything else is a clean miss.
+// FuzzCacheGet feeds arbitrary bytes to the entry read path. The cache
+// shares its directory with other processes, so an entry file can hold
+// anything — a torn write, bit rot, output of an older or newer
+// version. The contract under fuzzing: Get never panics, and it reports
+// a hit only for an entry that independently passes every integrity
+// check (magic, format, schema, layout fingerprint, key binding, SHA-256
+// of the payload, a payload that is exactly one encoded result);
+// everything else is a clean miss.
 func FuzzCacheGet(f *testing.F) {
 	key := config.Test().Hash()
 
@@ -42,6 +41,13 @@ func FuzzCacheGet(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 
+	// The fingerprint is the one input the oracle cannot derive from the
+	// documented layout alone, so it takes it from the genuine entry.
+	want, ok := splitEntry(valid)
+	if !ok {
+		f.Fatal("genuine entry does not split")
+	}
+
 	c, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -50,32 +56,26 @@ func FuzzCacheGet(f *testing.F) {
 		if err := os.WriteFile(c.Path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, ok := c.Get(key)
+		res, ok := c.Get(key)
 		if !ok {
 			return
 		}
-		// Get trusted the bytes: re-verify the envelope with an
-		// independent oracle. Any divergence means the integrity checks
-		// let a corrupt entry through.
-		var e struct {
-			Schema int             `json:"schema"`
-			Key    string          `json:"key"`
-			SHA256 string          `json:"sha256"`
-			Result json.RawMessage `json:"result"`
+		// Get trusted the bytes: re-verify them with an oracle that
+		// splits the entry at the documented offsets. Any divergence
+		// means the integrity checks let a corrupt entry through.
+		e, ok := splitEntry(data)
+		if !ok {
+			t.Fatalf("Get trusted an entry too short to split (%d bytes)", len(data))
 		}
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Fatalf("Get trusted undecodable bytes: %v", err)
+		if e.magic != want.magic || e.format != Format || e.schema != config.SchemaVersion ||
+			!bytes.Equal(e.fingerprint, want.fingerprint) || e.key != key {
+			t.Fatalf("Get trusted a mismatched header: %+v", e)
 		}
-		if e.Schema != config.SchemaVersion || e.Key != key {
-			t.Fatalf("Get trusted a mismatched envelope: schema=%d key=%q", e.Schema, e.Key)
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, e.Result); err != nil {
-			t.Fatalf("Get trusted a non-JSON payload: %v", err)
-		}
-		sum := sha256.Sum256(compact.Bytes())
-		if hex.EncodeToString(sum[:]) != e.SHA256 {
+		if sum := sha256.Sum256(e.payload); !bytes.Equal(e.sum, sum[:]) {
 			t.Fatal("Get trusted an entry whose payload checksum does not match")
+		}
+		if again, err := encodeResult(res); err != nil || !bytes.Equal(again, e.payload) {
+			t.Fatalf("Get returned a result that does not re-encode to the payload (err %v)", err)
 		}
 	})
 }

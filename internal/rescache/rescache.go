@@ -5,11 +5,14 @@
 // by any later process — a warm cache makes a full evaluation pass cost
 // approximately zero simulations.
 //
-// Layout: one JSON file per entry, <dir>/<key>.json, holding a small
-// envelope {schema, key, sha256, result}. An entry is trusted only when
-// the envelope decodes, the schema and key match, and the SHA-256 of the
-// embedded result bytes matches — anything else (truncation, bit rot,
-// a file from an older schema) reads as a miss and is recomputed and
+// Layout: one binary file per entry, <dir>/<key>.res: a header (magic,
+// Format, config.SchemaVersion, a fingerprint of sim.Result's field
+// layout, the length-prefixed key), the SHA-256 of the payload, and the
+// payload, sim.Result's fields in declaration order (see codec.go). An
+// entry is trusted only when its header matches byte for byte, the
+// checksum matches, and the payload decodes to exactly its own length —
+// anything else (truncation, bit rot, a file from another format,
+// schema or Result layout) reads as a miss and is recomputed and
 // overwritten, never trusted. Writes go through a temp file that is
 // fsynced and then renamed, so concurrent processes sharing a directory
 // see whole entries or none, and a machine crash shortly after the
@@ -31,10 +34,10 @@ package rescache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -49,6 +52,29 @@ import (
 // cachefs.Fault to inject EIO/ENOSPC/torn-write/crash faults.
 type FS = cachefs.FS
 
+// Format is the version of the entry layout. Change it when the header
+// or the codec changes; a change to sim.Result's fields needs no bump,
+// because the layout fingerprint in every header already tells them
+// apart. CI keys its restored cache on it, extracting the number from
+// this exact line.
+const Format = 2
+
+// magic starts every entry file; ext ends its name.
+const (
+	magic = "dcasimRC"
+	ext   = ".res"
+)
+
+// prefix is the fixed start of every entry header: magic, Format,
+// config.SchemaVersion and the first 8 bytes of the SHA-256 of
+// sim.Result's layout.
+var prefix = func() []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(magic), Format)
+	b = binary.LittleEndian.AppendUint32(b, config.SchemaVersion)
+	fp := sha256.Sum256(layout(nil, reflect.TypeOf(sim.Result{})))
+	return append(b, fp[:8]...)
+}()
+
 // staleTempAge is how old an orphaned temp file must be before Open
 // deletes it. Fresh temp files belong to live writers mid-Put and must
 // survive; anything this old was abandoned by a killed process.
@@ -61,14 +87,6 @@ type Cache struct {
 
 	mu   sync.Mutex
 	keys map[string]*sync.Mutex // per-key write locks
-}
-
-// entry is the on-disk envelope around one result.
-type entry struct {
-	Schema int             `json:"schema"`
-	Key    string          `json:"key"`
-	SHA256 string          `json:"sha256"`
-	Result json.RawMessage `json:"result"`
 }
 
 // Open returns a cache rooted at dir, creating the directory if needed.
@@ -101,7 +119,7 @@ func (c *Cache) cleanStale(cutoff time.Time) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.Contains(name, ".tmp") {
+		if !isTemp(name) {
 			continue // entry files and anything unrecognized are left alone
 		}
 		info, err := e.Info()
@@ -112,6 +130,21 @@ func (c *Cache) cleanStale(cutoff time.Time) {
 			c.removeQuiet(filepath.Join(c.dir, name))
 		}
 	}
+}
+
+// isTemp reports whether name is a temp file Put creates: a key, then
+// ".tmp", then the decimal digits os.CreateTemp puts for the "*".
+func isTemp(name string) bool {
+	key, suffix, ok := strings.Cut(name, ".tmp")
+	if !ok || !validKey(key) || suffix == "" {
+		return false
+	}
+	for i := 0; i < len(suffix); i++ {
+		if suffix[i] < '0' || suffix[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // removeQuiet deletes path, tolerating failure by design: every caller
@@ -128,7 +161,7 @@ func (c *Cache) Dir() string { return c.dir }
 // Path returns the file an entry for key lives at (whether or not it
 // exists yet).
 func (c *Cache) Path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+ext)
 }
 
 // keyLock returns the per-key mutex, creating it on first use.
@@ -159,6 +192,15 @@ func validKey(key string) bool {
 	return true
 }
 
+// header returns the entry header for key: prefix, then the key's
+// length as a uint32 and the key.
+func header(key string) []byte {
+	b := make([]byte, 0, len(prefix)+4+len(key))
+	b = append(b, prefix...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	return append(b, key...)
+}
+
 // Get returns the cached result for key. ok is false on a miss or on any
 // integrity failure; the caller recomputes either way.
 func (c *Cache) Get(key string) (res sim.Result, ok bool) {
@@ -169,25 +211,15 @@ func (c *Cache) Get(key string) (res sim.Result, ok bool) {
 	if err != nil {
 		return sim.Result{}, false
 	}
-	var e entry
-	if json.Unmarshal(data, &e) != nil {
+	hdr := header(key)
+	if len(data) < len(hdr)+sha256.Size || !bytes.Equal(data[:len(hdr)], hdr) {
 		return sim.Result{}, false
 	}
-	if e.Schema != config.SchemaVersion || e.Key != key {
+	sum, payload := data[len(hdr):len(hdr)+sha256.Size], data[len(hdr)+sha256.Size:]
+	if sha256.Sum256(payload) != [sha256.Size]byte(sum) {
 		return sim.Result{}, false
 	}
-	// The envelope is written indented, which re-indents the embedded
-	// payload; the checksum is over the canonical compact bytes, so
-	// compact before comparing.
-	var compact bytes.Buffer
-	if json.Compact(&compact, e.Result) != nil {
-		return sim.Result{}, false
-	}
-	sum := sha256.Sum256(compact.Bytes())
-	if hex.EncodeToString(sum[:]) != e.SHA256 {
-		return sim.Result{}, false
-	}
-	if json.Unmarshal(e.Result, &res) != nil {
+	if res, err = decodeResult(payload); err != nil {
 		return sim.Result{}, false
 	}
 	return res, true
@@ -208,25 +240,17 @@ func (c *Cache) Put(key string, res sim.Result) error {
 	lock := c.keyLock(key)
 	lock.Lock()
 	defer lock.Unlock()
-	payload, err := json.Marshal(res)
+	payload, err := encodeResult(res)
 	if err != nil {
 		return fmt.Errorf("rescache: encode result: %w", err)
 	}
 	sum := sha256.Sum256(payload)
-	data, err := json.MarshalIndent(entry{
-		Schema: config.SchemaVersion,
-		Key:    key,
-		SHA256: hex.EncodeToString(sum[:]),
-		Result: payload,
-	}, "", " ")
-	if err != nil {
-		return fmt.Errorf("rescache: encode entry: %w", err)
-	}
+	data := append(append(header(key), sum[:]...), payload...)
 	tmp, err := c.fs.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("rescache: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	var serr error
 	if werr == nil {
 		serr = tmp.Sync()

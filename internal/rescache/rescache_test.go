@@ -1,10 +1,16 @@
 package rescache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +57,82 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// entryParts is an entry file split at the offsets the README
+// documents: magic (8 bytes), format and schema (uint32 each), layout
+// fingerprint (8), key length (uint32), key, SHA-256 (32), payload. The
+// tests parse entries here, independently of the package's header
+// code.
+type entryParts struct {
+	magic          string
+	format, schema uint32
+	fingerprint    []byte
+	key            string
+	sumAt          int // offset of the SHA-256
+	sum, payload   []byte
+}
+
+// splitEntry parses data; ok is false when it is too short for its
+// fields.
+func splitEntry(data []byte) (e entryParts, ok bool) {
+	le := binary.LittleEndian
+	if len(data) < 28 {
+		return e, false
+	}
+	n := uint64(le.Uint32(data[24:]))
+	if uint64(len(data)) < 28+n+sha256.Size {
+		return e, false
+	}
+	sumAt := 28 + int(n)
+	return entryParts{
+		magic:       string(data[:8]),
+		format:      le.Uint32(data[8:]),
+		schema:      le.Uint32(data[12:]),
+		fingerprint: data[16:24],
+		key:         string(data[28:sumAt]),
+		sumAt:       sumAt,
+		sum:         data[sumAt : sumAt+sha256.Size],
+		payload:     data[sumAt+sha256.Size:],
+	}, true
+}
+
+// resealed returns data with its payload replaced and the SHA-256
+// recomputed, so that only checks past the checksum can reject it.
+func resealed(t *testing.T, data, payload []byte) []byte {
+	t.Helper()
+	e, ok := splitEntry(data)
+	if !ok {
+		t.Fatal("entry too short to split")
+	}
+	sum := sha256.Sum256(payload)
+	out := append(append([]byte(nil), data[:e.sumAt]...), sum[:]...)
+	return append(out, payload...)
+}
+
+// jsonEntry is an entry as builds before Format 2 wrote it, to
+// <key>.json: an indented envelope {schema, key, sha256, result} whose
+// checksum covers the compact result.
+func jsonEntry(t *testing.T, key string, res sim.Result) []byte {
+	t.Helper()
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	data, err := json.MarshalIndent(struct {
+		Schema int             `json:"schema"`
+		Key    string          `json:"key"`
+		SHA256 string          `json:"sha256"`
+		Result json.RawMessage `json:"result"`
+	}{config.SchemaVersion, key, hex.EncodeToString(sum[:]), payload}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// TestCorruptEntryIsAMiss: every way an entry can differ from what Put
+// wrote for this key, this build and this sim.Result is a miss, and a
+// Put makes the key readable again.
 func TestCorruptEntryIsAMiss(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -67,7 +149,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(c.Path(key), mutate(data), 0o644); err != nil {
+		if err := os.WriteFile(c.Path(key), mutate(append([]byte(nil), data...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := c.Get(key); ok {
@@ -77,24 +159,48 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	le := binary.LittleEndian
 
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)/2] })
-	corrupt("garbage", func(b []byte) []byte { return []byte("not json at all") })
+	corrupt("garbage", func(b []byte) []byte { return []byte("not an entry at all") })
 	corrupt("bit flip in payload", func(b []byte) []byte {
-		// Flip a digit inside the result payload: the envelope still
-		// decodes but the checksum must catch the altered bytes.
-		s := strings.Replace(string(b), "9876543", "9876542", 1)
-		if s == string(b) {
-			t.Fatal("payload marker not found")
-		}
-		return []byte(s)
+		b[len(b)-1] ^= 0x01
+		return b
+	})
+	corrupt("bit flip in checksum", func(b []byte) []byte {
+		e, _ := splitEntry(b)
+		b[e.sumAt] ^= 0x01
+		return b
 	})
 	corrupt("wrong key", func(b []byte) []byte {
-		other := config.Bench().Hash()
-		return []byte(strings.ReplaceAll(string(b), key, other))
+		return bytes.Replace(b, []byte(key), []byte(config.Bench().Hash()), 1)
+	})
+	corrupt("wrong magic", func(b []byte) []byte {
+		b[0] ^= 0x20
+		return b
+	})
+	corrupt("wrong format", func(b []byte) []byte {
+		le.PutUint32(b[8:], Format+1)
+		return b
 	})
 	corrupt("old schema", func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), `"schema": 1`, `"schema": 0`, 1))
+		le.PutUint32(b[12:], config.SchemaVersion-1)
+		return b
+	})
+	corrupt("wrong fingerprint", func(b []byte) []byte {
+		b[16] ^= 0x01
+		return b
+	})
+	corrupt("trailing byte", func(b []byte) []byte {
+		e, _ := splitEntry(b)
+		return resealed(t, b, append(e.payload[:len(e.payload):len(e.payload)], 0))
+	})
+	corrupt("short payload", func(b []byte) []byte {
+		e, _ := splitEntry(b)
+		return resealed(t, b, e.payload[:len(e.payload)-1])
+	})
+	corrupt("JSON entry of an older build", func([]byte) []byte {
+		return jsonEntry(t, key, sampleResult())
 	})
 
 	// After all that vandalism a fresh Put must make the entry readable
@@ -120,31 +226,56 @@ func TestInvalidKeysRejected(t *testing.T) {
 }
 
 // TestEntryEnvelopeShape pins the on-disk format documented in the
-// README: schema, key, sha256, result.
+// README: <key>.res holding magic, Format, schema, layout fingerprint,
+// length-prefixed key, the payload's SHA-256, and the payload.
 func TestEntryEnvelopeShape(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := config.Test().Hash()
-	if err := c.Put(key, sampleResult()); err != nil {
+	if got := filepath.Base(c.Path(key)); got != key+".res" {
+		t.Fatalf("entry file %s, want %s.res", got, key)
+	}
+	want := sampleResult()
+	if err := c.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(c.Path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e struct {
-		Schema int             `json:"schema"`
-		Key    string          `json:"key"`
-		SHA256 string          `json:"sha256"`
-		Result json.RawMessage `json:"result"`
+	e, ok := splitEntry(data)
+	if !ok {
+		t.Fatalf("entry of %d bytes does not split", len(data))
 	}
-	if err := json.Unmarshal(data, &e); err != nil {
+	fp := sha256.Sum256(layout(nil, reflect.TypeOf(sim.Result{})))
+	if e.magic != "dcasimRC" || e.format != Format || e.schema != config.SchemaVersion ||
+		!bytes.Equal(e.fingerprint, fp[:8]) || e.key != key {
+		t.Fatalf("unexpected header: %+v", e)
+	}
+	if sum := sha256.Sum256(e.payload); !bytes.Equal(e.sum, sum[:]) {
+		t.Fatal("stored SHA-256 does not cover the payload")
+	}
+	if got, err := decodeResult(e.payload); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("payload decodes to (%+v, %v), want %+v", got, err, want)
+	}
+}
+
+// TestFormatExtractable guards the sed pattern CI uses to key its
+// restored result cache on the entry format: the constant must stay on
+// a single `const Format = N` line in rescache.go.
+func TestFormatExtractable(t *testing.T) {
+	data, err := os.ReadFile("rescache.go")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Schema != config.SchemaVersion || e.Key != key || len(e.SHA256) != 64 || len(e.Result) == 0 {
-		t.Fatalf("unexpected envelope: %+v", e)
+	m := regexp.MustCompile(`(?m)^const Format = ([0-9]+)$`).FindSubmatch(data)
+	if m == nil {
+		t.Fatal("`const Format = N` line not found — CI derives its cache key from it (see .github/workflows/ci.yml)")
+	}
+	if got := fmt.Sprint(Format); string(m[1]) != got {
+		t.Fatalf("extracted %s, constant is %s", m[1], got)
 	}
 }
 
@@ -173,7 +304,12 @@ func TestOpenCleansStaleTemp(t *testing.T) {
 		return p
 	}
 	staleTmp := mk(key + ".tmp123456")
-	unrelated := mk("README.txt")     // unrecognized names are never touched
+	// Unrecognized names are never touched, even when they contain
+	// ".tmp": only <key>.tmp<digits> is a temp file of Put's.
+	var unrelated []string
+	for _, name := range []string{"README.txt", "notes.tmpl", "run.tmp.log", key + ".tmp", key + ".tmp12x", "xyz.tmp1"} {
+		unrelated = append(unrelated, mk(name))
+	}
 	time.Sleep(50 * time.Millisecond) // clear the filesystem's mtime granularity
 	cutoff := time.Now()
 	time.Sleep(50 * time.Millisecond)
@@ -191,7 +327,7 @@ func TestOpenCleansStaleTemp(t *testing.T) {
 	if _, err := os.Stat(staleTmp); !os.IsNotExist(err) {
 		t.Errorf("%s survived the sweep, want it removed", filepath.Base(staleTmp))
 	}
-	for _, p := range []string{freshTmp, unrelated, c.Path(key)} {
+	for _, p := range append([]string{freshTmp, c.Path(key)}, unrelated...) {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("%s was swept, want it kept: %v", filepath.Base(p), err)
 		}
@@ -231,5 +367,42 @@ func TestConcurrentPutsSameKey(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("concurrent Puts corrupted the entry: got %+v", got)
+	}
+}
+
+// BenchmarkCacheGet is a warm hit on one entry of a 4-core result with
+// every field set: file read, header compare, SHA-256 and decode.
+func BenchmarkCacheGet(b *testing.B) {
+	c, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := config.Test().Hash()
+	if err := c.Put(key, fullResult(b, 4)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(key); !ok {
+			b.Fatal("warm entry missed")
+		}
+	}
+}
+
+// BenchmarkCachePut stores the same entry over and over: encode,
+// SHA-256, temp file, fsync, rename and directory sync.
+func BenchmarkCachePut(b *testing.B) {
+	c, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, res := config.Test().Hash(), fullResult(b, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Put(key, res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
