@@ -13,10 +13,10 @@
 #                     concurrent-cache-handle tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
 #                     result-cache reader and its payload decoder, the
-#                     config and sweep-spec
-#                     loaders, config patching vs its JSON-merge
-#                     oracle, and the event kernel vs its heap oracle
-#                     (CI job)
+#                     config and sweep-spec loaders, config patching vs
+#                     its JSON-merge oracle, the canonical config
+#                     encoder vs encoding/json, and the event kernel vs
+#                     its heap oracle (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -24,8 +24,10 @@
 #                     ARCHITECTURE / docs / examples, plus the guard
 #                     that every registered scheduling policy has a
 #                     row in docs/adding-a-policy.md's policy table
-#   make bench-short - one pass over the substrate microbenchmarks and
-#                      one small figure benchmark, with allocation stats
+#   make bench-short - one pass over the substrate microbenchmarks, one
+#                      small figure benchmark and the config, result-cache
+#                      and simulation layer benchmarks, with allocation
+#                      stats
 #   make ab         - same-machine A/B of the repository benchmark
 #                     (bench/): ten interleaved pairs of runs of BASE
 #                     (default: the merge-base with main) and of the
@@ -93,7 +95,9 @@ faults:
 # config file or sweep spec must load and resolve or fail with an error
 # (FuzzConfigLoad, FuzzSweepSpec), a chain of config patches must agree
 # with the JSON-merge implementation it replaced and never write through
-# to its base (FuzzPatch), and an arbitrary op program must
+# to its base (FuzzPatch), the canonical config encoder behind the
+# cache key must write exactly encoding/json's bytes and fail where it
+# fails (FuzzCanonical), and an arbitrary op program must
 # drive the timing wheel and the retired 4-ary heap to the exact same
 # dispatch sequence (FuzzEngineOps). Checked-in corpora live in
 # internal/<pkg>/testdata/fuzz; CI archives grown corpora.
@@ -104,6 +108,7 @@ fuzz-short:
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzConfigLoad' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzPatch' -fuzztime 30s
+	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzCanonical' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate every example declarative spec at
@@ -123,13 +128,15 @@ docs-check:
 	$(GO) run ./cmd/docscheck
 
 # Short benchmark pass: substrate microbenchmarks at a real benchtime,
-# figure benchmarks at one iteration just to prove the drivers run.
-# Nothing here is gated: tier-1 tests pin the allocation counts of the
-# whole run, Fig. 8, Channel.Issue and the event wheel, and `make ab`
-# measures time.
+# figure benchmarks and the layer benchmarks (config patch, apply and
+# hash; result-cache get and put; warm-up and timed region) at one
+# iteration just to prove the drivers run. Nothing here is gated:
+# tier-1 tests pin the allocation counts of the whole run, Fig. 8,
+# Channel.Issue and the event wheel, and `make ab` measures time.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventEngine|BenchmarkChannelIssue|BenchmarkWorkloadGen' -benchmem -benchtime 0.2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$|BenchmarkSimOneRun' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/config ./internal/rescache ./internal/sim
 
 # Same-machine A/B of the repository benchmark (bench/ and
 # BENCHMARK.json): BASE is checked out as a git worktree under .ab/base,

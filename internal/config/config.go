@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 
@@ -217,7 +218,18 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: AlgParams diverge from Ctrl.AlgParams (the controller uses Ctrl.AlgParams)")
 		}
 	}
+	switch c.Org {
+	case dcache.SetAssoc, dcache.DirectMapped:
+	default:
+		return fmt.Errorf("config: unknown Org %d (want %v or %v)", int(c.Org), dcache.SetAssoc, dcache.DirectMapped)
+	}
 	switch {
+	// A NaN or infinite float has no canonical encoding, so the config
+	// could not be hashed.
+	case math.IsNaN(c.WSScale) || math.IsInf(c.WSScale, 0):
+		return fmt.Errorf("config: WSScale %v is not a finite number", c.WSScale)
+	case math.IsInf(c.CPU.FreqGHz, 0):
+		return fmt.Errorf("config: CPU.FreqGHz %v is not a finite number", c.CPU.FreqGHz)
 	// On replay the trace header supplies the run budgets and the
 	// working-set scale is unused, so both may be left zero.
 	case c.InstrPerCore <= 0 && c.ReplayPath() == "":

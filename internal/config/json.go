@@ -2,8 +2,6 @@ package config
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +19,9 @@ import (
 // cache entry at once: bump whenever a Config field is added, removed,
 // renamed, or changes meaning — anything that would make two different
 // simulations hash alike, or one simulation hash differently than before
-// for no behavioural reason.
+// for no behavioural reason. A new field also needs its line in the
+// canonical encoder (canonical.go); TestCanonicalMatchesMarshal fails
+// until it has one.
 const SchemaVersion = 1
 
 // envelope is the on-disk form of Save/Load: the schema version guards
@@ -29,31 +29,6 @@ const SchemaVersion = 1
 type envelope struct {
 	Schema int    `json:"schema"`
 	Config Config `json:"config"`
-}
-
-// Canonical returns the canonical JSON encoding of the configuration:
-// struct-declaration field order, string enum names, times in integer
-// picoseconds, no insignificant whitespace. Two configs are behaviourally
-// identical under this schema iff their canonical encodings are equal,
-// which is what makes Hash usable as a cache key.
-func (c Config) Canonical() ([]byte, error) {
-	return json.Marshal(c)
-}
-
-// Hash returns the content address of the configuration: a hex SHA-256
-// over the schema version and the canonical encoding. It panics on a
-// non-marshalable config (only possible with out-of-range enum values),
-// matching the many fmt/stats helpers that treat impossible inputs as
-// programmer errors.
-func (c Config) Hash() string {
-	enc, err := c.Canonical()
-	if err != nil {
-		panic(fmt.Sprintf("config: hashing unmarshalable config: %v", err))
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "dcasim-config-v%d:", SchemaVersion)
-	h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Save writes the configuration to path as indented JSON inside a
@@ -113,14 +88,17 @@ func ParsePreset(s string) (Config, error) {
 }
 
 // Patch overlays partial configurations, given as JSON objects, onto c,
-// applying them in order. Each patch decodes strictly into a copy of the
-// config, so keys match fields as they do in Load (case-insensitively),
-// objects merge into structs and maps (so {"Timing":{"TWTR":2500}}
-// changes one timing parameter and keeps the rest), and arrays and
-// scalars replace. Unknown fields anywhere in a patch are errors, and so
-// is a null anywhere but as the value of Ctrl: decoding null into a
-// field would silently keep or zero it. A key repeated within one patch
-// takes its last value. The result shares no memory with c.
+// applying them in order: it parses every patch (ParsePatch), so one
+// that does not parse fails the call before any applies, then applies
+// the parsed patches (Apply). Each patch decodes strictly into a copy of
+// the config, so keys match fields as they do in Load
+// (case-insensitively), objects merge into structs and maps (so
+// {"Timing":{"TWTR":2500}} changes one timing parameter and keeps the
+// rest), and arrays and scalars replace. Unknown fields anywhere in a
+// patch are errors, and so is a null anywhere but as the value of Ctrl:
+// decoding null into a field would silently keep or zero it. A key
+// repeated within one patch takes its last value. The result shares no
+// memory with c.
 //
 // A patch touching Ctrl while Ctrl is nil first materializes the
 // effective controller parameters (CtrlConfig(), i.e. the Table II
@@ -129,32 +107,87 @@ func ParsePreset(s string) (Config, error) {
 // would actually use instead of producing a zeroed controller config.
 // An explicit "Ctrl": null restores the defaults.
 func (c Config) Patch(patches ...json.RawMessage) (Config, error) {
+	var buf [4]ParsedPatch
+	parsed := buf[:0]
+	for _, p := range patches {
+		pp, err := ParsePatch(p)
+		if err != nil {
+			return Config{}, err
+		}
+		parsed = append(parsed, pp)
+	}
+	return c.Apply(parsed...)
+}
+
+// ParsedPatch is one patch parsed by ParsePatch, ready to Apply to any
+// number of configs, concurrently too. The zero value is the empty
+// patch.
+type ParsedPatch struct {
+	fields []byte   // the patch without its Ctrl keys, re-encoded; nil if none
+	ctrls  [][]byte // the values of its Ctrl keys in decoding order, re-encoded; nil for a null
+}
+
+// ParsePatch parses one patch for Apply: numbers stay exact, a repeated
+// key keeps its last value, and a null is an error except as the value
+// of Ctrl. An empty patch parses to the empty ParsedPatch.
+func ParsePatch(p json.RawMessage) (ParsedPatch, error) {
+	if len(p) == 0 {
+		return ParsedPatch{}, nil
+	}
+	pm, ctrls, err := decodePatch(p)
+	if err != nil {
+		return ParsedPatch{}, err
+	}
+	var pp ParsedPatch
+	if len(pm) > 0 {
+		if pp.fields, err = encodePatch(pm); err != nil {
+			return ParsedPatch{}, err
+		}
+	}
+	for _, v := range ctrls {
+		var enc []byte
+		if v != nil {
+			if enc, err = encodePatch(v); err != nil {
+				return ParsedPatch{}, err
+			}
+		}
+		pp.ctrls = append(pp.ctrls, enc)
+	}
+	return pp, nil
+}
+
+func encodePatch(v interface{}) ([]byte, error) {
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("config: encode patch: %w", err)
+	}
+	return enc, nil
+}
+
+// Apply overlays parsed patches onto c in order, by the rules Patch
+// documents. The result shares no memory with c or with the patches.
+func (c Config) Apply(patches ...ParsedPatch) (Config, error) {
 	out := c
 	out.Benchmarks = slices.Clone(c.Benchmarks)
 	out.AlgParams = maps.Clone(c.AlgParams)
 	if c.Ctrl != nil {
 		out.Ctrl = cloneCtrl(*c.Ctrl)
 	}
-	for _, p := range patches {
-		if len(p) == 0 {
-			continue
+	for _, pp := range patches {
+		if pp.fields != nil {
+			if err := decodeInto(&out, pp.fields); err != nil {
+				return Config{}, err
+			}
 		}
-		pm, ctrls, err := decodePatch(p)
-		if err != nil {
-			return Config{}, err
-		}
-		if err := decodeInto(&out, pm); err != nil {
-			return Config{}, err
-		}
-		for _, v := range ctrls {
-			if v == nil {
+		for _, enc := range pp.ctrls {
+			if enc == nil {
 				out.Ctrl = nil
 				continue
 			}
 			if out.Ctrl == nil {
 				out.Ctrl = cloneCtrl(out.CtrlConfig())
 			}
-			if err := decodeInto(out.Ctrl, v); err != nil {
+			if err := decodeInto(out.Ctrl, enc); err != nil {
 				return Config{}, fmt.Errorf("%w (in Ctrl)", err)
 			}
 		}
@@ -229,13 +262,9 @@ func sortedKeys(m map[string]interface{}) []string {
 	return keys
 }
 
-// decodeInto strictly decodes a normalized patch value into dst, which
+// decodeInto strictly decodes an encoded patch value into dst, which
 // keeps every field the value does not name.
-func decodeInto(dst, v interface{}) error {
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("config: encode patch: %w", err)
-	}
+func decodeInto(dst interface{}, enc []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(enc))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {

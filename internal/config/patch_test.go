@@ -315,6 +315,53 @@ func BenchmarkConfigPatch(b *testing.B) {
 	}
 }
 
+// BenchmarkConfigApply is BenchmarkConfigPatch over patches parsed
+// once, ahead of the loop, as the experiment runner applies them.
+func BenchmarkConfigApply(b *testing.B) {
+	var spec exp.TableSpec
+	for _, s := range exp.Figures {
+		if s.Name == "fig8" {
+			spec = s
+		}
+	}
+	parse := func(p json.RawMessage) config.ParsedPatch {
+		pp, err := config.ParsePatch(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pp
+	}
+	table := parse(spec.Patch)
+	rows := make([]config.ParsedPatch, len(spec.Rows))
+	for i, row := range spec.Rows {
+		rows[i] = parse(row.Patch)
+	}
+	cols := make([][2]config.ParsedPatch, len(spec.Cols))
+	for i, col := range spec.Cols {
+		cols[i] = [2]config.ParsedPatch{parse(col.Patch), parse(col.Baseline)}
+	}
+	base := config.Test()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, row := range rows {
+			rowCfg, err := base.Apply(table, row)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, col := range cols {
+				cfg, err := rowCfg.Apply(col[0])
+				if err == nil {
+					patchSink, err = cfg.Apply(col[1])
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkConfigHash hashes one four-core run config at TestConfig.
 func BenchmarkConfigHash(b *testing.B) {
 	cfg := config.Test()

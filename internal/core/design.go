@@ -39,6 +39,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"dcasim/internal/dram"
@@ -231,7 +233,7 @@ func (d Design) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: cannot marshal unknown design %d", int(d))
 	}
-	return quoteName(spec.Name), nil
+	return json.Marshal(spec.Name)
 }
 
 // UnmarshalJSON accepts the same names ParseDesign does.
@@ -342,19 +344,7 @@ func (a Algorithm) MarshalJSON() ([]byte, error) {
 	if _, ok := sched.Lookup(string(c)); !ok {
 		return nil, fmt.Errorf("core: cannot marshal unknown algorithm %q", string(a))
 	}
-	return quoteName(string(c)), nil
-}
-
-// quoteName JSON-quotes an enum name in a single allocation. Registered
-// design and policy names are plain identifiers (letters, digits, '-',
-// '_'), so no JSON escaping can apply; config hashing marshals these
-// enums on every memoized run, making this a measured hot path (the
-// bench gate pins its allocation count).
-func quoteName(s string) []byte {
-	b := make([]byte, 0, len(s)+2)
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return json.Marshal(string(c))
 }
 
 // UnmarshalJSON accepts the same names ParseAlgorithm does.
@@ -448,6 +438,9 @@ func (c Config) Policy() (*sched.Registration, sched.Params, error) {
 // including a design or algorithm missing from the registries and
 // AlgParams rejected by the policy's ParamSpecs.
 func (c Config) Validate() error {
+	if err := c.checkFinite(); err != nil {
+		return err
+	}
 	switch {
 	case c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0:
 		return fmt.Errorf("core: non-positive queue capacity %+v", c)
@@ -463,6 +456,36 @@ func (c Config) Validate() error {
 	}
 	if _, _, err := c.Policy(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkFinite reports the first NaN or infinite threshold or AlgParams
+// value (in sorted name order), naming it: the comparisons in Validate
+// let NaN through, and a config holding one cannot be hashed.
+func (c Config) checkFinite() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"WriteFlushLow", c.WriteFlushLow},
+		{"WriteFlushHigh", c.WriteFlushHigh},
+		{"ScheduleAllHigh", c.ScheduleAllHigh},
+		{"ScheduleAllLow", c.ScheduleAllLow},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v is not a finite number", f.name, f.v)
+		}
+	}
+	names := make([]string, 0, len(c.AlgParams))
+	for name := range c.AlgParams {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if v := c.AlgParams[name]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: AlgParams[%q] %v is not a finite number", name, v)
+		}
 	}
 	return nil
 }

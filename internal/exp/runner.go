@@ -40,6 +40,8 @@ type Runner struct {
 	keepGoing  bool                                               // Ensure collects every failure instead of cancelling on the first
 	runTimeout time.Duration                                      // per-run watchdog; <= 0 disables
 
+	patches patchMemo // the spec patches tableGrid has parsed
+
 	mu        sync.Mutex
 	results   map[string]sim.Result // by config.Config.Hash()
 	errs      map[string]error
@@ -253,8 +255,15 @@ func Cacheable(cfg config.Config) bool {
 // Run returns the simulation result for cfg, computing it at most once
 // per runner: the in-memory memo, then the persistent cache, then an
 // actual simulation. Concurrent callers for the same config hash join
-// the in-flight computation (singleflight).
-func (r *Runner) Run(cfg config.Config) (sim.Result, error) { return r.runIn(cfg, cfg.Hash(), nil) }
+// the in-flight computation (singleflight). A config that cannot be
+// hashed (config.Config.TryHash) is an error.
+func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
+	h, err := cfg.TryHash()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return r.runIn(cfg, h, nil)
+}
 
 // runIn is Run for cfg, whose hash is h, as a member of a warm group: a
 // simulation it needs runs over the group's shared state in s.
@@ -346,10 +355,15 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, er
 // failures joined in spec order — deterministic because the memo keys
 // failures by hash and the final scan reads them back in spec order
 // regardless of which worker hit them.
+//
+// A config that cannot be hashed fails the call before any run starts.
 func (r *Runner) Ensure(cfgs []config.Config) error {
 	hashes := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
-		hashes[i] = cfg.Hash()
+		var err error
+		if hashes[i], err = cfg.TryHash(); err != nil {
+			return fmt.Errorf("exp: config %d: %w", i, err)
+		}
 	}
 	return r.ensure(cfgs, hashes)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"dcasim/internal/config"
 	"dcasim/internal/dcache"
@@ -227,9 +228,9 @@ func (r *Runner) Table(spec TableSpec) (*stats.Table, error) {
 
 // tableGrid compiles a table spec: one row per row spec, or under
 // PerMix one row per mix plus a gmean row. Each row spec is patched
-// once and each baseline from its cell config; Patch applies its
-// patches in order, so this equals patching the base with every patch
-// of the cell at once.
+// once and each baseline from its cell config; patches apply in order,
+// so this equals patching the base with every patch of the cell at
+// once. Each distinct patch literal is parsed once per runner.
 func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 	if spec.PerMix && len(spec.Rows) != 1 {
 		return nil, fmt.Errorf("exp: %s: perMix wants exactly one row spec, got %d", spec.Name, len(spec.Rows))
@@ -251,7 +252,7 @@ func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 	g := &grid{name: spec.Name, headers: spec.Headers, cols: spec.Cols, reps: max(reps, 1)}
 	samples := max(len(r.mixes), 1)
 	for _, row := range spec.Rows {
-		rowCfg, err := r.base.Patch(spec.Patch, row.Patch)
+		rowCfg, err := r.patches.apply(r.base, spec.Patch, row.Patch)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s row %v: %w", spec.Name, row.Labels, err)
 		}
@@ -261,8 +262,8 @@ func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 				continue
 			}
 			c := &cells[j]
-			if c.cfg, err = rowCfg.Patch(col.Patch); err == nil && col.Baseline != nil {
-				c.bl, err = c.cfg.Patch(col.Baseline)
+			if c.cfg, err = r.patches.apply(rowCfg, col.Patch); err == nil && col.Baseline != nil {
+				c.bl, err = r.patches.apply(c.cfg, col.Baseline)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s row %v col %q: %w", spec.Name, row.Labels, col.Header, err)
@@ -280,6 +281,52 @@ func (r *Runner) tableGrid(spec TableSpec) (*grid, error) {
 		g.rows = append(g.rows, gridRow{labels: []string{"gmean"}, cells: cells, hi: samples, agg: "geomean"})
 	}
 	return g, nil
+}
+
+// patchMemo parses each distinct patch literal once
+// (config.ParsePatch) and applies the parsed form: the figures patch
+// from a few dozen literals hundreds of times. The zero value is ready.
+type patchMemo struct {
+	mu     sync.Mutex
+	parsed map[string]config.ParsedPatch // by the literal's bytes
+	parses int                           // literals parsed, for tests
+}
+
+// apply is config.Config.Patch through the memo: it parses every patch,
+// then applies them in order.
+func (m *patchMemo) apply(c config.Config, patches ...json.RawMessage) (config.Config, error) {
+	var buf [4]config.ParsedPatch
+	parsed := buf[:0]
+	for _, p := range patches {
+		if len(p) == 0 {
+			continue
+		}
+		pp, err := m.parse(p)
+		if err != nil {
+			return config.Config{}, err
+		}
+		parsed = append(parsed, pp)
+	}
+	return c.Apply(parsed...)
+}
+
+// parse returns the parsed form of p, parsing it on first sight.
+func (m *patchMemo) parse(p json.RawMessage) (config.ParsedPatch, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if pp, ok := m.parsed[string(p)]; ok {
+		return pp, nil
+	}
+	pp, err := config.ParsePatch(p)
+	if err != nil {
+		return config.ParsedPatch{}, err
+	}
+	if m.parsed == nil {
+		m.parsed = make(map[string]config.ParsedPatch)
+	}
+	m.parsed[string(p)] = pp
+	m.parses++
+	return pp, nil
 }
 
 // evaluate computes every run the grid reads and renders it.
@@ -359,7 +406,10 @@ func (r *Runner) plan(g *grid) error {
 	}
 	g.need, g.hashes = need, make([]string, len(need))
 	for i, run := range need {
-		g.hashes[i] = run.Hash()
+		var err error
+		if g.hashes[i], err = run.TryHash(); err != nil {
+			return fmt.Errorf("exp: %s: %w", g.name, err)
+		}
 	}
 	return nil
 }

@@ -171,7 +171,8 @@ func (s SweepSpec) grid() (config.Config, *grid, error) {
 	if err != nil {
 		return base, nil, err
 	}
-	if base, err = base.Patch(s.Base); err != nil {
+	var patches patchMemo // each axis value is one literal for many points
+	if base, err = patches.apply(base, s.Base); err != nil {
 		return base, nil, fmt.Errorf("exp: sweep base: %w", err)
 	}
 	g := &grid{name: s.Name, reps: max(s.Replicates, 1)}
@@ -183,11 +184,11 @@ func (s SweepSpec) grid() (config.Config, *grid, error) {
 	}
 	for _, idx := range s.Points() {
 		row := gridRow{labels: make([]string, len(idx)), cells: make([]cellCfg, len(g.cols)), hi: 1}
-		patches := make([]json.RawMessage, len(idx))
+		sets := make([]json.RawMessage, len(idx))
 		for i, v := range idx {
-			row.labels[i], patches[i] = s.Axes[i].Values[v].Label, s.Axes[i].Values[v].Set
+			row.labels[i], sets[i] = s.Axes[i].Values[v].Label, s.Axes[i].Values[v].Set
 		}
-		cfg, err := base.Patch(patches...)
+		cfg, err := patches.apply(base, sets...)
 		if err == nil {
 			err = cfg.Validate()
 		}

@@ -188,9 +188,8 @@ func Register(r Registration) error {
 
 // validPolicyName restricts registered names and aliases to characters
 // that survive JSON encoding without escaping and render cleanly in
-// markdown tables: core.Algorithm.MarshalJSON quotes names with a
-// single append, and docs/adding-a-policy.md's policy table is matched
-// by a literal-name regexp.
+// markdown tables: docs/adding-a-policy.md's policy table is matched by
+// a literal-name regexp.
 func validPolicyName(s string) bool {
 	if s == "" {
 		return false
