@@ -25,16 +25,17 @@
 #                     that every registered scheduling policy has a
 #                     row in docs/adding-a-policy.md's policy table
 #   make bench-short - one pass over the substrate microbenchmarks, one
-#                      small figure benchmark and the config, result-cache
-#                      and simulation layer benchmarks, with allocation
-#                      stats
+#                      small figure benchmark and the config, result-cache,
+#                      SRAM-cache, DRAM-cache-contents and simulation
+#                      layer benchmarks, with allocation stats
 #   make ab         - same-machine A/B of the repository benchmark
 #                     (bench/): ten interleaved pairs of runs of BASE
 #                     (default: the merge-base with main) and of the
 #                     working tree, judged by `go run ./bench compare`;
 #                     fails on any regressed row (CI job)
-#   make determinism - render the Fig8 smoke table at -j 1 and -j 8
-#                      under -race and require byte-identical output,
+#   make determinism - render every figure at test scale over two mixes
+#                      at -j 1 and -j 8 under -race and require
+#                      byte-identical output,
 #                      then require a -keep-going sweep with injected
 #                      failures to report them byte-identically at
 #                      every worker count, then require a -seeds 3
@@ -129,14 +130,16 @@ docs-check:
 
 # Short benchmark pass: substrate microbenchmarks at a real benchtime,
 # figure benchmarks and the layer benchmarks (config patch, apply and
-# hash; result-cache get and put; warm-up and timed region) at one
-# iteration just to prove the drivers run. Nothing here is gated:
+# hash; result-cache get and put; the warm-up's two loops, L2 access and
+# DRAM-cache warm calls per organization; warm-up of one and of both
+# organizations, and the timed region) at one iteration just to prove
+# the drivers run. Nothing here is gated:
 # tier-1 tests pin the allocation counts of the whole run, Fig. 8,
 # Channel.Issue and the event wheel, and `make ab` measures time.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventEngine|BenchmarkChannelIssue|BenchmarkWorkloadGen' -benchmem -benchtime 0.2s .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$|BenchmarkSimOneRun' -benchmem -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/config ./internal/rescache ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/config ./internal/rescache ./internal/cache ./internal/dcache ./internal/sim
 
 # Same-machine A/B of the repository benchmark (bench/ and
 # BENCHMARK.json): BASE is checked out as a git worktree under .ab/base,
@@ -171,8 +174,12 @@ ab:
 	@cat .ab/verdict.txt
 	@! grep -q ' regressed$$' .ab/verdict.txt || { echo "make ab: regressed against $(BASE)" >&2; exit 1; }
 
-# Parallel determinism: the Fig8 smoke table must render byte-identical
-# at -j 1 and -j 8, with the race detector watching the worker pool.
+# Parallel determinism: every table and figure (cmd/experiments at test
+# scale over two mixes) must render byte-identical at -j 1 and -j 8,
+# with the race detector watching the worker pool. Warm groups span
+# both organizations, so figures with one organization (fig18 SA,
+# fig19 DM) and with both change how runs are dispatched; rendering
+# them all covers each shape.
 # The second half asserts the same contract for the failure path: a
 # -keep-going sweep whose ghost-trace points fail at runtime (see
 # testdata/sweep_keepgoing.json) must report the joined failures
@@ -187,8 +194,8 @@ ab:
 # proves the CI columns actually rendered (a silently-degenerate
 # single-replicate run would also pass cmp).
 determinism:
-	$(GO) run -race ./cmd/experiments -scale test -mixes 2 -only fig8 -j 1 -format text > .det-j1.txt
-	$(GO) run -race ./cmd/experiments -scale test -mixes 2 -only fig8 -j 8 -format text > .det-j8.txt
+	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -j 1 -format text > .det-j1.txt
+	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -j 8 -format text > .det-j8.txt
 	cmp .det-j1.txt .det-j8.txt
 	@rm -f .det-j1.txt .det-j8.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 1 > .det-kg-j1.txt 2>&1 || true

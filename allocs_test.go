@@ -55,7 +55,7 @@ func TestAllocPinFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllocPin(t, `Figure("fig8")`, n, 24722)
+	checkAllocPin(t, `Figure("fig8")`, n, 24479)
 }
 
 // TestAllocPinWarmFigures pins the sweep-cached benchmark's pass: every

@@ -43,25 +43,40 @@ type line struct {
 // the set count and therefore non-negative.
 const emptyTag = int64(-1)
 
-// New builds a cache of the given total size. sizeBytes must be a
-// multiple of blockBytes*ways.
-func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
+// SetCount returns the number of sets of a cache of sizeBytes in
+// blocks of blockBytes over ways, or an error when that shape has no
+// whole, non-empty set: a non-positive parameter, fewer blocks than
+// ways, or a block count the ways do not divide.
+func SetCount(sizeBytes int64, blockBytes, ways int) (int64, error) {
 	if sizeBytes <= 0 || blockBytes <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
+		return 0, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
 	}
 	blocks := sizeBytes / int64(blockBytes)
-	if blocks%int64(ways) != 0 {
-		return nil, fmt.Errorf("cache: %d blocks not divisible by %d ways", blocks, ways)
+	if blocks < int64(ways) {
+		return 0, fmt.Errorf("cache: %d blocks are fewer than %d ways", blocks, ways)
 	}
-	sets := blocks / int64(ways)
-	n := sets * int64(ways)
-	c := &Cache{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]line, n),
+	if blocks%int64(ways) != 0 {
+		return 0, fmt.Errorf("cache: %d blocks not divisible by %d ways", blocks, ways)
+	}
+	return blocks / int64(ways), nil
+}
+
+// New builds an empty cache of the given total size (see SetCount for
+// the shapes it accepts). spare, when non-nil, is a cache nothing uses
+// any more: its array is reused if large enough.
+func New(sizeBytes int64, blockBytes, ways int, spare *Cache) (*Cache, error) {
+	sets, err := SetCount(sizeBytes, blockBytes, ways)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cache{sets: sets, ways: ways}
+	if n := sets * int64(ways); spare != nil && int64(cap(spare.lines)) >= n {
+		c.lines = spare.lines[:n]
+	} else {
+		c.lines = make([]line, n)
 	}
 	for i := range c.lines {
-		c.lines[i].tag = emptyTag
+		c.lines[i] = line{tag: emptyTag}
 	}
 	if sets&(sets-1) == 0 {
 		c.setsPow2 = true
@@ -71,12 +86,19 @@ func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 	return c, nil
 }
 
-// Clone returns an independent copy of the cache: contents, replacement
-// state and counters.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.lines = append([]line(nil), c.lines...)
-	return &d
+// CopyTo makes dst an independent copy of c — contents, replacement
+// state and counters — reusing dst's array when it is large enough, and
+// returns it. dst may be nil; otherwise nothing else may use it.
+func (c *Cache) CopyTo(dst *Cache) *Cache {
+	var lines []line
+	if dst != nil {
+		lines = dst.lines[:0]
+	} else {
+		dst = &Cache{}
+	}
+	*dst = *c
+	dst.lines = append(lines, c.lines...)
+	return dst
 }
 
 // split maps a block address to its (set, tag) pair.
@@ -120,6 +142,8 @@ type Result struct {
 // operation and every timed memory operation passes through it): the hit
 // scan touches only the tag words, and the victim scan runs only on a
 // miss.
+//
+//dcalint:noalloc
 func (c *Cache) Access(blockAddr int64, write bool) Result {
 	set, tg := c.split(blockAddr)
 	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
@@ -166,6 +190,8 @@ func (c *Cache) Access(blockAddr int64, write bool) Result {
 // miss it changes nothing and counts nothing (allocation — and the miss
 // count — happen later, when the caller installs the fill). It exists so
 // no-allocate-on-miss callers don't pay a Probe scan plus an Access scan.
+//
+//dcalint:noalloc
 func (c *Cache) Touch(blockAddr int64) bool {
 	set, tg := c.split(blockAddr)
 	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]

@@ -2,12 +2,13 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 func mustNew(t *testing.T, size int64, block, ways int) *Cache {
 	t.Helper()
-	c, err := New(size, block, ways)
+	c, err := New(size, block, ways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,15 +16,65 @@ func mustNew(t *testing.T, size int64, block, ways int) *Cache {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 64, 2); err == nil {
+	if _, err := New(0, 64, 2, nil); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := New(100, 64, 2); err == nil {
+	if _, err := New(100, 64, 2, nil); err == nil {
 		t.Error("non-divisible size accepted")
+	}
+	if _, err := New(64, 64, 2, nil); err == nil {
+		t.Error("a cache of one block over two ways accepted")
+	}
+	if _, err := New(64, 64, 0, nil); err == nil {
+		t.Error("zero ways accepted")
 	}
 	c := mustNew(t, 32<<10, 64, 2)
 	if c.Sets() != 256 || c.Ways() != 2 {
 		t.Fatalf("32KB/2way: %d sets x %d ways, want 256x2", c.Sets(), c.Ways())
+	}
+}
+
+// TestNewOverSpare: a cache built over a spare's array reuses it and
+// starts empty, whatever the spare held.
+func TestNewOverSpare(t *testing.T) {
+	old := mustNew(t, 2048, 64, 2)
+	old.Access(5, true)
+	c, err := New(1024, 64, 2, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.lines[0] != &old.lines[0] {
+		t.Fatal("the spare's array was not reused")
+	}
+	if p, _ := c.Probe(5); p || c.tick != 0 || c.Hits+c.Misses != 0 {
+		t.Fatal("a cache built over a spare kept its contents")
+	}
+	if r := c.Access(5, false); r.Hit || r.VictimValid {
+		t.Fatalf("first access to a reused cache: %+v, want a miss into an empty way", r)
+	}
+}
+
+// TestCopyTo: a copy carries contents, replacement state and counters,
+// lands in the given cache's array, and is independent of the original.
+func TestCopyTo(t *testing.T) {
+	c := mustNew(t, 1024, 64, 2)
+	c.Access(0, true)
+	c.Access(8, false)
+	dst := mustNew(t, 1024, 64, 2)
+	arr := &dst.lines[0]
+	cp := c.CopyTo(dst)
+	if cp != dst || &cp.lines[0] != arr {
+		t.Fatal("CopyTo did not copy into the given cache's array")
+	}
+	if present, dirty := cp.Probe(0); !present || !dirty || cp.Misses != 2 {
+		t.Fatal("the copy lost contents or counters")
+	}
+	cp.Access(16, false) // evicts 0 from the copy only
+	if present, _ := c.Probe(0); !present {
+		t.Fatal("an access to the copy changed the original")
+	}
+	if fresh := c.CopyTo(nil); !reflect.DeepEqual(fresh, c) {
+		t.Fatal("a copy into nil differs from the original")
 	}
 }
 

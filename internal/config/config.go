@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"dcasim/internal/addrmap"
+	"dcasim/internal/cache"
 	"dcasim/internal/core"
 	"dcasim/internal/cpu"
 	"dcasim/internal/dcache"
@@ -248,10 +249,30 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: non-positive CPU.MSHRs %d", c.CPU.MSHRs)
 	case c.L1Bytes <= 0 || c.L2Bytes <= 0:
 		return fmt.Errorf("config: non-positive cache sizes L1=%d L2=%d", c.L1Bytes, c.L2Bytes)
+	case c.L1Ways <= 0:
+		return fmt.Errorf("config: non-positive L1Ways %d", c.L1Ways)
+	case c.L2Ways <= 0:
+		return fmt.Errorf("config: non-positive L2Ways %d", c.L2Ways)
 	case c.TagCacheKB < 0:
 		return fmt.Errorf("config: negative tag cache size %d", c.TagCacheKB)
 	case c.TagCacheKB > 0 && c.Org != dcache.SetAssoc:
 		return fmt.Errorf("config: tag cache requires the set-associative organization")
+	// A negative latency schedules an event before now, which the event
+	// engine rejects with a panic.
+	case c.L2HitLat < 0:
+		return fmt.Errorf("config: negative L2HitLat %v", c.L2HitLat)
+	case c.MainMem.Latency < 0:
+		return fmt.Errorf("config: negative MainMem.Latency %v", c.MainMem.Latency)
+	case c.MainMem.BlockTime < 0:
+		return fmt.Errorf("config: negative MainMem.BlockTime %v", c.MainMem.BlockTime)
 	}
-	return nil
+	// The cache constructor's shape rules, applied here so a bad shape
+	// fails before hashing and dispatch rather than inside a warm-up.
+	if _, err := cache.SetCount(c.L1Bytes, dcache.BlockBytes, c.L1Ways); err != nil {
+		return fmt.Errorf("config: L1Bytes %d over L1Ways %d: %w", c.L1Bytes, c.L1Ways, err)
+	}
+	if _, err := cache.SetCount(c.L2Bytes, dcache.BlockBytes, c.L2Ways); err != nil {
+		return fmt.Errorf("config: L2Bytes %d over L2Ways %d: %w", c.L2Bytes, c.L2Ways, err)
+	}
+	return c.Timing.Validate()
 }

@@ -6,6 +6,7 @@ import (
 
 	"dcasim/internal/core"
 	"dcasim/internal/dcache"
+	"dcasim/internal/simtime"
 )
 
 func withMix(c Config) Config {
@@ -117,6 +118,40 @@ func TestValidateRejectsBrokenCPU(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s with WarmMemops 0: %v", scale, err)
 		}
+	}
+}
+
+// TestValidateRejectsRuntimeFailures: configs that passed Validate and
+// then panicked in the event engine (a negative latency), simulated
+// nonsense (a negative DRAM timing, a zero burst) or failed only inside
+// a run (an SRAM cache with no whole set) are rejected with an error
+// naming the field. Zero turnarounds stay legal.
+func TestValidateRejectsRuntimeFailures(t *testing.T) {
+	cases := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"L2HitLat", func(c *Config) { c.L2HitLat = -simtime.Nanosecond }},
+		{"MainMem.Latency", func(c *Config) { c.MainMem.Latency = -simtime.Nanosecond }},
+		{"MainMem.BlockTime", func(c *Config) { c.MainMem.BlockTime = -simtime.Nanosecond }},
+		{"TBurst", func(c *Config) { c.Timing.TBurst = 0 }},
+		{"TRCD", func(c *Config) { c.Timing.TRCD = -simtime.Nanosecond }},
+		{"L1Ways", func(c *Config) { c.L1Ways = 0 }},
+		{"L2Ways", func(c *Config) { c.L2Ways = -1 }},
+		{"L1Bytes", func(c *Config) { c.L1Bytes = 64 }},      // one block over two ways
+		{"L2Bytes", func(c *Config) { c.L2Bytes = 24 * 64 }}, // 24 blocks over 16 ways
+	}
+	for _, tc := range cases {
+		c := withMix(Test())
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("broken %s: Validate = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+	c := withMix(Test())
+	c.Timing.TWTR, c.Timing.TRTW = 0, 0
+	if err := c.Validate(); err != nil {
+		t.Errorf("zero TWTR and TRTW: %v", err)
 	}
 }
 

@@ -130,27 +130,34 @@ func (c *Core) Run(target int64, onFinish func(*Core)) {
 
 // Warm advances the core's trace through the functional hierarchy for
 // memops memory operations without consuming simulated time, warming the
-// core's L1, the shared L2 array, and the DRAM cache's tags and miss
-// predictor. It uses nothing else of the core, so a core built with a nil
-// engine and L2 can warm.
-func (c *Core) Warm(memops int64, l2 *cache.Cache, dc *dcache.Contents) {
+// core's L1, the shared L2 array, and the DRAM-cache tags and miss
+// predictor of every contents in dcs. The contents are pure sinks —
+// nothing they hold feeds back into the stream — so each receives the
+// same calls in the same order as if it were warmed alone. Warm uses
+// nothing else of the core, so a core built with a nil engine and L2 can
+// warm.
+//
+//dcalint:noalloc
+func (c *Core) Warm(memops int64, l2 *cache.Cache, dcs []*dcache.Contents) {
 	for i := int64(0); i < memops; i++ {
 		op := c.src.Next()
 		if op.Store {
 			res := c.l1.Access(op.Addr, true)
 			if !res.Hit && res.VictimValid && res.VictimDirty {
-				warmInstall(l2, dc, res.VictimAddr, true, c.id)
+				warmInstall(l2, dcs, res.VictimAddr, true, c.id)
 			}
 			continue
 		}
 		res := c.l1.Access(op.Addr, false)
 		if !res.Hit {
 			if res.VictimValid && res.VictimDirty {
-				warmInstall(l2, dc, res.VictimAddr, true, c.id)
+				warmInstall(l2, dcs, res.VictimAddr, true, c.id)
 			}
 			if !l2.Touch(op.Addr) {
-				dc.WarmRead(op.Addr, c.id, op.PC)
-				warmInstall(l2, dc, op.Addr, false, c.id)
+				for _, dc := range dcs {
+					dc.WarmRead(op.Addr, c.id, op.PC)
+				}
+				warmInstall(l2, dcs, op.Addr, false, c.id)
 			}
 		}
 	}
@@ -158,11 +165,15 @@ func (c *Core) Warm(memops int64, l2 *cache.Cache, dc *dcache.Contents) {
 }
 
 // warmInstall is the functional warm-up fill of the L2 array: a dirty
-// victim becomes a DRAM-cache warm write.
-func warmInstall(l2 *cache.Cache, dc *dcache.Contents, addr int64, dirty bool, coreID int) {
+// victim becomes a DRAM-cache warm write to every contents.
+//
+//dcalint:noalloc
+func warmInstall(l2 *cache.Cache, dcs []*dcache.Contents, addr int64, dirty bool, coreID int) {
 	res := l2.Access(addr, dirty)
 	if !res.Hit && res.VictimValid && res.VictimDirty {
-		dc.WarmWrite(res.VictimAddr, coreID)
+		for _, dc := range dcs {
+			dc.WarmWrite(res.VictimAddr, coreID)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func newRig(t *testing.T, bench string, memLatency simtime.Time, lee bool) *rig 
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2arr, err := cache.New(256<<10, 64, 8)
+	l2arr, err := cache.New(256<<10, 64, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func newRig(t *testing.T, bench string, memLatency simtime.Time, lee bool) *rig 
 		t.Fatal(err)
 	}
 	gen := workload.NewGen(prof, 11, 0, 0.02)
-	l1, err := cache.New(32<<10, 64, 2)
+	l1, err := cache.New(32<<10, 64, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStoresDoNotBlock(t *testing.T) {
 
 func TestWarmDoesNotAdvanceTime(t *testing.T) {
 	r := newRig(t, "gcc", 0, false)
-	r.core.Warm(10_000, r.l2.arr, r.dc.Contents)
+	r.core.Warm(10_000, r.l2.arr, []*dcache.Contents{r.dc.Contents})
 	if r.eng.Now() != 0 {
 		t.Fatalf("warm-up advanced simulated time to %v", r.eng.Now())
 	}
@@ -150,7 +150,7 @@ func TestL2MSHRMerging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2arr, _ := cache.New(64<<10, 64, 8)
+	l2arr, _ := cache.New(64<<10, 64, 8, nil)
 	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false)
 
 	completions := 0
@@ -179,7 +179,7 @@ func TestL2HitLatency(t *testing.T) {
 		Ctrl:      core.DefaultConfig(core.CD),
 		Cores:     1,
 	}, mem)
-	l2arr, _ := cache.New(64<<10, 64, 8)
+	l2arr, _ := cache.New(64<<10, 64, 8, nil)
 	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false)
 	l2.Write(42, 0) // install
 	var done simtime.Time
@@ -201,7 +201,7 @@ func TestLeeEagerWriteback(t *testing.T) {
 		Ctrl:      core.DefaultConfig(core.CD),
 		Cores:     1,
 	}, mem)
-	l2arr, _ := cache.New(64<<10, 64, 8) // 128 sets
+	l2arr, _ := cache.New(64<<10, 64, 8, nil) // 128 sets
 	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, true)
 
 	// Dirty DRAM-cache-row-mates of block 0 (blocks 0..3 share a row in

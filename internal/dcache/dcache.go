@@ -104,6 +104,9 @@ func NewContents(cfg Config, spare *Contents) (*Contents, error) {
 	return c, nil
 }
 
+// Org returns the organization the contents were built for.
+func (c *Contents) Org() Org { return c.geom.Org }
+
 // Checkpoint marks the current state for Rollback. It copies the small
 // MAP-I table, but only journals tag-store writes from here on rather
 // than copying the store.
@@ -544,6 +547,8 @@ func (d *DCache) issueDataWrite(set int64, way, coreID int, reqType core.Request
 // WarmRead performs a functional (zero-time) read used during cache
 // warm-up: misses install the block clean, as a refill would, and the
 // MAP-I predictor trains on the outcome.
+//
+//dcalint:noalloc
 func (c *Contents) WarmRead(addr int64, coreID int, pc uint64) {
 	set, way, vw := c.tags.lookupOrVictim(addr)
 	hit := way >= 0
@@ -560,6 +565,8 @@ func (c *Contents) WarmRead(addr int64, coreID int, pc uint64) {
 
 // WarmWrite performs a functional writeback: hits become dirty, misses
 // allocate dirty.
+//
+//dcalint:noalloc
 func (c *Contents) WarmWrite(addr int64, coreID int) {
 	set, way, vw := c.tags.lookupOrVictim(addr)
 	if way >= 0 {

@@ -5,65 +5,127 @@ import (
 	"testing"
 )
 
-func smallTags(t *testing.T) *tagStore {
+func newTags(t *testing.T, org Org) *tagStore {
 	t.Helper()
-	g, err := NewGeometry(SetAssoc, 1<<20, paperDRAM()) // 1024 sets x 15 ways
+	g, err := NewGeometry(org, 1<<20, paperDRAM()) // SA: 1024 sets x 15 ways; DM: 14336 x 1
 	if err != nil {
 		t.Fatal(err)
 	}
 	return newTagStore(g, nil)
 }
 
+func smallTags(t *testing.T) *tagStore { return newTags(t, SetAssoc) }
+
 // snapshot copies a store's arrays and clock for comparison.
-func snapshot(ts *tagStore) ([]int64, []bool, []uint32, uint32) {
-	return append([]int64(nil), ts.tag...), append([]bool(nil), ts.dbit...), append([]uint32(nil), ts.lru...), ts.tick
+func snapshot(ts *tagStore) ([]int64, []uint64, []uint32, uint32) {
+	return append([]int64(nil), ts.tag...), append([]uint64(nil), ts.dbit...), append([]uint32(nil), ts.lru...), ts.tick
 }
 
-// TestTagJournalRollback: rollback undoes every write since checkpoint
-// exactly, and a journal that outgrows half the ways is dropped, so
-// rollback then reports failure.
+// TestTagJournalRollback: in both organizations, rollback undoes every
+// write since checkpoint exactly — tags, packed dirty bits and, in the
+// set-associative store, LRU state — and a journal that outgrows half
+// the ways is dropped, so rollback then reports failure. The 1-way
+// direct-mapped store keeps no LRU array.
 func TestTagJournalRollback(t *testing.T) {
-	ts := smallTags(t)
-	write := func(n int) {
-		for i := 0; i < n; i++ {
-			addr := int64(i * 7919)
-			set, way, vw := ts.lookupOrVictim(addr)
-			if way >= 0 {
-				ts.setDirty(set, way)
-				ts.touch(set, way)
-			} else {
-				ts.install(addr, set, vw, i%3 == 0)
+	for _, org := range []Org{SetAssoc, DirectMapped} {
+		ts := newTags(t, org)
+		if (ts.lru == nil) != (org == DirectMapped) {
+			t.Fatalf("%v: lru array %v for %d ways", org, ts.lru != nil, ts.geom.Ways)
+		}
+		write := func(n int) {
+			for i := 0; i < n; i++ {
+				addr := int64(i * 7919)
+				set, way, vw := ts.lookupOrVictim(addr)
+				if way >= 0 {
+					ts.setDirty(set, way)
+					ts.touch(set, way)
+				} else {
+					ts.install(addr, set, vw, i%3 == 0)
+				}
 			}
 		}
-	}
-	write(5000) // warm state
-	tag, dbit, lru, tick := snapshot(ts)
-	ts.checkpoint()
-	write(3000)
-	if !ts.rollback() {
-		t.Fatal("rollback of a small journal failed")
-	}
-	gotTag, gotDbit, gotLRU, gotTick := snapshot(ts)
-	if !reflect.DeepEqual(gotTag, tag) || !reflect.DeepEqual(gotDbit, dbit) || !reflect.DeepEqual(gotLRU, lru) || gotTick != tick {
-		t.Fatal("rollback did not restore the checkpointed store")
-	}
-	ts.checkpoint()
-	write(len(ts.tag))
-	if ts.rollback() {
-		t.Fatal("rollback succeeded after the journal outgrew the store")
+		write(5000) // warm state
+		tag, dbit, lru, tick := snapshot(ts)
+		ts.checkpoint()
+		write(3000)
+		if !ts.rollback() {
+			t.Fatalf("%v: rollback of a small journal failed", org)
+		}
+		gotTag, gotDbit, gotLRU, gotTick := snapshot(ts)
+		if !reflect.DeepEqual(gotTag, tag) || !reflect.DeepEqual(gotDbit, dbit) || !reflect.DeepEqual(gotLRU, lru) || gotTick != tick {
+			t.Fatalf("%v: rollback did not restore the checkpointed store", org)
+		}
+		ts.checkpoint()
+		write(len(ts.tag))
+		if ts.rollback() {
+			t.Fatalf("%v: rollback succeeded after the journal outgrew the store", org)
+		}
 	}
 }
 
-// TestTagStoreReuse: a store built over a spare's arrays starts empty.
+// TestPackedDirtyBits: every way's dirty bit is its own across the word
+// boundaries of the packed array, an install sets or clears it, and a
+// rollback restores bits that were set and bits that were cleared.
+func TestPackedDirtyBits(t *testing.T) {
+	for _, org := range []Org{SetAssoc, DirectMapped} {
+		ts := newTags(t, org)
+		ways := int64(ts.geom.Ways)
+		at := func(i int64) (set int64, way int) { return i / ways, int(i % ways) }
+		check := func(what string, want func(i int64) bool) {
+			t.Helper()
+			for i := int64(56); i < 136; i++ { // words 0..2
+				if set, way := at(i); ts.dirty(set, way) != want(i) {
+					t.Fatalf("%v %s: way %d dirty=%v", org, what, i, !want(i))
+				}
+			}
+		}
+		even := func(i int64) bool { return i%2 == 0 }
+		for i := int64(56); i < 136; i++ {
+			set, way := at(i)
+			ts.install(set+int64(way)*ts.geom.Sets, set, way, even(i))
+		}
+		check("after install", even)
+		ts.checkpoint()
+		for i := int64(56); i < 136; i++ {
+			set, way := at(i)
+			if even(i) {
+				ts.install(set+int64(way+1)*ts.geom.Sets, set, way, false)
+			} else {
+				ts.setDirty(set, way)
+			}
+		}
+		check("after flipping", func(i int64) bool { return !even(i) })
+		if !ts.rollback() {
+			t.Fatalf("%v: rollback failed", org)
+		}
+		check("after rollback", even)
+	}
+}
+
+// TestTagStoreReuse: a store built over a spare's arrays starts empty,
+// and a spare of the other organization lends what fits: a
+// set-associative store hosts a direct-mapped one, and a direct-mapped
+// spare, which has no LRU array, leaves a set-associative store to
+// allocate one.
 func TestTagStoreReuse(t *testing.T) {
 	old := smallTags(t)
 	old.install(42, old.geom.SetOf(42), 3, true)
 	ts := newTagStore(old.geom, old)
-	if &ts.tag[0] != &old.tag[0] {
+	if &ts.tag[0] != &old.tag[0] || &ts.dbit[0] != &old.dbit[0] || &ts.lru[0] != &old.lru[0] {
 		t.Fatal("the spare's arrays were not reused")
 	}
-	if _, way := ts.lookup(42); way >= 0 || ts.dbit[ts.idx(old.geom.SetOf(42), 3)] || ts.tick != 0 {
+	if _, way := ts.lookup(42); way >= 0 || ts.dirty(old.geom.SetOf(42), 3) || ts.tick != 0 {
 		t.Fatal("a reused store kept the spare's contents")
+	}
+
+	dmGeom := newTags(t, DirectMapped).geom
+	dm := newTagStore(dmGeom, ts)
+	if &dm.tag[0] != &ts.tag[0] || dm.lru != nil {
+		t.Fatal("a direct-mapped store did not reuse a set-associative spare's tags")
+	}
+	sa := newTagStore(old.geom, dm)
+	if len(sa.lru) != len(sa.tag) {
+		t.Fatal("a set-associative store over a direct-mapped spare has no LRU array")
 	}
 }
 

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"dcasim/internal/addrmap"
@@ -275,5 +277,29 @@ func TestIssueAllocatesNothing(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Issue allocates %v times per %d calls, want 0", n, len(accs))
+	}
+}
+
+// TestTimingValidate: every Timing field rejects a negative value with
+// an error naming it, TBurst rejects zero, and the other fields accept
+// zero.
+func TestTimingValidate(t *testing.T) {
+	if err := StackedDRAM().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(Timing{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		for _, v := range []simtime.Time{-1, 0} {
+			tm := StackedDRAM()
+			reflect.ValueOf(&tm).Elem().Field(i).Set(reflect.ValueOf(v))
+			err := tm.Validate()
+			switch {
+			case (v < 0 || name == "TBurst") && (err == nil || !strings.Contains(err.Error(), name)):
+				t.Errorf("%s = %v: Validate = %v, want an error naming it", name, v, err)
+			case v == 0 && name != "TBurst" && err != nil:
+				t.Errorf("%s = 0: %v", name, err)
+			}
+		}
 	}
 }

@@ -12,7 +12,11 @@
 // justification of this simplification.
 package dram
 
-import "dcasim/internal/simtime"
+import (
+	"fmt"
+
+	"dcasim/internal/simtime"
+)
 
 // Timing collects the stacked-DRAM timing parameters of the paper's
 // Table II.
@@ -43,6 +47,28 @@ func StackedDRAM() Timing {
 		TWR:    simtime.FromNS(15),
 		TBurst: simtime.FromNS(3.33),
 	}
+}
+
+// Validate rejects a negative timing, which would schedule a command
+// before the one it waits for, and a zero TBurst, which would give the
+// data bus unlimited bandwidth. Other zero timings are legal ideal
+// points: a zero TWTR or TRTW removes the bus turnaround.
+func (t Timing) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    simtime.Time
+	}{
+		{"TRCD", t.TRCD}, {"TCAS", t.TCAS}, {"TRP", t.TRP}, {"TRAS", t.TRAS}, {"TWTR", t.TWTR},
+		{"TRTP", t.TRTP}, {"TRTW", t.TRTW}, {"TWR", t.TWR}, {"TBurst", t.TBurst},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dram: negative Timing.%s %v", f.name, f.v)
+		}
+	}
+	if t.TBurst == 0 {
+		return fmt.Errorf("dram: zero Timing.TBurst gives the data bus unlimited bandwidth")
+	}
+	return nil
 }
 
 // BurstTime returns the data-bus occupancy of a transfer of the given

@@ -59,7 +59,15 @@ type Runner struct {
 type warmSlot struct {
 	w     *sim.Warmed // state the next member runs over; nil warms afresh
 	keep  bool        // another member of the group follows: keep w for it
+	both  bool        // the group's members use both organizations: a warm-up fills both
 	spare *sim.Warmed // a spent state whose memory the next warm-up reuses
+}
+
+// warmGroup is one dispatch unit of Ensure: distinct configs with one
+// sim.WarmKey, which run in turn over one warm-up.
+type warmGroup struct {
+	members []int // indices into Ensure's configs, in spec order
+	both    bool  // the members use both organizations
 }
 
 // call is the in-flight record of one run (singleflight): concurrent
@@ -90,11 +98,12 @@ func NewRunner(base config.Config, mixes []workload.Mix, workers int) *Runner {
 }
 
 // simulate is the runner's simulator. A config run on its own (s == nil)
-// warms, then runs its timed region. A warm-group member runs over the
-// state the previous member left in s, warming afresh (over s.spare's
-// memory) when there is none. After a successful run it leaves the state
-// in s for the next member when s.keep is set and the state survived,
-// and as s.spare otherwise.
+// warms its organization, then runs its timed region. A warm-group
+// member runs over the state the previous member left in s, warming
+// afresh (its organization, or both when s.both is set, over s.spare's
+// memory) when there is none. After a successful run it leaves the
+// state in s for the next member when s.keep is set and the state
+// survived, and as s.spare otherwise.
 func (r *Runner) simulate(cfg config.Config, s *warmSlot) (sim.Result, error) {
 	var w, spare *sim.Warmed
 	keep := false
@@ -106,8 +115,12 @@ func (r *Runner) simulate(cfg config.Config, s *warmSlot) (sim.Result, error) {
 		r.mu.Lock()
 		r.warmUps++
 		r.mu.Unlock()
+		warm := []dcache.Org{cfg.Org}
+		if s != nil && s.both {
+			warm = orgs
+		}
 		var err error
-		if w, err = sim.Warm(cfg, spare); err != nil {
+		if w, err = sim.Warm(cfg, warm, spare); err != nil {
 			return sim.Result{}, err
 		}
 	}
@@ -329,12 +342,14 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, er
 // worker slot for the whole in-flight simulation.
 //
 // The distinct configs are grouped by sim.WarmKey: groups in order of
-// first appearance, members in spec order. A group is one dispatch unit.
-// Its members run one after another on one worker, over one functional
-// warm-up (see sim.Warmed): a member that fails drops the warm state and
-// the next member warms afresh. A worker's next warm-up reuses the
-// tag-store memory of the state its last group consumed. Trace replay
-// and recording configs have no key and run alone.
+// first appearance, members in spec order. Configs that differ only in
+// organization share a key, so a group may span both organizations; its
+// warm-up then fills the DRAM-cache contents of both. A group is one
+// dispatch unit. Its members run one after another on one worker, over
+// one functional warm-up (see sim.Warmed): a member that fails drops
+// the warm state and the next member warms afresh. A worker's next
+// warm-up reuses the memory of the state its last group consumed. Trace
+// replay and recording configs have no key and run alone.
 //
 // The pool dispatches the groups strictly in order, and a dispatched
 // group runs until its own first failure even after another group's
@@ -372,7 +387,7 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 // hashes[i] is cfgs[i].Hash().
 func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 	keepGoing := r.keepGoing
-	var groups [][]int // indices into cfgs of the distinct configs
+	var groups []warmGroup
 	seen := make(map[string]bool, len(cfgs))
 	groupOf := make(map[string]int)
 	for i, cfg := range cfgs {
@@ -382,13 +397,16 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 		seen[hashes[i]] = true
 		key, ok := sim.WarmKey(cfg)
 		if g, found := groupOf[key]; ok && found {
-			groups[g] = append(groups[g], i)
+			if cfg.Org != cfgs[groups[g].members[0]].Org {
+				groups[g].both = true
+			}
+			groups[g].members = append(groups[g].members, i)
 			continue
 		}
 		if ok {
 			groupOf[key] = len(groups)
 		}
-		groups = append(groups, []int{i})
+		groups = append(groups, warmGroup{members: []int{i}})
 	}
 	total := len(seen)
 
@@ -460,8 +478,9 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 				// cutting a group short could skip a failure that a
 				// one-worker pass would have reported first.
 				s.w = nil // a group whose last members were cached leaves its state
-				for k, i := range groups[g] {
-					s.keep = k < len(groups[g])-1
+				members := groups[g].members
+				for k, i := range members {
+					s.keep, s.both = k < len(members)-1, groups[g].both
 					_, err := r.runIn(cfgs[i], hashes[i], s)
 					report()
 					if err != nil {
@@ -497,8 +516,8 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !keepGoing {
-		for _, members := range groups {
-			for _, i := range members {
+		for _, g := range groups {
+			for _, i := range g.members {
 				if err := r.errs[hashes[i]]; err != nil {
 					return runError(cfgs[i], hashes[i], err)
 				}

@@ -23,15 +23,17 @@ func (r *Runner) warmUpCount() int64 {
 }
 
 // TestFig8SharesWarmUps: Fig. 8 over one mix simulates 14 configs — the
-// mix under three designs and two organizations, plus eight alone runs —
-// but warms only 10 times, once per organization for the mix. A rerun
-// against the warm result cache does neither.
+// mix under three designs and two organizations, plus eight alone runs,
+// one per benchmark and organization — but warms only 5 times: once for
+// the mix and once per benchmark, each warm-up filling both
+// organizations' contents. A rerun against the warm result cache does
+// neither.
 func TestFig8SharesWarmUps(t *testing.T) {
 	cache, err := rescache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pass, want := range [][2]int64{{14, 10}, {0, 0}} {
+	for pass, want := range [][2]int64{{14, 5}, {0, 0}} {
 		r := NewRunner(config.Test(), workload.TableI()[:1], 1)
 		r.SetCache(cache)
 		if _, err := r.Figure("fig8"); err != nil {
@@ -40,6 +42,21 @@ func TestFig8SharesWarmUps(t *testing.T) {
 		if got := [2]int64{r.SimRuns(), r.warmUpCount()}; got != want {
 			t.Errorf("pass %d: %d simulations and %d warm-ups, want %d and %d", pass, got[0], got[1], want[0], want[1])
 		}
+	}
+}
+
+// TestAllFiguresShareWarmUps pins the warm-ups of a cold regeneration of
+// every registered figure, one Figure call each on one worker over two
+// mixes: each call groups its new runs by warm key, across organizations.
+func TestAllFiguresShareWarmUps(t *testing.T) {
+	r := NewRunner(config.Test(), workload.TableI()[:2], 1)
+	for _, name := range FigureNames() {
+		if _, err := r.Figure(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := [2]int64{r.SimRuns(), r.warmUpCount()}, [2]int64{90, 21}; got != want {
+		t.Errorf("%d simulations and %d warm-ups, want %d and %d", got[0], got[1], want[0], want[1])
 	}
 }
 
@@ -136,12 +153,14 @@ func TestWarmGroupFailFastDispatchOrder(t *testing.T) {
 	}
 }
 
-// TestWarmGroupMidFailureRewarms: a panic in one group's middle member
-// and a watchdog timeout in another's fail those members only. The panic
-// strikes after the member handed its warm state back, and the runaway
-// keeps running after the watchdog gave up on it; neither state may reach
-// the next member, which warms afresh (under -race, a reused runaway
-// state would also race). Every other member matches its independent run.
+// TestWarmGroupMidFailureRewarms: a panic in the middle set-associative
+// member of a group that spans both organizations, and a watchdog
+// timeout in its middle direct-mapped member, fail those members only.
+// The panic strikes after the member handed its warm state back, and the
+// runaway keeps running after the watchdog gave up on it; neither state
+// may reach the next member, which warms afresh, both organizations
+// again (under -race, a reused runaway state would also race). Every
+// other member matches its independent run.
 func TestWarmGroupMidFailureRewarms(t *testing.T) {
 	small := func(c *config.Config) { c.InstrPerCore, c.WarmMemops = 10_000, 10_000 }
 	sa := groupCfgs(dcache.SetAssoc, 3, small)
@@ -178,8 +197,8 @@ func TestWarmGroupMidFailureRewarms(t *testing.T) {
 	if got := r.SimRuns(); got != 4 {
 		t.Errorf("%d simulations committed, want the 4 healthy members", got)
 	}
-	if got := r.warmUpCount(); got != 4 {
-		t.Errorf("%d warm-ups, want 4: each group warms, then warms again after its failure", got)
+	if got := r.warmUpCount(); got != 3 {
+		t.Errorf("%d warm-ups, want 3: the group warms, then warms again after each failure", got)
 	}
 	checkIndependent(t, r, []config.Config{sa[0], sa[2], dm[0], dm[2]})
 }

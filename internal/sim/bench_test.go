@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcasim/internal/config"
+	"dcasim/internal/dcache"
 	"dcasim/internal/workload"
 )
 
@@ -18,14 +19,26 @@ func benchMixConfig() config.Config {
 var resultSink Result
 
 // BenchmarkWarmUp builds a fresh functional state and runs the
-// functional warm-up: the phase that owns most of a cold figure.
+// functional warm-up, the phase that owns most of a cold figure: for
+// the config's own organization, as Run does, and for both, as a warm
+// group whose members span both organizations does.
 func BenchmarkWarmUp(b *testing.B) {
 	cfg := benchMixConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Warm(cfg, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		orgs []dcache.Org
+	}{
+		{"one-org", []dcache.Org{cfg.Org}},
+		{"both-orgs", bothOrgs},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Warm(cfg, bc.orgs, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -33,7 +46,7 @@ func BenchmarkWarmUp(b *testing.B) {
 // keeping the state for the next iteration as a warm-group member does.
 func BenchmarkTimedRegion(b *testing.B) {
 	cfg := benchMixConfig()
-	w, err := Warm(cfg, nil)
+	w, err := Warm(cfg, []dcache.Org{cfg.Org}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

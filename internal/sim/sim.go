@@ -182,21 +182,24 @@ func (rs *runSources) closeFiles() error {
 // and must stay nil outside tests.
 var testEngineHook func(*event.Engine)
 
-// Run executes one simulation — a functional warm-up, then the timed
-// region — and returns its results.
+// Run executes one simulation — a functional warm-up of cfg's own
+// organization, then the timed region — and returns its results.
 func Run(cfg config.Config) (Result, error) {
-	w, err := Warm(cfg, nil)
+	w, err := Warm(cfg, []dcache.Org{cfg.Org}, nil)
 	if err != nil {
 		return Result{}, err
 	}
 	return w.run(cfg, false) // Warm checked cfg
 }
 
-// WarmKey identifies the state Warm(cfg) produces. Configs with equal
-// keys warm to identical L1 and L2 arrays, tag stores, MAP-I tables and
-// generator positions, so one warm-up can serve them all. The key is
-// built from exactly the Config fields the warm-up reads. ok is false
-// for trace replay and recording, whose streams cannot be shared.
+// WarmKey identifies the state Warm(cfg, orgs) produces. Configs with
+// equal keys warm to identical L1 and L2 arrays, generator positions
+// and, organization by organization, tag stores and MAP-I tables, so one
+// warm-up can serve them all. The key is built from exactly the Config
+// fields the warm-up reads, except Org: one warm-up fills the contents
+// of every organization it is given, and Warmed.Run picks cfg.Org's. ok
+// is false for trace replay and recording, whose streams cannot be
+// shared.
 func WarmKey(cfg config.Config) (key string, ok bool) {
 	if cfg.ReplayPath() != "" || cfg.RecordPath != "" {
 		return "", false
@@ -209,9 +212,9 @@ func WarmKey(cfg config.Config) (key string, ok bool) {
 	b = strconv.AppendUint(append(b, " seed="...), cfg.Seed, 10)
 	b = strconv.AppendFloat(append(b, " ws="...), cfg.WSScale, 'g', -1, 64)
 	b = strconv.AppendBool(append(b, " mapi="...), cfg.UseMAPI)
-	// WarmMemops, Org, cache size, DRAM geometry, L1 and L2 shapes.
+	// WarmMemops, cache size, DRAM geometry, L1 and L2 shapes.
 	for _, v := range [...]int64{
-		cfg.WarmMemops, int64(cfg.Org), cfg.CacheSizeBytes,
+		cfg.WarmMemops, cfg.CacheSizeBytes,
 		int64(cfg.Channels), int64(cfg.Ranks), int64(cfg.Banks), int64(cfg.RowBytes),
 		cfg.L1Bytes, int64(cfg.L1Ways), cfg.L2Bytes, int64(cfg.L2Ways),
 	} {
@@ -221,31 +224,40 @@ func WarmKey(cfg config.Config) (key string, ok bool) {
 }
 
 // Warmed is a system after functional warm-up: each core's operation
-// source and L1, the shared L2 array, and the DRAM cache's tags and MAP-I
-// predictor. Run builds the timing side — event engine, controllers,
-// channels, main memory, tag cache — over it.
+// source and L1, the shared L2 array, and, per organization warmed, the
+// DRAM cache's tags and MAP-I predictor. Run builds the timing side —
+// event engine, controllers, channels, main memory, tag cache — over it.
 type Warmed struct {
-	cfg   config.Config // the warming config, trace header budgets applied
-	srcs  *runSources
-	l1s   []*cache.Cache
-	l2    *cache.Cache
-	dc    *dcache.Contents
-	spent bool
+	cfg  config.Config // the warming config, trace header budgets applied
+	srcs *runSources
+	l1s  []*cache.Cache
+	l2   *cache.Cache
+	dcs  []*dcache.Contents // one per organization warmed
+	// A kept run works on copies of the L1 and L2 arrays made in these,
+	// so successive kept runs reuse one set of copies.
+	runL1s []*cache.Cache
+	runL2  *cache.Cache
+	spent  bool
 }
 
-// Warm builds cfg's functional state and runs the functional warm-up.
-// spare, when non-nil, must be Spent and used by no run: the new state
-// reuses its tag-store memory, so a run of warm-ups allocates one store.
-func Warm(cfg config.Config, spare *Warmed) (*Warmed, error) {
+// Warm builds cfg's functional state, with DRAM-cache contents for each
+// organization in orgs, and runs the functional warm-up. spare, when
+// non-nil, must be Spent and used by no run: the new state reuses its
+// L1, L2 and tag-store memory, each organization's contents those of the
+// same organization, so a run of warm-ups allocates one state.
+func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var old *dcache.Contents
+	if len(orgs) == 0 {
+		return nil, errors.New("sim: no organization to warm")
+	}
+	var old Warmed
 	if spare != nil {
 		if !spare.spent {
 			return nil, errors.New("sim: cannot reuse a warm state that is not spent")
 		}
-		old, spare.dc = spare.dc, nil
+		old, *spare = *spare, Warmed{spent: true}
 	}
 	srcs, err := openSources(&cfg)
 	if err != nil {
@@ -257,25 +269,37 @@ func Warm(cfg config.Config, spare *Warmed) (*Warmed, error) {
 			srcs.abort()
 		}
 	}()
-	w := &Warmed{cfg: cfg, srcs: srcs}
-	if w.dc, err = dcache.NewContents(dcache.Config{
-		Org:       cfg.Org,
-		SizeBytes: cfg.CacheSizeBytes,
-		DRAM:      cfg.DRAMGeometry(),
-		UseMAPI:   cfg.UseMAPI,
-		Cores:     len(srcs.srcs),
-	}, old); err != nil {
+	w := &Warmed{cfg: cfg, srcs: srcs, runL2: old.runL2}
+	for _, org := range orgs {
+		if w.contents(org) != nil {
+			continue
+		}
+		dc, err := dcache.NewContents(dcache.Config{
+			Org:       org,
+			SizeBytes: cfg.CacheSizeBytes,
+			DRAM:      cfg.DRAMGeometry(),
+			UseMAPI:   cfg.UseMAPI,
+			Cores:     len(srcs.srcs),
+		}, old.contents(org))
+		if err != nil {
+			return nil, err
+		}
+		w.dcs = append(w.dcs, dc)
+	}
+	if w.l2, err = cache.New(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways, old.l2); err != nil {
 		return nil, err
 	}
-	if w.l2, err = cache.New(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways); err != nil {
-		return nil, err
-	}
+	// Each core's L1 and run copy start from the spare's, where it has
+	// one for that core.
 	w.l1s = make([]*cache.Cache, len(srcs.srcs))
+	w.runL1s = make([]*cache.Cache, len(srcs.srcs))
+	copy(w.l1s, old.l1s)
+	copy(w.runL1s, old.runL1s)
 	// The cores only warm here (Run builds the timed ones), so one slice
 	// holds them instead of a pointer each.
 	cores := make([]cpu.Core, len(srcs.srcs))
 	for i, src := range srcs.srcs {
-		if w.l1s[i], err = cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways); err != nil {
+		if w.l1s[i], err = cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways, w.l1s[i]); err != nil {
 			return nil, err
 		}
 		cores[i] = *cpu.NewCore(nil, i, cfg.CPU, src, w.l1s[i], nil)
@@ -291,7 +315,7 @@ func Warm(cfg config.Config, spare *Warmed) (*Warmed, error) {
 			n = int(cfg.WarmMemops - done)
 		}
 		for i := range cores {
-			cores[i].Warm(int64(n), w.l2, w.dc)
+			cores[i].Warm(int64(n), w.l2, w.dcs)
 		}
 	}
 	w.l2.ResetStats()
@@ -299,19 +323,31 @@ func Warm(cfg config.Config, spare *Warmed) (*Warmed, error) {
 	return w, nil
 }
 
+// contents returns w's DRAM-cache contents for org, or nil.
+func (w *Warmed) contents(org dcache.Org) *dcache.Contents {
+	for _, dc := range w.dcs {
+		if dc.Org() == org {
+			return dc
+		}
+	}
+	return nil
+}
+
 // Spent reports whether w can no longer serve a run: Run without keep
 // consumed it, a run failed, or a kept run's tag-store journal outgrew
 // the store and could not be rolled back.
 func (w *Warmed) Spent() bool { return w.spent }
 
-// Run runs cfg's timed region over w. cfg must have w's WarmKey; a trace
-// replay or recording config must be the one w was warmed with.
+// Run runs cfg's timed region over w. cfg must have w's WarmKey, and w
+// must hold contents for cfg.Org; a trace replay or recording config
+// must be the one w was warmed with.
 //
 // With keep, the run works on copies of the L1 and L2 arrays, the MAP-I
-// table and the generators, and journals its tag-store writes, which it
-// rolls back afterwards, so another config with the same key can run
-// over w next. Spent reports whether that worked. Without keep, the run
-// uses w itself and consumes it.
+// table and the generators, and journals its writes to cfg.Org's tag
+// store, which it rolls back afterwards, so another config with the same
+// key can run over w next. Spent reports whether that worked. Without
+// keep, the run uses w itself and consumes it. Either way the contents
+// of other organizations are left as they were.
 func (w *Warmed) Run(cfg config.Config, keep bool) (Result, error) {
 	// Warm validated the warming config only; a config running over
 	// shared state fails here exactly as it would on its own.
@@ -325,6 +361,8 @@ func (w *Warmed) Run(cfg config.Config, keep bool) (Result, error) {
 		return Result{}, errors.New("sim: warm state already consumed")
 	case key != warmKey:
 		return Result{}, errors.New("sim: config does not match the warm state")
+	case w.contents(cfg.Org) == nil:
+		return Result{}, fmt.Errorf("sim: the warm state holds no %v contents", cfg.Org)
 	case keep && !shareable:
 		return Result{}, errors.New("sim: trace replay and recording cannot share warm state")
 	}
@@ -339,27 +377,28 @@ func (w *Warmed) run(cfg config.Config, keep bool) (Result, error) {
 	// A failed run leaves the state half-way through, so w stays spent
 	// unless a kept run rolls back cleanly.
 	w.spent = true
+	dc := w.contents(cfg.Org)
 	srcs, l1s, l2 := w.srcs.srcs, w.l1s, w.l2
 	if keep {
 		srcs = make([]workload.Source, len(w.srcs.srcs))
-		l1s = make([]*cache.Cache, len(w.l1s))
 		for i := range srcs {
 			srcs[i] = w.srcs.srcs[i].(*workload.Gen).Clone() // shareable: no tee, no replay
-			l1s[i] = w.l1s[i].Clone()
+			w.runL1s[i] = w.l1s[i].CopyTo(w.runL1s[i])
 		}
-		l2 = w.l2.Clone()
-		w.dc.Checkpoint()
+		w.runL2 = w.l2.CopyTo(w.runL2)
+		l1s, l2 = w.runL1s, w.runL2
+		dc.Checkpoint()
 	}
-	res, err := w.timed(cfg, srcs, l1s, l2)
+	res, err := w.timed(cfg, dc, srcs, l1s, l2)
 	if err == nil && keep {
-		w.spent = !w.dc.Rollback()
+		w.spent = !dc.Rollback()
 	}
 	return res, err
 }
 
 // timed builds the timing side of cfg over the warmed state and runs
 // until every core retires its budget.
-func (w *Warmed) timed(cfg config.Config, srcs []workload.Source, l1s []*cache.Cache, l2arr *cache.Cache) (Result, error) {
+func (w *Warmed) timed(cfg config.Config, contents *dcache.Contents, srcs []workload.Source, l1s []*cache.Cache, l2arr *cache.Cache) (Result, error) {
 	finished := false
 	defer func() {
 		if !finished {
@@ -382,7 +421,7 @@ func (w *Warmed) timed(cfg config.Config, srcs []workload.Source, l1s []*cache.C
 		UseMAPI:   cfg.UseMAPI,
 		BEARProbe: cfg.BEARProbe,
 		Cores:     len(srcs),
-		Contents:  w.dc,
+		Contents:  contents,
 	}
 	if cfg.TagCacheKB > 0 {
 		tc := tagcache.DefaultConfig(cfg.TagCacheKB << 10)

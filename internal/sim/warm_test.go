@@ -15,8 +15,7 @@ import (
 // must change when any of them changes.
 var warmFields = map[string]bool{
 	"Benchmarks": true, "Seed": true, "WSScale": true, "WarmMemops": true,
-	"Org": true, "CacheSizeBytes": true,
-	"Channels": true, "Ranks": true, "Banks": true, "RowBytes": true,
+	"CacheSizeBytes": true, "Channels": true, "Ranks": true, "Banks": true, "RowBytes": true,
 	"UseMAPI": true, "L1Bytes": true, "L1Ways": true, "L2Bytes": true, "L2Ways": true,
 }
 
@@ -27,6 +26,13 @@ var timedFields = map[string]bool{
 	"BEARProbe": true, "Algorithm": true, "AlgParams": true, "Timing": true,
 	"Ctrl": true, "MainMem": true, "CPU": true, "L2HitLat": true, "InstrPerCore": true,
 }
+
+// perContentsFields are read by warm-up, yet WarmKey must not change
+// when they do. Org selects which DRAM-cache contents a run uses, and
+// nothing in those contents feeds back into the generators, L1s or L2:
+// one warm-up drives the contents of every organization a group needs
+// with the same calls, and Warmed.Run serves each config its own.
+var perContentsFields = map[string]bool{"Org": true}
 
 // traceFields select trace replay or recording, which never share warm
 // state.
@@ -71,9 +77,9 @@ func perturb(v reflect.Value) bool {
 
 // TestWarmKeyCoversWarmFields pins WarmKey to the warm-up's inputs:
 // every Config field is classified, perturbing a warm field changes the
-// key, perturbing a timed field leaves it alone, and a trace field makes
-// the config unshareable. A newly added field fails until it is
-// classified (and, if warm-up reads it, added to WarmKey).
+// key, perturbing a timed or per-contents field leaves it alone, and a
+// trace field makes the config unshareable. A newly added field fails
+// until it is classified (and, if warm-up reads it, added to WarmKey).
 func TestWarmKeyCoversWarmFields(t *testing.T) {
 	base := config.Test()
 	base.Benchmarks = []string{"mcf", "lbm", "libquantum", "omnetpp"}
@@ -100,9 +106,9 @@ func TestWarmKeyCoversWarmFields(t *testing.T) {
 			if !ok || key == baseKey {
 				t.Errorf("field %s is read by warm-up but does not change WarmKey", name)
 			}
-		case timedFields[name]:
+		case timedFields[name], perContentsFields[name]:
 			if !ok || key != baseKey {
-				t.Errorf("field %s is timed-only but changes WarmKey:\n%s\n%s", name, baseKey, key)
+				t.Errorf("field %s is timed-only or served per contents but changes WarmKey:\n%s\n%s", name, baseKey, key)
 			}
 		default:
 			t.Errorf("field %s is unclassified: add it to warmFields (and WarmKey) or timedFields", name)
@@ -151,61 +157,88 @@ func warmVariants(t *testing.T, org dcache.Org) []config.Config {
 	return cfgs
 }
 
-// TestWarmGroupMatchesIndependent: one warm-up shared, in turn, by every
-// timed-only variant of a machine gives each variant exactly the Result
-// of its own independent Run — the journal rollback restores the tag
-// store, and the copies keep the L1/L2, MAP-I and generator state intact.
-// The second organization's warm-up reuses the first one's spent store.
-func TestWarmGroupMatchesIndependent(t *testing.T) {
-	var spare *Warmed // the direct-mapped group reuses the set-associative store
-	for _, org := range []dcache.Org{dcache.SetAssoc, dcache.DirectMapped} {
-		cfgs := warmVariants(t, org)
-		w, err := Warm(cfgs[0], spare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cfg := range cfgs {
-			keep := i < len(cfgs)-1
-			got, err := w.Run(cfg, keep)
-			if err != nil {
-				t.Fatalf("%v variant %d: %v", org, i, err)
-			}
-			if keep && w.Spent() {
-				t.Fatalf("%v variant %d: warm state spent after a kept run", org, i)
-			}
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v variant %d (%v %v): grouped result diverges from an independent run\n%+v\nvs\n%+v",
-					org, i, cfg.Design, cfg.Algorithm, got, want)
-			}
-		}
-		if !w.Spent() {
-			t.Fatalf("%v: the last run without keep did not consume the warm state", org)
-		}
-		spare = w
-	}
-}
+// bothOrgs warms the contents of both organizations.
+var bothOrgs = []dcache.Org{dcache.SetAssoc, dcache.DirectMapped}
 
-// TestWarmedRunRejectsMisuse: a warm state serves only valid configs
-// with its key, never after it was consumed, and never keeps for a trace
-// config; its memory is reused only once it is spent.
-func TestWarmedRunRejectsMisuse(t *testing.T) {
-	cfg := config.Test()
-	cfg.Benchmarks = []string{"mcf", "lbm"}
-	w, err := Warm(cfg, nil)
+// TestWarmGroupMatchesIndependent: one warm-up shared, in turn, by every
+// timed-only variant of a machine under both organizations, interleaved,
+// gives each variant exactly the Result of its own independent Run — the
+// journal rollback restores the tag store of the variant's organization,
+// the other organization's contents stay untouched, and the copies keep
+// the L1/L2, MAP-I and generator state intact. A direct-mapped warm-up
+// over the spent state, which reuses its memory, matches too.
+func TestWarmGroupMatchesIndependent(t *testing.T) {
+	sa, dm := warmVariants(t, dcache.SetAssoc), warmVariants(t, dcache.DirectMapped)
+	var cfgs []config.Config
+	for i := 0; i < len(sa) || i < len(dm); i++ {
+		if i < len(sa) {
+			cfgs = append(cfgs, sa[i])
+		}
+		if i < len(dm) {
+			cfgs = append(cfgs, dm[i])
+		}
+	}
+	w, err := Warm(cfgs[0], bothOrgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Warm(cfg, w); err == nil {
+	check := func(w *Warmed, i int, cfg config.Config, keep bool) {
+		t.Helper()
+		got, err := w.Run(cfg, keep)
+		if err != nil {
+			t.Fatalf("variant %d (%v): %v", i, cfg.Org, err)
+		}
+		if keep && w.Spent() {
+			t.Fatalf("variant %d (%v): warm state spent after a kept run", i, cfg.Org)
+		}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("variant %d (%v %v %v): grouped result diverges from an independent run\n%+v\nvs\n%+v",
+				i, cfg.Org, cfg.Design, cfg.Algorithm, got, want)
+		}
+	}
+	for i, cfg := range cfgs {
+		check(w, i, cfg, i < len(cfgs)-1)
+	}
+	if !w.Spent() {
+		t.Fatal("the last run without keep did not consume the warm state")
+	}
+	again, err := Warm(dm[0], []dcache.Org{dcache.DirectMapped}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(again, 0, dm[0], false)
+}
+
+// TestWarmedRunRejectsMisuse: a warm state serves only valid configs
+// with its key and an organization it was warmed for, never after it was
+// consumed, and never keeps for a trace config; its memory is reused
+// only once it is spent.
+func TestWarmedRunRejectsMisuse(t *testing.T) {
+	cfg := config.Test()
+	cfg.Benchmarks = []string{"mcf", "lbm"}
+	if _, err := Warm(cfg, nil, nil); err == nil {
+		t.Fatal("a warm-up with no organization succeeded")
+	}
+	w, err := Warm(cfg, []dcache.Org{cfg.Org}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Warm(cfg, []dcache.Org{cfg.Org}, w); err == nil {
 		t.Fatal("a warm-up reused the memory of a state still in use")
 	}
 	other := cfg
 	other.Seed++
 	if _, err := w.Run(other, true); err == nil {
 		t.Fatal("a warm state ran a config with another warm key")
+	}
+	dm := cfg
+	dm.Org = dcache.DirectMapped // same warm key, but no contents for it
+	if _, err := w.Run(dm, true); err == nil {
+		t.Fatal("a warm state ran a config of an organization it was not warmed for")
 	}
 	invalid := cfg
 	invalid.TagCacheKB = -1 // timed-only, so the warm key still matches
@@ -224,7 +257,7 @@ func TestWarmedRunRejectsMisuse(t *testing.T) {
 
 	rec := cfg
 	rec.RecordPath = t.TempDir() + "/rec.dct"
-	w, err = Warm(rec, nil)
+	w, err = Warm(rec, []dcache.Org{rec.Org}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

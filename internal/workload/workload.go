@@ -154,6 +154,8 @@ func (g *Gen) Clone() *Gen {
 func (g *Gen) WorkingSetBlocks() int64 { return g.wsBlocks }
 
 // Next produces the next memory operation of the trace.
+//
+//dcalint:noalloc
 func (g *Gen) Next() Op {
 	p := g.prof
 	meanGap := g.meanGap
