@@ -15,8 +15,9 @@
 #                     result-cache reader and its payload decoder, the
 #                     config and sweep-spec loaders, config patching vs
 #                     its JSON-merge oracle, the canonical config
-#                     encoder vs encoding/json, and the event kernel vs
-#                     its heap oracle (CI job)
+#                     encoder vs encoding/json, the event kernel vs
+#                     its heap oracle, and the DRAM-cache tag store vs
+#                     its stamp-based oracle (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -98,10 +99,13 @@ faults:
 # with the JSON-merge implementation it replaced and never write through
 # to its base (FuzzPatch), the canonical config encoder behind the
 # cache key must write exactly encoding/json's bytes and fail where it
-# fails (FuzzCanonical), and an arbitrary op program must
+# fails (FuzzCanonical), an arbitrary op program must
 # drive the timing wheel and the retired 4-ary heap to the exact same
-# dispatch sequence (FuzzEngineOps). Checked-in corpora live in
-# internal/<pkg>/testdata/fuzz; CI archives grown corpora.
+# dispatch sequence (FuzzEngineOps), and an arbitrary op program must
+# get the same answers from the packed DRAM-cache tag store as from its
+# stamp-based oracle, journal rollbacks included (FuzzTagStore).
+# Checked-in corpora live in internal/<pkg>/testdata/fuzz; CI archives
+# grown corpora.
 fuzz-short:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzDecoder' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
@@ -111,6 +115,7 @@ fuzz-short:
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzPatch' -fuzztime 30s
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzCanonical' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
+	$(GO) test ./internal/dcache -run '^$$' -fuzz 'FuzzTagStore' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate every example declarative spec at
 # the test scale through the persistent result cache (CI restores the

@@ -130,34 +130,32 @@ func (c *Core) Run(target int64, onFinish func(*Core)) {
 
 // Warm advances the core's trace through the functional hierarchy for
 // memops memory operations without consuming simulated time, warming the
-// core's L1, the shared L2 array, and the DRAM-cache tags and miss
-// predictor of every contents in dcs. The contents are pure sinks —
-// nothing they hold feeds back into the stream — so each receives the
-// same calls in the same order as if it were warmed alone. Warm uses
+// core's L1, the shared L2 array, and, through b, the DRAM-cache tags
+// and miss predictor of every contents b feeds. The contents are pure
+// sinks — nothing they hold feeds back into the stream — so b may defer
+// their calls; the caller flushes it once warm-up is over. Warm uses
 // nothing else of the core, so a core built with a nil engine and L2 can
 // warm.
 //
 //dcalint:noalloc
-func (c *Core) Warm(memops int64, l2 *cache.Cache, dcs []*dcache.Contents) {
+func (c *Core) Warm(memops int64, l2 *cache.Cache, b *dcache.WarmBatch) {
 	for i := int64(0); i < memops; i++ {
 		op := c.src.Next()
 		if op.Store {
 			res := c.l1.Access(op.Addr, true)
 			if !res.Hit && res.VictimValid && res.VictimDirty {
-				warmInstall(l2, dcs, res.VictimAddr, true, c.id)
+				warmInstall(l2, b, res.VictimAddr, true, c.id)
 			}
 			continue
 		}
 		res := c.l1.Access(op.Addr, false)
 		if !res.Hit {
 			if res.VictimValid && res.VictimDirty {
-				warmInstall(l2, dcs, res.VictimAddr, true, c.id)
+				warmInstall(l2, b, res.VictimAddr, true, c.id)
 			}
 			if !l2.Touch(op.Addr) {
-				for _, dc := range dcs {
-					dc.WarmRead(op.Addr, c.id, op.PC)
-				}
-				warmInstall(l2, dcs, op.Addr, false, c.id)
+				b.Read(op.Addr, c.id, op.PC)
+				warmInstall(l2, b, op.Addr, false, c.id)
 			}
 		}
 	}
@@ -165,15 +163,13 @@ func (c *Core) Warm(memops int64, l2 *cache.Cache, dcs []*dcache.Contents) {
 }
 
 // warmInstall is the functional warm-up fill of the L2 array: a dirty
-// victim becomes a DRAM-cache warm write to every contents.
+// victim becomes a DRAM-cache warm write.
 //
 //dcalint:noalloc
-func warmInstall(l2 *cache.Cache, dcs []*dcache.Contents, addr int64, dirty bool, coreID int) {
+func warmInstall(l2 *cache.Cache, b *dcache.WarmBatch, addr int64, dirty bool, coreID int) {
 	res := l2.Access(addr, dirty)
 	if !res.Hit && res.VictimValid && res.VictimDirty {
-		for _, dc := range dcs {
-			dc.WarmWrite(res.VictimAddr, coreID)
-		}
+		b.Write(res.VictimAddr, coreID)
 	}
 }
 

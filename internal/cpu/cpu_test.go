@@ -127,7 +127,9 @@ func TestStoresDoNotBlock(t *testing.T) {
 
 func TestWarmDoesNotAdvanceTime(t *testing.T) {
 	r := newRig(t, "gcc", 0, false)
-	r.core.Warm(10_000, r.l2.arr, []*dcache.Contents{r.dc.Contents})
+	b := dcache.NewWarmBatch([]*dcache.Contents{r.dc.Contents})
+	r.core.Warm(10_000, r.l2.arr, b)
+	b.Flush()
 	if r.eng.Now() != 0 {
 		t.Fatalf("warm-up advanced simulated time to %v", r.eng.Now())
 	}
@@ -230,5 +232,35 @@ func TestIPCZeroBeforeFinish(t *testing.T) {
 	r := newRig(t, "gcc", 0, false)
 	if r.core.IPC() != 0 {
 		t.Fatal("IPC before finishing should be 0")
+	}
+}
+
+// TestWarmAllocatesNothing: a steady-state warm-up round, its DRAM-cache
+// calls going through a WarmBatch that flushes into contents of both
+// organizations, allocates nothing.
+func TestWarmAllocatesNothing(t *testing.T) {
+	r := newRig(t, "mcf", 0, false)
+	eng := &event.Engine{}
+	cfg := dcache.Config{
+		Org:       dcache.DirectMapped,
+		SizeBytes: 1 << 20,
+		DRAM:      addrmap.Geometry{Channels: 4, Ranks: 1, Banks: 16, RowBytes: 4096, BlockSize: 64},
+		Timing:    dram.StackedDRAM(),
+		Ctrl:      core.DefaultConfig(core.CD),
+		UseMAPI:   true,
+		Cores:     1,
+	}
+	dm, err := dcache.New(eng, cfg, mainmem.New(eng, mainmem.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dcache.NewWarmBatch([]*dcache.Contents{r.dc.Contents, dm.Contents})
+	r.core.Warm(50_000, r.l2.arr, b)
+	reads := dm.Predictor().Lookups
+	if n := testing.AllocsPerRun(20, func() { r.core.Warm(1024, r.l2.arr, b) }); n != 0 {
+		t.Fatalf("a warm-up round allocates %v times, want 0", n)
+	}
+	if dm.Predictor().Lookups == reads {
+		t.Fatal("the measured rounds applied no DRAM-cache read")
 	}
 }

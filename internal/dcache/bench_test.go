@@ -7,36 +7,28 @@ import (
 	"dcasim/internal/workload"
 )
 
-// warmCall is one DRAM-cache call of the functional warm-up.
-type warmCall struct {
-	addr  int64
-	pc    uint64
-	core  int
-	write bool
-}
-
 // warmCalls returns the first n DRAM-cache calls of a bench-scale
 // functional warm-up of the first Table I mix: four generators at the
 // bench preset's working-set scale (0.25), interleaved 1024 memops at a
 // time, each behind a 32 KB 2-way L1, sharing a 2 MB 16-way L2. The
 // filtering mirrors cpu.(*Core).Warm.
-func warmCalls(b *testing.B, n int) []warmCall {
+func warmCalls(tb testing.TB, n int) []warmCall {
 	mix := workload.TableI()[0]
 	gens := make([]*workload.Gen, len(mix.Benchmarks))
 	l1s := make([]*cache.Cache, len(gens))
 	for i, name := range mix.Benchmarks {
 		prof, err := workload.Lookup(name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		gens[i] = workload.NewGen(prof, uint64(i)*7919, int64(i)<<40, 0.25)
 		if l1s[i], err = cache.New(32<<10, BlockBytes, 2, nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	l2, err := cache.New(2<<20, BlockBytes, 16, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var calls []warmCall
 	install := func(addr int64, dirty bool, core int) {
@@ -68,33 +60,52 @@ func warmCalls(b *testing.B, n int) []warmCall {
 
 // BenchmarkWarmContents: one functional DRAM-cache call per iteration,
 // WarmRead or WarmWrite, on bench-scale contents of each organization
-// (64 MB over the paper's DRAM shape, MAP-I on). The iterations replay
-// warmCalls' stream over contents it has already filled, each replay
-// shifted to blocks not seen before, so the contents stay full and keep
-// missing as a warm-up's do.
+// (64 MB over the paper's DRAM shape, MAP-I on), applied call by call
+// and, in the -batched sub-benchmarks, through a WarmBatch as warm-up
+// applies them. The iterations replay warmCalls' stream over contents it
+// has already filled, each replay shifted to blocks not seen before, so
+// the contents stay full and keep missing as a warm-up's do. Replayed
+// back to back, per-call calls already let the host overlap one call's
+// misses with the next, which warm-up, with its L1 and L2 work between
+// calls, does not; so batching gains nothing here, and BenchmarkWarmUp
+// in internal/sim is where it shows.
 func BenchmarkWarmContents(b *testing.B) {
 	calls := warmCalls(b, 1<<17)
 	for _, org := range []Org{SetAssoc, DirectMapped} {
-		b.Run(org.String(), func(b *testing.B) {
-			c, err := NewContents(Config{Org: org, SizeBytes: 64 << 20, DRAM: paperDRAM(), UseMAPI: true, Cores: 4}, nil)
-			if err != nil {
-				b.Fatal(err)
+		for _, batched := range []bool{false, true} {
+			name := org.String()
+			if batched {
+				name += "-batched"
 			}
-			replay := func(k warmCall, shift int64) {
-				if k.write {
-					c.WarmWrite(k.addr+shift, k.core)
-				} else {
-					c.WarmRead(k.addr+shift, k.core, k.pc)
+			b.Run(name, func(b *testing.B) {
+				c, err := NewContents(Config{Org: org, SizeBytes: 64 << 20, DRAM: paperDRAM(), UseMAPI: true, Cores: 4}, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			for _, k := range calls {
-				replay(k, 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				replay(calls[i%len(calls)], int64(1+i/len(calls))<<44)
-			}
-		})
+				batch := NewWarmBatch([]*Contents{c})
+				replay := func(k warmCall, shift int64) {
+					switch {
+					case batched && k.write:
+						batch.Write(k.addr+shift, k.core)
+					case batched:
+						batch.Read(k.addr+shift, k.core, k.pc)
+					case k.write:
+						c.WarmWrite(k.addr+shift, k.core)
+					default:
+						c.WarmRead(k.addr+shift, k.core, k.pc)
+					}
+				}
+				for _, k := range calls {
+					replay(k, 0)
+				}
+				batch.Flush()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					replay(calls[i%len(calls)], int64(1+i/len(calls))<<44)
+				}
+				batch.Flush()
+			})
+		}
 	}
 }

@@ -1,192 +1,179 @@
 package dcache
 
+import "math/bits"
+
 // tagStore is the functional (zero-time) tag state of the DRAM cache:
 // which blocks are present, their dirtiness, and LRU order. Timing is
 // charged separately by the access chains; the functional state advances
 // when the corresponding tag accesses complete.
+//
+// The store is one array of words. A way is one word holding its tag
+// plus one, with the dirty bit in bit 63, so a zero word is an invalid
+// way. A set-associative set is one 16-word, 128-byte record, as the
+// Loh–Hill tag block keeps a set's tags together: its 15 way words, then
+// an order word of the 15 way indices, four bits each, most recently
+// used first. A zero order word reads as the identity order, so a
+// cleared array is an empty store. A direct-mapped set is one way word
+// and keeps no order: a 1-way set has no replacement choice.
 type tagStore struct {
-	geom Geometry
-	// Per-way state, way set*ways+way. tag is the block tag, with
-	// emptyTag marking an invalid way so the 15-way hit scan touches
-	// only two cache lines of tag words; lru and the dirty bits live
-	// separately and are loaded only on the miss (victim) path or on a
-	// hit way. dbit packs the dirty bits 64 ways to a word. A 1-way
-	// (direct-mapped) store has no replacement choice, so it keeps no
-	// lru array at all.
-	tag  []int64
-	dbit []uint64
-	lru  []uint32
-	tick uint32
+	geom  Geometry
+	words []uint64
+	shift uint // log2 of the words per set: recShift, or 0 for one way
 
-	// While journaling, every write first records the way's prior state
-	// so rollback can undo a timed run without a copy of the arrays.
+	// While journaling, every write first records the set's prior state
+	// so rollback can undo a timed run without a copy of the store.
 	journaling bool
 	journal    []undo
-	savedTick  uint32
 }
 
-// undo is one journal entry: a way's state before a write.
+// undo is one journal entry: a way word and, in a set-associative set,
+// its record's order word, before a write.
 type undo struct {
-	i     int64
-	tag   int64
-	lru   uint32
-	dirty bool
+	i     int64 // index of the way word
+	way   uint64
+	order uint64
 }
 
-// emptyTag marks an invalid way. Real tags are block addresses divided by
-// the set count and therefore non-negative.
-const emptyTag = int64(-1)
+const (
+	dirtyBit = uint64(1) << 63
 
-// newTagStore builds an empty store for g, reusing each array of spare
-// that is large enough. spare may be nil; otherwise nothing may use it
-// any more.
+	// A set-associative record is 1<<recShift words: saWays way words
+	// and the order word.
+	recShift  = 4
+	orderWord = 1<<recShift - 1
+
+	// identityOrder is what a zero order word reads as: way 0 most
+	// recently used, way saWays-1 least.
+	identityOrder = uint64(0x0EDCBA9876543210)
+	// nibbleOnes has a one in each of the order word's 15 nibbles.
+	nibbleOnes = uint64(0x0111111111111111)
+)
+
+// newTagStore builds an empty store for g, reusing spare's memory when it
+// is large enough. spare may be nil; otherwise nothing may use it any
+// more.
 func newTagStore(g Geometry, spare *tagStore) *tagStore {
-	n := g.Sets * int64(g.Ways)
-	if spare == nil {
-		spare = &tagStore{}
-	}
-	t := &tagStore{
-		geom:    g,
-		tag:     reuse(spare.tag, n),
-		dbit:    reuse(spare.dbit, (n+63)/64),
-		journal: spare.journal[:0],
-	}
+	t := &tagStore{geom: g}
 	if g.Ways > 1 {
-		t.lru = reuse(spare.lru, n)
+		t.shift = recShift
 	}
-	for i := range t.tag {
-		t.tag[i] = emptyTag
+	n := g.Sets << t.shift
+	if spare == nil || int64(cap(spare.words)) < n {
+		t.words = make([]uint64, n)
+		return t
 	}
+	t.words = spare.words[:n]
+	clear(t.words)
+	t.journal = spare.journal[:0]
 	return t
 }
 
-// reuse returns s resliced to n zeroed elements when its capacity
-// allows, and a new slice otherwise.
-func reuse[E any](s []E, n int64) []E {
-	if int64(cap(s)) < n {
-		return make([]E, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
+func (t *tagStore) idx(set int64, way int) int64 { return set<<t.shift + int64(way) }
 
-func (t *tagStore) idx(set int64, way int) int64 { return set*int64(t.geom.Ways) + int64(way) }
+// find returns the way of set that holds tag, or -1.
+func (t *tagStore) find(set, tag int64) int {
+	want := uint64(tag) + 1
+	if t.shift == 0 {
+		if t.words[set]&^dirtyBit == want {
+			return 0
+		}
+		return -1
+	}
+	for w, x := range t.words[set<<recShift:][:saWays] {
+		if x&^dirtyBit == want {
+			return w
+		}
+	}
+	return -1
+}
 
 // lookup returns the way holding blockAddr, or -1.
 func (t *tagStore) lookup(blockAddr int64) (set int64, way int) {
 	set = t.geom.SetOf(blockAddr)
-	want := t.geom.TagOf(blockAddr)
-	base := set * int64(t.geom.Ways)
-	for w := 0; w < t.geom.Ways; w++ {
-		if t.tag[base+int64(w)] == want {
-			return set, w
-		}
-	}
-	return set, -1
+	return set, t.find(set, t.geom.TagOf(blockAddr))
 }
 
 // lookupOrVictim combines lookup and victim selection for the warm-up
 // fast path: way is -1 on a miss, in which case victim is the way to
-// replace (the first invalid way if one exists, else LRU). The hit scan
-// runs first and touches only the tag words; the victim scan runs only
-// on a miss.
+// replace (the first invalid way if one exists, else LRU).
 //
 //dcalint:noalloc
 func (t *tagStore) lookupOrVictim(blockAddr int64) (set int64, way, victim int) {
 	set = t.geom.SetOf(blockAddr)
-	want := t.geom.TagOf(blockAddr)
-	base := set * int64(t.geom.Ways)
-	for w := 0; w < t.geom.Ways; w++ {
-		if t.tag[base+int64(w)] == want {
-			return set, w, -1
+	if way = t.find(set, t.geom.TagOf(blockAddr)); way >= 0 {
+		return set, way, -1
+	}
+	return set, -1, t.victim(set)
+}
+
+// victim selects the replacement way in set: an invalid way if one
+// exists, otherwise the LRU way.
+func (t *tagStore) victim(set int64) int {
+	if t.shift == 0 {
+		return 0
+	}
+	rec := t.words[set<<recShift:][:orderWord+1]
+	for w, x := range rec[:saWays] {
+		if x == 0 {
+			return w
 		}
 	}
-	if t.lru == nil {
-		return set, -1, 0 // one way: it is the victim, valid or not
+	return int(readOrder(rec[orderWord]) >> (4 * (saWays - 1)))
+}
+
+// readOrder returns the LRU order an order word holds.
+func readOrder(o uint64) uint64 {
+	if o == 0 {
+		return identityOrder
 	}
-	victim = -1
-	var oldest uint32
-	for w := 0; w < t.geom.Ways; w++ {
-		i := base + int64(w)
-		if t.tag[i] == emptyTag {
-			victim = w
-			break
-		}
-		if victim < 0 || t.lru[i] < oldest {
-			victim, oldest = w, t.lru[i]
-		}
-	}
-	return set, -1, victim
+	return o
+}
+
+// promote moves way to the front of set's LRU order.
+func (t *tagStore) promote(set int64, way int) {
+	o := &t.words[set<<recShift+orderWord]
+	order, w := readOrder(*o), uint64(way)
+	// way's nibble is the lowest zero nibble of order^w*nibbleOnes, and
+	// the classic zero-byte test, on nibbles, finds the lowest exactly.
+	x := order ^ w*nibbleOnes
+	p := bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3)) &^ 3
+	*o = order&^(1<<(p+4)-1) | (order&(1<<p-1))<<4 | w
 }
 
 // touch updates replacement state for a hit. A 1-way store has none.
 //
 //dcalint:noalloc
 func (t *tagStore) touch(set int64, way int) {
-	if t.lru == nil {
+	if t.shift == 0 {
 		return
 	}
-	i := t.idx(set, way)
 	if t.journaling {
-		t.save(i)
+		t.save(t.idx(set, way))
 	}
-	t.tick++
-	t.lru[i] = t.tick
-}
-
-// isDirty and putDirty read and write way i's dirty bit.
-func (t *tagStore) isDirty(i int64) bool { return t.dbit[i>>6]&(1<<(i&63)) != 0 }
-
-func (t *tagStore) putDirty(i int64, dirty bool) {
-	if dirty {
-		t.dbit[i>>6] |= 1 << (i & 63)
-	} else {
-		t.dbit[i>>6] &^= 1 << (i & 63)
-	}
+	t.promote(set, way)
 }
 
 // dirty returns whether (set, way) holds a dirty block.
 func (t *tagStore) dirty(set int64, way int) bool {
-	return t.isDirty(t.idx(set, way))
+	return t.words[t.idx(set, way)]&dirtyBit != 0
 }
 
-// setDirty marks (set, way) dirty.
+// setDirty marks the block in (set, way) dirty.
 func (t *tagStore) setDirty(set int64, way int) {
 	i := t.idx(set, way)
 	if t.journaling {
 		t.save(i)
 	}
-	t.putDirty(i, true)
-}
-
-// victim selects the replacement way in set: an invalid way if one
-// exists, otherwise the LRU way.
-func (t *tagStore) victim(set int64) int {
-	if t.lru == nil {
-		return 0
-	}
-	victim, oldest := 0, uint32(0)
-	first := true
-	for w := 0; w < t.geom.Ways; w++ {
-		i := t.idx(set, w)
-		if t.tag[i] == emptyTag {
-			return w
-		}
-		if first || t.lru[i] < oldest {
-			victim, oldest, first = w, t.lru[i], false
-		}
-	}
-	return victim
+	t.words[i] |= dirtyBit
 }
 
 // victimInfo reports the block currently in (set, way).
 func (t *tagStore) victimInfo(set int64, way int) (blockAddr int64, valid, dirty bool) {
-	i := t.idx(set, way)
-	if t.tag[i] == emptyTag {
+	x := t.words[t.idx(set, way)]
+	if x == 0 {
 		return 0, false, false
 	}
-	return t.tag[i]*t.geom.Sets + set, true, t.isDirty(i)
+	return int64(x&^dirtyBit-1)*t.geom.Sets + set, true, x&dirtyBit != 0
 }
 
 // install places blockAddr into (set, way), replacing the previous
@@ -198,12 +185,34 @@ func (t *tagStore) install(blockAddr int64, set int64, way int, dirty bool) {
 	if t.journaling {
 		t.save(i)
 	}
-	t.tag[i] = t.geom.TagOf(blockAddr)
-	t.putDirty(i, dirty)
-	if t.lru != nil {
-		t.tick++
-		t.lru[i] = t.tick
+	x := uint64(t.geom.TagOf(blockAddr)) + 1
+	if dirty {
+		x |= dirtyBit
 	}
+	t.words[i] = x
+	if t.shift != 0 {
+		t.promote(set, way)
+	}
+}
+
+// preload loads the words of the sets blocks map to, both 64-byte lines
+// of a set-associative record, and returns their sum. Loading a batch of
+// sets before their calls scan them lets the host overlap the misses
+// that one dependent scan after another would each wait out.
+//
+//dcalint:noalloc
+func (t *tagStore) preload(calls []warmCall) (sum uint64) {
+	if t.shift == 0 {
+		for i := range calls {
+			sum += t.words[t.geom.SetOf(calls[i].addr)]
+		}
+		return sum
+	}
+	for i := range calls {
+		rec := t.words[t.geom.SetOf(calls[i].addr)<<recShift:][:orderWord+1]
+		sum += rec[0] + rec[8]
+	}
+	return sum
 }
 
 // checkpoint starts journaling writes so rollback can return the store
@@ -211,22 +220,23 @@ func (t *tagStore) install(blockAddr int64, set int64, way int, dirty bool) {
 func (t *tagStore) checkpoint() {
 	t.journaling = true
 	t.journal = t.journal[:0]
-	t.savedTick = t.tick
 }
 
-// save journals way i before a write. A journal entry takes 24 bytes,
-// about twice the 12 bytes a set-associative way does, so once it holds
-// half as many entries as the store has ways it would outweigh a plain
-// copy of the store: it is then dropped, and rollback reports failure.
+// save journals way word i, and its order word, before a write. A
+// journal entry takes 24 bytes, about three times the 8.5 bytes a
+// set-associative way takes (8 bytes direct-mapped), so once it holds
+// half as many entries as the store has ways it outweighs a plain copy
+// of the store by 40–50%: it is then dropped, and rollback reports
+// failure.
 func (t *tagStore) save(i int64) {
-	if len(t.journal) >= len(t.tag)/2 {
+	if int64(len(t.journal)) >= t.geom.Sets*int64(t.geom.Ways)/2 {
 		t.journaling = false
 		t.journal = nil
 		return
 	}
-	u := undo{i: i, tag: t.tag[i], dirty: t.isDirty(i)}
-	if t.lru != nil {
-		u.lru = t.lru[i]
+	u := undo{i: i, way: t.words[i]}
+	if t.shift != 0 {
+		u.order = t.words[i|orderWord]
 	}
 	t.journal = append(t.journal, u)
 }
@@ -240,13 +250,11 @@ func (t *tagStore) rollback() bool {
 	}
 	for k := len(t.journal) - 1; k >= 0; k-- {
 		u := t.journal[k]
-		t.tag[u.i] = u.tag
-		t.putDirty(u.i, u.dirty)
-		if t.lru != nil {
-			t.lru[u.i] = u.lru
+		t.words[u.i] = u.way
+		if t.shift != 0 {
+			t.words[u.i|orderWord] = u.order
 		}
 	}
-	t.tick = t.savedTick
 	t.journal = t.journal[:0]
 	t.journaling = false
 	return true

@@ -16,21 +16,23 @@ func newTags(t *testing.T, org Org) *tagStore {
 
 func smallTags(t *testing.T) *tagStore { return newTags(t, SetAssoc) }
 
-// snapshot copies a store's arrays and clock for comparison.
-func snapshot(ts *tagStore) ([]int64, []uint64, []uint32, uint32) {
-	return append([]int64(nil), ts.tag...), append([]uint64(nil), ts.dbit...), append([]uint32(nil), ts.lru...), ts.tick
-}
+// snapshot copies a store's words for comparison.
+func snapshot(ts *tagStore) []uint64 { return append([]uint64(nil), ts.words...) }
 
 // TestTagJournalRollback: in both organizations, rollback undoes every
-// write since checkpoint exactly — tags, packed dirty bits and, in the
-// set-associative store, LRU state — and a journal that outgrows half
-// the ways is dropped, so rollback then reports failure. The 1-way
-// direct-mapped store keeps no LRU array.
+// write since checkpoint exactly — way words and, in the set-associative
+// store, order words — and a journal that outgrows half the ways is
+// dropped, so rollback then reports failure. A set-associative set is a
+// 16-word record; a direct-mapped one is one word.
 func TestTagJournalRollback(t *testing.T) {
 	for _, org := range []Org{SetAssoc, DirectMapped} {
 		ts := newTags(t, org)
-		if (ts.lru == nil) != (org == DirectMapped) {
-			t.Fatalf("%v: lru array %v for %d ways", org, ts.lru != nil, ts.geom.Ways)
+		perSet := int64(1)
+		if org == SetAssoc {
+			perSet = 16
+		}
+		if int64(len(ts.words)) != ts.geom.Sets*perSet {
+			t.Fatalf("%v: %d words for %d sets", org, len(ts.words), ts.geom.Sets)
 		}
 		write := func(n int) {
 			for i := 0; i < n; i++ {
@@ -45,27 +47,27 @@ func TestTagJournalRollback(t *testing.T) {
 			}
 		}
 		write(5000) // warm state
-		tag, dbit, lru, tick := snapshot(ts)
+		words := snapshot(ts)
 		ts.checkpoint()
 		write(3000)
 		if !ts.rollback() {
 			t.Fatalf("%v: rollback of a small journal failed", org)
 		}
-		gotTag, gotDbit, gotLRU, gotTick := snapshot(ts)
-		if !reflect.DeepEqual(gotTag, tag) || !reflect.DeepEqual(gotDbit, dbit) || !reflect.DeepEqual(gotLRU, lru) || gotTick != tick {
+		if !reflect.DeepEqual(snapshot(ts), words) {
 			t.Fatalf("%v: rollback did not restore the checkpointed store", org)
 		}
 		ts.checkpoint()
-		write(len(ts.tag))
+		write(int(ts.geom.Sets) * ts.geom.Ways)
 		if ts.rollback() {
 			t.Fatalf("%v: rollback succeeded after the journal outgrew the store", org)
 		}
 	}
 }
 
-// TestPackedDirtyBits: every way's dirty bit is its own across the word
-// boundaries of the packed array, an install sets or clears it, and a
-// rollback restores bits that were set and bits that were cleared.
+// TestPackedDirtyBits: every way's dirty bit, bit 63 of its way word, is
+// its own across neighbouring ways and set records, an install sets or
+// clears it, and a rollback restores bits that were set and bits that
+// were cleared.
 func TestPackedDirtyBits(t *testing.T) {
 	for _, org := range []Org{SetAssoc, DirectMapped} {
 		ts := newTags(t, org)
@@ -73,7 +75,7 @@ func TestPackedDirtyBits(t *testing.T) {
 		at := func(i int64) (set int64, way int) { return i / ways, int(i % ways) }
 		check := func(what string, want func(i int64) bool) {
 			t.Helper()
-			for i := int64(56); i < 136; i++ { // words 0..2
+			for i := int64(56); i < 136; i++ {
 				if set, way := at(i); ts.dirty(set, way) != want(i) {
 					t.Fatalf("%v %s: way %d dirty=%v", org, what, i, !want(i))
 				}
@@ -102,30 +104,33 @@ func TestPackedDirtyBits(t *testing.T) {
 	}
 }
 
-// TestTagStoreReuse: a store built over a spare's arrays starts empty,
-// and a spare of the other organization lends what fits: a
-// set-associative store hosts a direct-mapped one, and a direct-mapped
-// spare, which has no LRU array, leaves a set-associative store to
-// allocate one.
+// TestTagStoreReuse: a store built over a spare's memory starts empty,
+// and a spare of the other organization lends it when it is large
+// enough: a set-associative store hosts a direct-mapped one and takes
+// its memory back, while a direct-mapped store of its own is too small
+// for a set-associative one, which allocates.
 func TestTagStoreReuse(t *testing.T) {
 	old := smallTags(t)
 	old.install(42, old.geom.SetOf(42), 3, true)
 	ts := newTagStore(old.geom, old)
-	if &ts.tag[0] != &old.tag[0] || &ts.dbit[0] != &old.dbit[0] || &ts.lru[0] != &old.lru[0] {
-		t.Fatal("the spare's arrays were not reused")
+	if &ts.words[0] != &old.words[0] {
+		t.Fatal("the spare's words were not reused")
 	}
-	if _, way := ts.lookup(42); way >= 0 || ts.dirty(old.geom.SetOf(42), 3) || ts.tick != 0 {
+	if _, way := ts.lookup(42); way >= 0 || ts.dirty(old.geom.SetOf(42), 3) || ts.words[15] != 0 {
 		t.Fatal("a reused store kept the spare's contents")
 	}
 
 	dmGeom := newTags(t, DirectMapped).geom
 	dm := newTagStore(dmGeom, ts)
-	if &dm.tag[0] != &ts.tag[0] || dm.lru != nil {
-		t.Fatal("a direct-mapped store did not reuse a set-associative spare's tags")
+	if &dm.words[0] != &ts.words[0] || int64(len(dm.words)) != dmGeom.Sets {
+		t.Fatal("a direct-mapped store did not reuse a set-associative spare's words")
 	}
-	sa := newTagStore(old.geom, dm)
-	if len(sa.lru) != len(sa.tag) {
-		t.Fatal("a set-associative store over a direct-mapped spare has no LRU array")
+	if sa := newTagStore(old.geom, dm); &sa.words[0] != &dm.words[0] || int64(len(sa.words)) != 16*old.geom.Sets {
+		t.Fatal("a set-associative store did not take back the memory a direct-mapped one borrowed")
+	}
+	small := newTagStore(dmGeom, nil)
+	if sa := newTagStore(old.geom, small); &sa.words[0] == &small.words[0] || int64(len(sa.words)) != 16*old.geom.Sets {
+		t.Fatal("a set-associative store over a too small direct-mapped spare did not allocate")
 	}
 }
 

@@ -58,16 +58,9 @@ type Runner struct {
 // watchdog abandoned keeps sole ownership of the state it was using.
 type warmSlot struct {
 	w     *sim.Warmed // state the next member runs over; nil warms afresh
-	keep  bool        // another member of the group follows: keep w for it
-	both  bool        // the group's members use both organizations: a warm-up fills both
+	keep  bool        // another member of the group will simulate: keep w for it
+	both  bool        // the members left to simulate use both organizations: a warm-up fills both
 	spare *sim.Warmed // a spent state whose memory the next warm-up reuses
-}
-
-// warmGroup is one dispatch unit of Ensure: distinct configs with one
-// sim.WarmKey, which run in turn over one warm-up.
-type warmGroup struct {
-	members []int // indices into Ensure's configs, in spec order
-	both    bool  // the members use both organizations
 }
 
 // call is the in-flight record of one run (singleflight): concurrent
@@ -275,12 +268,14 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return r.runIn(cfg, h, nil)
+	return r.runIn(cfg, h, nil, false)
 }
 
 // runIn is Run for cfg, whose hash is h, as a member of a warm group: a
-// simulation it needs runs over the group's shared state in s.
-func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, error) {
+// simulation it needs runs over the group's shared state in s. probed
+// says resolve has read the persistent cache for h, so runIn does not
+// read it again.
+func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot, probed bool) (sim.Result, error) {
 	r.mu.Lock()
 	if res, ok := r.results[h]; ok {
 		r.mu.Unlock()
@@ -304,7 +299,7 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, er
 	if cacheable {
 		// Validate before consulting the cache: a bad config must fail
 		// loudly even if a stale entry happens to exist under its hash.
-		if c.err = cfg.Validate(); c.err == nil {
+		if c.err = cfg.Validate(); c.err == nil && !probed {
 			c.res, fromCache = r.cache.Get(h)
 		}
 	}
@@ -336,6 +331,37 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, er
 	return c.res, c.err
 }
 
+// resolve serves the run of cfg (hash h) as runIn would without
+// simulating it, and reports whether it is left to simulate. A run in
+// the memo, failed or in flight is not: runIn returns or waits for it.
+// Otherwise resolve reads the persistent cache, as runIn does, and
+// commits a hit to the memo, so runIn reads no entry twice. It commits
+// only while no run of h is in flight, so a hit is counted once.
+func (r *Runner) resolve(cfg config.Config, h string) (simulate bool) {
+	known := func() bool {
+		_, done := r.results[h]
+		_, running := r.inflight[h]
+		return done || running || r.errs[h] != nil
+	}
+	r.mu.Lock()
+	done := known()
+	r.mu.Unlock()
+	if done || r.cache == nil || !Cacheable(cfg) || cfg.Validate() != nil {
+		return !done
+	}
+	res, ok := r.cache.Get(h)
+	if !ok {
+		return true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !known() {
+		r.results[h] = res
+		r.cacheHits++
+	}
+	return false
+}
+
 // Ensure computes every missing config through a bounded worker pool and
 // returns the first error in dispatch order. Duplicates are launched
 // once: a joiner blocked on the singleflight would otherwise hold a
@@ -343,11 +369,13 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot) (sim.Result, er
 //
 // The distinct configs are grouped by sim.WarmKey: groups in order of
 // first appearance, members in spec order. Configs that differ only in
-// organization share a key, so a group may span both organizations; its
-// warm-up then fills the DRAM-cache contents of both. A group is one
-// dispatch unit. Its members run one after another on one worker, over
-// one functional warm-up (see sim.Warmed): a member that fails drops
-// the warm state and the next member warms afresh. A worker's next
+// organization share a key, so a group may span both organizations. A
+// group is one dispatch unit. Its worker first resolves the members
+// against the memo and the persistent cache, then runs them one after
+// another over one functional warm-up (see sim.Warmed), which fills the
+// DRAM-cache contents of the organizations the members left to simulate
+// use and is kept only until the last of them: a member that fails
+// drops the warm state and the next member warms afresh. A worker's next
 // warm-up reuses the memory of the state its last group consumed. Trace
 // replay and recording configs have no key and run alone.
 //
@@ -387,7 +415,7 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 // hashes[i] is cfgs[i].Hash().
 func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 	keepGoing := r.keepGoing
-	var groups []warmGroup
+	var groups [][]int // indices into cfgs: distinct configs with one warm key, in spec order
 	seen := make(map[string]bool, len(cfgs))
 	groupOf := make(map[string]int)
 	for i, cfg := range cfgs {
@@ -397,16 +425,13 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 		seen[hashes[i]] = true
 		key, ok := sim.WarmKey(cfg)
 		if g, found := groupOf[key]; ok && found {
-			if cfg.Org != cfgs[groups[g].members[0]].Org {
-				groups[g].both = true
-			}
-			groups[g].members = append(groups[g].members, i)
+			groups[g] = append(groups[g], i)
 			continue
 		}
 		if ok {
 			groupOf[key] = len(groups)
 		}
-		groups = append(groups, warmGroup{members: []int{i}})
+		groups = append(groups, []int{i})
 	}
 	total := len(seen)
 
@@ -468,6 +493,7 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 		go func() {
 			defer wg.Done()
 			s := &warmSlot{}
+			var left []int // the members of the group left to simulate
 			for g := range idxCh {
 				// Every received group runs to its own first failure,
 				// even one that slipped through the dispatcher's send in
@@ -477,11 +503,22 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 				// group, so running it costs extra runs only — while
 				// cutting a group short could skip a failure that a
 				// one-worker pass would have reported first.
-				s.w = nil // a group whose last members were cached leaves its state
-				members := groups[g].members
-				for k, i := range members {
-					s.keep, s.both = k < len(members)-1, groups[g].both
-					_, err := r.runIn(cfgs[i], hashes[i], s)
+				s.w = nil // a group whose last member was served meanwhile leaves its state
+				// Resolve the members first: the warm-up fills, and is
+				// kept for, only the members left to simulate.
+				left = left[:0]
+				for _, i := range groups[g] {
+					if r.resolve(cfgs[i], hashes[i]) {
+						left = append(left, i)
+					}
+				}
+				last, both := -1, false
+				for _, i := range left {
+					last, both = i, both || cfgs[i].Org != cfgs[left[0]].Org
+				}
+				for _, i := range groups[g] {
+					s.keep, s.both = i != last, both
+					_, err := r.runIn(cfgs[i], hashes[i], s, true)
 					report()
 					if err != nil {
 						s = &warmSlot{} // the failed run may still hold the old one
@@ -517,7 +554,7 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 	defer r.mu.Unlock()
 	if !keepGoing {
 		for _, g := range groups {
-			for _, i := range g.members {
+			for _, i := range g {
 				if err := r.errs[hashes[i]]; err != nil {
 					return runError(cfgs[i], hashes[i], err)
 				}

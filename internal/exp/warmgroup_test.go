@@ -60,6 +60,46 @@ func TestAllFiguresShareWarmUps(t *testing.T) {
 	}
 }
 
+// TestWarmUpsFillOnlyOrganizationsLeftToSimulate: a warm-up fills the
+// contents only of the organizations its group still has to simulate.
+// Fig. 10 (set-associative) fills a result cache; a fresh runner's
+// Fig. 8 over the same mix is then served its 7 set-associative runs
+// from the cache and simulates the 7 direct-mapped ones, and none of its
+// 5 warm-ups fills both organizations.
+func TestWarmUpsFillOnlyOrganizationsLeftToSimulate(t *testing.T) {
+	cache, err := rescache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := workload.TableI()[:1]
+	fill := NewRunner(config.Test(), mixes, 1)
+	fill.SetCache(cache)
+	if _, err := fill.Figure("fig10"); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(config.Test(), mixes, 1)
+	r.SetCache(cache)
+	var warmedBoth []bool
+	r.run = func(cfg config.Config, s *warmSlot) (sim.Result, error) {
+		if cfg.Org != dcache.DirectMapped {
+			t.Errorf("%v/%v simulated; the cache holds it", cfg.Design, cfg.Org)
+		}
+		if s.w == nil {
+			warmedBoth = append(warmedBoth, s.both)
+		}
+		return r.simulate(cfg, s)
+	}
+	if _, err := r.Figure("fig8"); err != nil {
+		t.Fatal(err)
+	}
+	if got := [3]int64{r.SimRuns(), r.CacheHits(), r.warmUpCount()}; got != [3]int64{7, 7, 5} {
+		t.Errorf("%d simulations, %d cache hits and %d warm-ups, want 7, 7 and 5", got[0], got[1], got[2])
+	}
+	if want := make([]bool, 5); !reflect.DeepEqual(warmedBoth, want) {
+		t.Errorf("warm-ups filled both organizations: %v, want %v", warmedBoth, want)
+	}
+}
+
 // groupCfgs returns configs that share one warm key: mcf/lbm/libquantum/
 // omnetpp on the test machine under each design.
 func groupCfgs(org dcache.Org, seed uint64, mod func(*config.Config)) []config.Config {

@@ -306,18 +306,21 @@ func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) 
 	}
 
 	// Interleave the cores in rounds so shared L2 and DRAM-cache state see
-	// the multiprogrammed interleaving, then clear the L2 array's counters
-	// (Core.Warm clears each L1's).
+	// the multiprogrammed interleaving, apply the DRAM-cache calls still
+	// deferred, then clear the L2 array's counters (Core.Warm clears each
+	// L1's).
 	const warmRound = 1024
+	batch := dcache.NewWarmBatch(w.dcs)
 	for done := int64(0); done < cfg.WarmMemops; done += warmRound {
 		n := warmRound
 		if cfg.WarmMemops-done < int64(n) {
 			n = int(cfg.WarmMemops - done)
 		}
 		for i := range cores {
-			cores[i].Warm(int64(n), w.l2, w.dcs)
+			cores[i].Warm(int64(n), w.l2, batch)
 		}
 	}
+	batch.Flush()
 	w.l2.ResetStats()
 	warmed = true
 	return w, nil
