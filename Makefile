@@ -3,7 +3,7 @@
 #   make            - build + lint + test (what CI runs per PR)
 #   make lint       - go vet + cmd/dcalint (the custom invariant
 #                     analyzers: determinism, zero-alloc, exhaustive
-#                     enums, simtime units, rescache/trace errors)
+#                     enums, simtime units, rescache errors)
 #                     + golangci-lint when installed (CI always runs it)
 #   make race       - full test suite under the race detector (CI job)
 #   make faults     - fault-model suite under -race: cachefs fault
@@ -11,13 +11,14 @@
 #                     and the exp panic/watchdog/keep-going,
 #                     warm-group failure, SIGKILL-recovery and
 #                     concurrent-cache-handle tests (CI job)
-#   make fuzz-short - short fuzz pass over the trace decoder, the
-#                     result-cache reader and its payload decoder, the
-#                     config and sweep-spec loaders, config patching vs
-#                     its JSON-merge oracle, the canonical config
-#                     encoder vs encoding/json, the event kernel vs
-#                     its heap oracle, and the DRAM-cache tag store vs
-#                     its stamp-based oracle (CI job)
+#   make fuzz-short - short fuzz pass over the result-cache reader and
+#                     its payload decoder, the config and sweep-spec
+#                     loaders, config patching vs its JSON-merge
+#                     oracle, the canonical config encoder vs
+#                     encoding/json, the event kernel vs its heap
+#                     oracle, the DRAM-cache tag store vs its
+#                     stamp-based oracle, and whole simulations of
+#                     fuzzed configs (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -36,10 +37,7 @@
 #                     fails on any regressed row (CI job)
 #   make determinism - render every figure at test scale over two mixes
 #                      at -j 1 and -j 8 under -race and require
-#                      byte-identical output,
-#                      then require a -keep-going sweep with injected
-#                      failures to report them byte-identically at
-#                      every worker count, then require a -seeds 3
+#                      byte-identical output, then require a -seeds 3
 #                      replicated sweep to render byte-identical
 #                      mean ±CI tables at -j 1 and -j 8 (CI job)
 
@@ -78,8 +76,9 @@ race:
 # tests, the rescache crash/corruption/concurrent-Put tests, and in
 # internal/exp the SIGKILL kill-recovery test, the two-handle concurrent
 # runner test (duplicate work, never a wrong result), the
-# panic-isolation, watchdog, and keep-going tests, and the warm-group
-# failure tests (a failing member never hands its warm state on). This
+# panic-isolation and watchdog tests, the keep-going tests (a sweep's
+# joined failures byte-identical at 1 and 8 workers, and its successes
+# resumable from the cache), and the warm-group failure tests (a failing member never hands its warm state on). This
 # is the "nothing wedges, nothing lies" gate — see README "Failure
 # model".
 faults:
@@ -87,9 +86,8 @@ faults:
 	$(GO) test -race -count=1 -run 'Fault|Panic|Timeout|KeepGoing|Kill|CacheFS|ConcurrentHandles|WarmGroup' ./internal/exp
 
 # Short fuzz pass over the byte-level readers, the user-supplied config
-# and sweep-spec files, and the event kernel: a malformed trace must
-# never panic the simulator, an arbitrary cache entry must never be
-# trusted unless it fully verifies (FuzzCacheGet re-checks every
+# and sweep-spec files, the event kernel and the simulator: an
+# arbitrary cache entry must never be trusted unless it fully verifies (FuzzCacheGet re-checks every
 # accepted entry against an independent oracle), an arbitrary result
 # payload must decode without panicking, in memory bounded by its
 # length, and re-encode to exactly itself when accepted
@@ -103,11 +101,12 @@ faults:
 # drive the timing wheel and the retired 4-ary heap to the exact same
 # dispatch sequence (FuzzEngineOps), and an arbitrary op program must
 # get the same answers from the packed DRAM-cache tag store as from its
-# stamp-based oracle, journal rollbacks included (FuzzTagStore).
+# stamp-based oracle, journal rollbacks included (FuzzTagStore), and a
+# config that passes Validate must simulate to a finite positive IPC
+# per core with consistent counters (FuzzRun).
 # Checked-in corpora live in internal/<pkg>/testdata/fuzz; CI archives
 # grown corpora.
 fuzz-short:
-	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzDecoder' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzDecodeResult' -fuzztime 30s
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
@@ -116,6 +115,7 @@ fuzz-short:
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzCanonical' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 	$(GO) test ./internal/dcache -run '^$$' -fuzz 'FuzzTagStore' -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzRun' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate every example declarative spec at
 # the test scale through the persistent result cache (CI restores the
@@ -184,35 +184,25 @@ ab:
 # with the race detector watching the worker pool. Warm groups span
 # both organizations, so figures with one organization (fig18 SA,
 # fig19 DM) and with both change how runs are dispatched; rendering
-# them all covers each shape.
-# The second half asserts the same contract for the failure path: a
-# -keep-going sweep whose ghost-trace points fail at runtime (see
-# testdata/sweep_keepgoing.json) must report the joined failures
-# byte-identically at every worker count. The grep guard pins the
-# expected failure count, so a compile error or an accidentally-green
-# sweep cannot slip through the `|| true` that tolerates the intended
-# nonzero exit. The third half extends the contract to seeded
-# replication: a -seeds 3 sweep (testdata/sweep_seeds.json) must render
-# its mean ±CI95 table byte-identically at -j 1 and -j 8 — replicate
-# fan-out multiplies the points the pool dispatches, so it is the
-# stress case for in-order result commitment — and the ± grep guard
+# them all covers each shape. The second half extends the contract to
+# seeded replication: a -seeds 3 sweep (testdata/sweep_seeds.json) must
+# render its mean ±CI95 table byte-identically at -j 1 and -j 8 —
+# replicate fan-out multiplies the points the pool dispatches, so it is
+# the stress case for in-order result commitment — and the ± grep guard
 # proves the CI columns actually rendered (a silently-degenerate
-# single-replicate run would also pass cmp).
+# single-replicate run would also pass cmp). The failure path's half of
+# the contract, a keep-going sweep's joined failures, is tested in
+# internal/exp and runs under `make faults`.
 determinism:
 	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -j 1 -format text > .det-j1.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -j 8 -format text > .det-j8.txt
 	cmp .det-j1.txt .det-j8.txt
 	@rm -f .det-j1.txt .det-j8.txt
-	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 1 > .det-kg-j1.txt 2>&1 || true
-	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 8 > .det-kg-j8.txt 2>&1 || true
-	cmp .det-kg-j1.txt .det-kg-j8.txt
-	test "$$(grep -c 'no-such-trace' .det-kg-j1.txt)" = "3"
-	@rm -f .det-kg-j1.txt .det-kg-j8.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_seeds.json -seeds 3 -j 1 > .det-seeds-j1.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_seeds.json -seeds 3 -j 8 > .det-seeds-j8.txt
 	cmp .det-seeds-j1.txt .det-seeds-j8.txt
 	grep -q '±' .det-seeds-j1.txt
 	@rm -f .det-seeds-j1.txt .det-seeds-j8.txt
-	@echo "parallel determinism OK: tables, keep-going failure reports, and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
+	@echo "parallel determinism OK: tables and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
 
 ci: build lint test

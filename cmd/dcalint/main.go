@@ -5,7 +5,7 @@
 // packages), the event kernel's zero-allocation contract
 // (//dcalint:noalloc functions), exhaustive switches over the closed
 // enums, picosecond/nanosecond unit hygiene, and never-discarded
-// rescache/trace errors.
+// rescache errors.
 //
 // Usage:
 //

@@ -202,7 +202,7 @@ func main() {
 // cachedRun executes one simulation through the persistent cache when a
 // directory is configured, so repeating a run costs nothing. It routes
 // through the exp runner — the one tested implementation of the
-// memo/cache/trace-bypass rules, panic isolation, and the watchdog —
+// memo and cache rules, panic isolation, and the watchdog —
 // rather than re-deriving them here. Only the bare default (no cache,
 // no watchdog) calls the simulator directly.
 func cachedRun(cfg dcasim.Config, cacheDir string, workers int, runTimeout time.Duration) (sim.Result, error) {

@@ -69,8 +69,6 @@ func (c Config) Hash() string {
 func (c *Config) appendCanonical(b []byte, err *error) []byte {
 	e := encoder{b: b, err: err}
 	e = e.raw(`{"Benchmarks":`).strings(c.Benchmarks)
-	e = e.raw(`,"TracePath":`).string(c.TracePath)
-	e = e.raw(`,"RecordPath":`).string(c.RecordPath)
 	e = e.raw(`,"Design":`).design("Design", c.Design)
 	e = e.raw(`,"Org":`).org(c.Org)
 	e = e.raw(`,"XORRemap":`).bool(c.XORRemap)

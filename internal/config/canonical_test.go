@@ -141,7 +141,6 @@ func unencodable() []badConfig {
 	add("Algorithm", func(c *config.Config) { c.Algorithm = "bogus" })
 	add("WSScale", func(c *config.Config) { c.WSScale = math.NaN() })
 	add("WSScale", func(c *config.Config) { c.WSScale = math.Inf(1) })
-	add("WSScale", func(c *config.Config) { c.Benchmarks, c.TracePath, c.WSScale = nil, "run.dct", math.NaN() })
 	add("CPU.FreqGHz", func(c *config.Config) { c.CPU.FreqGHz = math.Inf(1) })
 	add("AlgParams", func(c *config.Config) { c.AlgParams = map[string]float64{"Threshold": math.NaN()} })
 	add("Ctrl.Design", ctrl(func(cc *core.Config) { cc.Design = core.Design(99) }))
@@ -252,7 +251,7 @@ func canonicalBases(f *testing.F) []config.Config {
 // bytes are equal when the oracle succeeds, and both fail together. The
 // input which picks a base config (canonicalBases), and each bit of mode
 // overwrites some of its fields with the other inputs: arbitrary
-// strings in Benchmarks, TracePath and RecordPath, an arbitrary
+// strings appended to Benchmarks, an arbitrary
 // AlgParams entry at the top level or in a set Ctrl, floats in WSScale,
 // CPU.FreqGHz and a Ctrl threshold, enums in and out of range, and
 // Ctrl cleared.
@@ -276,13 +275,13 @@ func FuzzCanonical(f *testing.F) {
 		f.Add(uint8(2), uint8(0x60), "", "", "", "", 0.0, e.design, e.org, e.alg)
 		f.Add(uint8(2), uint8(0x68), "", "", "", "", 0.5, e.design, e.org, e.alg)
 	}
-	f.Fuzz(func(t *testing.T, which, mode uint8, bench, trace, record, key string, val float64, design, org int, alg string) {
+	f.Fuzz(func(t *testing.T, which, mode uint8, bench, bench2, bench3, key string, val float64, design, org int, alg string) {
 		c := bases[int(which)%len(bases)]
 		if mode&0x01 != 0 {
 			c.Benchmarks = append(slices.Clip(c.Benchmarks), bench)
 		}
 		if mode&0x02 != 0 {
-			c.TracePath, c.RecordPath = trace, record
+			c.Benchmarks = append(slices.Clip(c.Benchmarks), bench2, bench3)
 		}
 		if mode&0x04 != 0 {
 			c.AlgParams = map[string]float64{key: val}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 
 	"dcasim/internal/addrmap"
 	"dcasim/internal/cache"
@@ -21,24 +20,10 @@ import (
 	"dcasim/internal/workload"
 )
 
-// TracePrefix marks a Benchmarks entry as a trace-replay source:
-// "trace:foo.dct" is shorthand for setting TracePath to "foo.dct".
-const TracePrefix = "trace:"
-
 // Config is the complete simulation configuration.
 type Config struct {
-	// Workload: one benchmark name per core (see workload.Names), or a
-	// single "trace:<path>" entry selecting trace replay.
+	// Workload: one benchmark name per core (see workload.Names).
 	Benchmarks []string
-
-	// TracePath replays a recorded trace instead of running the
-	// synthetic generators: core count and benchmark names come from
-	// the trace header, which also overrides InstrPerCore/WarmMemops so
-	// the replay consumes exactly the recorded stream.
-	TracePath string
-	// RecordPath writes the operation stream each core consumes —
-	// warm-up included — to a trace file replayable via TracePath.
-	RecordPath string
 
 	// Controller and cache organization under study.
 	Design       core.Design
@@ -163,39 +148,14 @@ func (c Config) CtrlConfig() core.Config {
 	return cc
 }
 
-// ReplayPath returns the trace file to replay: TracePath, or the path
-// of a lone "trace:<path>" Benchmarks entry. Empty means live synthetic
-// generation.
-func (c Config) ReplayPath() string {
-	if c.TracePath != "" {
-		return c.TracePath
-	}
-	if len(c.Benchmarks) == 1 && strings.HasPrefix(c.Benchmarks[0], TracePrefix) {
-		return c.Benchmarks[0][len(TracePrefix):]
-	}
-	return ""
-}
-
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
-	if replay := c.ReplayPath(); replay != "" {
-		// Core count, benchmarks, and run budgets come from the trace
-		// header; a benchmark list alongside it would be ignored and is
-		// almost certainly a mistake.
-		if c.TracePath != "" && len(c.Benchmarks) > 0 {
-			return fmt.Errorf("config: both TracePath and Benchmarks set")
-		}
-	} else {
-		if len(c.Benchmarks) == 0 {
-			return fmt.Errorf("config: no benchmarks")
-		}
-		for _, b := range c.Benchmarks {
-			if strings.HasPrefix(b, TracePrefix) {
-				return fmt.Errorf("config: trace entry %q cannot be mixed with synthetic benchmarks", b)
-			}
-			if _, err := workload.Lookup(b); err != nil {
-				return err
-			}
+	if len(c.Benchmarks) == 0 {
+		return fmt.Errorf("config: no benchmarks")
+	}
+	for _, b := range c.Benchmarks {
+		if _, err := workload.Lookup(b); err != nil {
+			return err
 		}
 	}
 	if err := c.DRAMGeometry().Validate(); err != nil {
@@ -224,6 +184,11 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown Org %d (want %v or %v)", int(c.Org), dcache.SetAssoc, dcache.DirectMapped)
 	}
+	// The DRAM cache's layout rules, applied here so a bad size fails
+	// before hashing and dispatch rather than inside a warm-up.
+	if _, err := dcache.NewGeometry(c.Org, c.CacheSizeBytes, c.DRAMGeometry()); err != nil {
+		return fmt.Errorf("config: CacheSizeBytes %d: %w", c.CacheSizeBytes, err)
+	}
 	switch {
 	// A NaN or infinite float has no canonical encoding, so the config
 	// could not be hashed.
@@ -231,11 +196,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: WSScale %v is not a finite number", c.WSScale)
 	case math.IsInf(c.CPU.FreqGHz, 0):
 		return fmt.Errorf("config: CPU.FreqGHz %v is not a finite number", c.CPU.FreqGHz)
-	// On replay the trace header supplies the run budgets and the
-	// working-set scale is unused, so both may be left zero.
-	case c.InstrPerCore <= 0 && c.ReplayPath() == "":
+	case c.InstrPerCore <= 0:
 		return fmt.Errorf("config: non-positive instruction budget %d", c.InstrPerCore)
-	case c.WSScale <= 0 && c.ReplayPath() == "":
+	case c.WSScale <= 0:
 		return fmt.Errorf("config: non-positive working-set scale %v", c.WSScale)
 	case c.WarmMemops < 0:
 		return fmt.Errorf("config: negative warm-up budget WarmMemops %d", c.WarmMemops)

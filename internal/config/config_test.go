@@ -140,6 +140,9 @@ func TestValidateRejectsRuntimeFailures(t *testing.T) {
 		{"L2Ways", func(c *Config) { c.L2Ways = -1 }},
 		{"L1Bytes", func(c *Config) { c.L1Bytes = 64 }},      // one block over two ways
 		{"L2Bytes", func(c *Config) { c.L2Bytes = 24 * 64 }}, // 24 blocks over 16 ways
+		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = -4096 }},
+		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 0 }},
+		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 4096 + 64 }}, // not a whole row
 	}
 	for _, tc := range cases {
 		c := withMix(Test())
@@ -152,50 +155,6 @@ func TestValidateRejectsRuntimeFailures(t *testing.T) {
 	c.Timing.TWTR, c.Timing.TRTW = 0, 0
 	if err := c.Validate(); err != nil {
 		t.Errorf("zero TWTR and TRTW: %v", err)
-	}
-}
-
-func TestReplayPath(t *testing.T) {
-	c := Test()
-	if p := c.ReplayPath(); p != "" {
-		t.Fatalf("fresh config replays %q", p)
-	}
-	c.TracePath = "runs/mix.dct"
-	if p := c.ReplayPath(); p != "runs/mix.dct" {
-		t.Fatalf("TracePath not surfaced: %q", p)
-	}
-	c = Test()
-	c.Benchmarks = []string{TracePrefix + "foo.dct"}
-	if p := c.ReplayPath(); p != "foo.dct" {
-		t.Fatalf("trace: shorthand parsed as %q", p)
-	}
-	// A replay config validates without benchmarks, budgets, or scale:
-	// the trace header supplies them.
-	c.Benchmarks = nil
-	c.TracePath = "foo.dct"
-	c.InstrPerCore = 0
-	c.WSScale = 0
-	if err := c.Validate(); err != nil {
-		t.Fatalf("replay config rejected: %v", err)
-	}
-}
-
-func TestReplayValidationErrors(t *testing.T) {
-	cases := map[string]func(*Config){
-		"trace mixed with benchmarks": func(c *Config) {
-			c.Benchmarks = []string{"mcf", TracePrefix + "foo.dct"}
-		},
-		"TracePath alongside benchmarks": func(c *Config) {
-			c.Benchmarks = []string{"mcf"}
-			c.TracePath = "foo.dct"
-		},
-	}
-	for name, mutate := range cases {
-		c := Test()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: validation passed", name)
-		}
 	}
 }
 

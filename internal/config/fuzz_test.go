@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dcasim/internal/core"
+	"dcasim/internal/dcache"
 )
 
 // FuzzConfigLoad feeds arbitrary bytes to Load through a file, the way a
@@ -16,10 +19,12 @@ func FuzzConfigLoad(f *testing.F) {
 	ctrl := withMix(Test())
 	cc := ctrl.CtrlConfig()
 	ctrl.Ctrl = &cc
-	replay := Test()
-	replay.TracePath = "run.dct"
+	// Non-default enums and switches, so the file spells their names.
+	alt := withMix(Test())
+	alt.Design, alt.Org, alt.Algorithm = core.CD, dcache.DirectMapped, core.AlgFRFCFS
+	alt.XORRemap, alt.LeeWriteback = true, true
 	saved := filepath.Join(f.TempDir(), "config.json")
-	for _, c := range []Config{withMix(Test()), ctrl, replay} {
+	for _, c := range []Config{withMix(Test()), ctrl, alt} {
 		if err := Save(saved, c); err != nil {
 			f.Fatal(err)
 		}
@@ -31,7 +36,7 @@ func FuzzConfigLoad(f *testing.F) {
 		f.Add(valid[:len(valid)/2])
 		f.Add(bytes.Replace(valid, []byte(`"Width": 8`), []byte(`"Width": 0`), 1))
 	}
-	f.Add([]byte(`{"schema":1,"config":{}}`))
+	f.Add([]byte(`{"schema":2,"config":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "config.json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

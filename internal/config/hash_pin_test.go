@@ -2,28 +2,29 @@ package config
 
 import "testing"
 
-// TestPresetHashStability pins the content addresses of the three preset
-// configurations. These hashes key the persistent result cache: a change
-// here invalidates every cached result, so it must only ever happen
-// together with a deliberate SchemaVersion bump (see json.go). The
-// values were captured before the scheduler-policy registry refactor and
-// prove that the Algorithm string type, the AlgParams omitempty field,
-// and the registry-driven marshalers leave canonical bytes unchanged.
+// presetHashes are the content addresses of the three preset
+// configurations under schema 2. These hashes key the persistent result
+// cache: a change here invalidates every cached result, so it must only
+// ever happen together with a deliberate SchemaVersion bump (see json.go).
+var presetHashes = map[string]string{
+	"paper": "90ddcaf959157722d0654d306e992f02edc83bf64890053e78af9d702fc4e936",
+	"bench": "924e6741c71d8a50c88ea38f92f7df812ad5634e23949881e5f3a7030be65dfa",
+	"test":  "550bb584c243776bc1285e225295389b136cceeb26101a9f89f1091b551c62c8",
+}
+
+// TestPresetHashStability pins the hashes of the presets as built by
+// their constructors; TestHashStability pins the same values reached by
+// name through ParsePreset.
 func TestPresetHashStability(t *testing.T) {
-	want := map[string]string{
-		"paper": "c718702e642b32223ca084f7aaf8bd0ad1365530f9598ed06200153556922d04",
-		"bench": "4629d31b7916cd8c2453c6fc0d9152c21b20bf95d4d1b3fd75a335b6e7745549",
-		"test":  "e088178afa57179a4ecc9fe6466be63af85761f4f7803dbfc6129f9b812f2965",
-	}
 	for name, cfg := range map[string]Config{
 		"paper": Paper(),
 		"bench": Bench(),
 		"test":  Test(),
 	} {
-		if got := cfg.Hash(); got != want[name] {
+		if got := cfg.Hash(); got != presetHashes[name] {
 			t.Errorf("%s preset hash changed: got %s want %s\n"+
 				"(cache-invalidating change — requires a SchemaVersion bump and this pin updated with it)",
-				name, got, want[name])
+				name, got, presetHashes[name])
 		}
 	}
 }

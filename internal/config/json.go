@@ -22,7 +22,7 @@ import (
 // for no behavioural reason. A new field also needs its line in the
 // canonical encoder (canonical.go); TestCanonicalMatchesMarshal fails
 // until it has one.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // envelope is the on-disk form of Save/Load: the schema version guards
 // against silently decoding a file written by an incompatible layout.

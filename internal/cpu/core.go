@@ -42,7 +42,7 @@ type Core struct {
 	eng *event.Engine
 	id  int
 	par Params
-	src workload.Source
+	src *workload.Gen
 	l1  *cache.Cache
 	l2  *L2
 
@@ -68,9 +68,9 @@ type Core struct {
 	StallTime simtime.Time
 }
 
-// NewCore builds a core over its workload source (a synthetic generator
-// or a trace-replay stream), private L1, and the shared L2.
-func NewCore(eng *event.Engine, id int, par Params, src workload.Source, l1 *cache.Cache, l2 *L2) *Core {
+// NewCore builds a core over its workload generator, private L1, and the
+// shared L2.
+func NewCore(eng *event.Engine, id int, par Params, src *workload.Gen, l1 *cache.Cache, l2 *L2) *Core {
 	cycle := simtime.FromNS(1 / par.FreqGHz)
 	return &Core{
 		eng:  eng,

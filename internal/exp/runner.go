@@ -248,16 +248,6 @@ func (r *Runner) aloneConfig(bench string, org dcache.Org) config.Config {
 	return cfg
 }
 
-// Cacheable reports whether a config's result may live in the
-// persistent cache: trace replay depends on the trace file's contents
-// (which the config hash does not cover, only the path) and recording
-// is a side effect a cache hit would silently skip, so neither is.
-// Every cache front-end (the runner here, cmd/dcasim's single-run
-// path) must route through this one predicate.
-func Cacheable(cfg config.Config) bool {
-	return cfg.ReplayPath() == "" && cfg.RecordPath == ""
-}
-
 // Run returns the simulation result for cfg, computing it at most once
 // per runner: the in-memory memo, then the persistent cache, then an
 // actual simulation. Concurrent callers for the same config hash join
@@ -295,8 +285,7 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot, probed bool) (s
 	r.mu.Unlock()
 
 	fromCache := false
-	cacheable := r.cache != nil && Cacheable(cfg)
-	if cacheable {
+	if r.cache != nil {
 		// Validate before consulting the cache: a bad config must fail
 		// loudly even if a stale entry happens to exist under its hash.
 		if c.err = cfg.Validate(); c.err == nil && !probed {
@@ -306,7 +295,7 @@ func (r *Runner) runIn(cfg config.Config, h string, s *warmSlot, probed bool) (s
 	var putErr error
 	if !fromCache && c.err == nil {
 		c.res, c.err = r.execute(cfg, s)
-		if c.err == nil && cacheable {
+		if c.err == nil && r.cache != nil {
 			putErr = r.cache.Put(h, c.res)
 		}
 	}
@@ -346,7 +335,7 @@ func (r *Runner) resolve(cfg config.Config, h string) (simulate bool) {
 	r.mu.Lock()
 	done := known()
 	r.mu.Unlock()
-	if done || r.cache == nil || !Cacheable(cfg) || cfg.Validate() != nil {
+	if done || r.cache == nil || cfg.Validate() != nil {
 		return !done
 	}
 	res, ok := r.cache.Get(h)
@@ -376,8 +365,7 @@ func (r *Runner) resolve(cfg config.Config, h string) (simulate bool) {
 // DRAM-cache contents of the organizations the members left to simulate
 // use and is kept only until the last of them: a member that fails
 // drops the warm state and the next member warms afresh. A worker's next
-// warm-up reuses the memory of the state its last group consumed. Trace
-// replay and recording configs have no key and run alone.
+// warm-up reuses the memory of the state its last group consumed.
 //
 // The pool dispatches the groups strictly in order, and a dispatched
 // group runs until its own first failure even after another group's
@@ -423,14 +411,12 @@ func (r *Runner) ensure(cfgs []config.Config, hashes []string) error {
 			continue
 		}
 		seen[hashes[i]] = true
-		key, ok := sim.WarmKey(cfg)
-		if g, found := groupOf[key]; ok && found {
+		key := sim.WarmKey(cfg)
+		if g, found := groupOf[key]; found {
 			groups[g] = append(groups[g], i)
 			continue
 		}
-		if ok {
-			groupOf[key] = len(groups)
-		}
+		groupOf[key] = len(groups)
 		groups = append(groups, []int{i})
 	}
 	total := len(seen)

@@ -3,8 +3,6 @@ package exp
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -226,24 +224,5 @@ func TestTableBadAggOpFormat(t *testing.T) {
 	}
 	if r.SimRuns() != 0 {
 		t.Fatalf("typoed specs launched %d simulations", r.SimRuns())
-	}
-}
-
-// TestTableRejectsRecordPath: table runs execute in parallel, so a base
-// config that records a trace would have every run truncating one file.
-// The planner rejects it before any simulation, as it does for sweeps.
-func TestTableRejectsRecordPath(t *testing.T) {
-	cfg := config.Test()
-	cfg.RecordPath = filepath.Join(t.TempDir(), "x.dct")
-	r := NewRunner(cfg, workload.TableI()[:2], 1)
-	_, err := r.Figure("fig8")
-	if err == nil || !strings.Contains(err.Error(), "RecordPath") {
-		t.Fatalf("table with RecordPath not rejected: %v", err)
-	}
-	if n := r.SimRuns(); n != 0 {
-		t.Fatalf("rejected table still ran %d simulations", n)
-	}
-	if _, err := os.Stat(cfg.RecordPath); !os.IsNotExist(err) {
-		t.Fatalf("rejected table wrote the trace file: %v", err)
 	}
 }

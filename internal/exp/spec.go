@@ -397,13 +397,6 @@ func (r *Runner) plan(g *grid) error {
 			need = append(need, replicateCfg(cfg, k))
 		}
 	}
-	// Runs execute in parallel, so a shared RecordPath would have every
-	// run truncating (and, on failure, deleting) one trace file.
-	for _, run := range need {
-		if run.RecordPath != "" {
-			return fmt.Errorf("exp: %s: RecordPath %q is not supported in tables or sweeps (parallel runs would overwrite one trace file)", g.name, run.RecordPath)
-		}
-	}
 	g.need, g.hashes = need, make([]string, len(need))
 	for i, run := range need {
 		var err error

@@ -13,7 +13,7 @@ import (
 )
 
 const testSweepJSON = `{
-  "schema": 1,
+  "schema": 2,
   "name": "ff-mini",
   "scale": "test",
   "base": {
@@ -89,20 +89,6 @@ func TestSweepRuns(t *testing.T) {
 	}
 	if r2.SimRuns() != 0 {
 		t.Fatalf("warm sweep executed %d simulations, want 0", r2.SimRuns())
-	}
-}
-
-// TestSweepRejectsRecordPath: sweep points run in parallel, so a shared
-// RecordPath would have every run truncating the same trace file.
-func TestSweepRejectsRecordPath(t *testing.T) {
-	var s SweepSpec
-	if err := json.Unmarshal([]byte(testSweepJSON), &s); err != nil {
-		t.Fatal(err)
-	}
-	s.Base = json.RawMessage(`{"Benchmarks":["mcf"],"RecordPath":"x.dct"}`)
-	_, _, err := RunSweep(s, SweepOpts{Workers: 1})
-	if err == nil || !strings.Contains(err.Error(), "RecordPath") {
-		t.Fatalf("sweep with RecordPath not rejected: %v", err)
 	}
 }
 

@@ -6,32 +6,25 @@ import (
 	"strings"
 )
 
-// claimErrPkgs are the packages whose errors must never be discarded:
-// the persistent result cache (rescache — a dropped Put or Open error
-// means a result silently fails to persist, so a pass that looks warm
-// recomputes everything) and trace I/O (a dropped error means a
-// truncated .dct recording that replays wrong). The analyzer keeps its
-// historical name so existing //nolint:dcalint/claimerr directives stay
-// valid.
-var claimErrPkgs = []string{
-	"internal/rescache",
-	"internal/trace",
-}
+// claimErrPkg is the package whose errors must never be discarded: the
+// persistent result cache. A dropped Put or Open error means a result
+// silently fails to persist, so a pass that looks warm recomputes
+// everything. The analyzer keeps its historical name so existing
+// //nolint:dcalint/claimerr directives stay valid.
+const claimErrPkg = "internal/rescache"
 
-// ClaimErr forbids discarding errors returned by rescache and trace
-// operations, whether by assigning to the blank identifier, by calling
-// in expression position, or inside a defer.
+// ClaimErr forbids discarding errors returned by rescache operations,
+// whether by assigning to the blank identifier, by calling in expression
+// position, or inside a defer.
 var ClaimErr = &Analyzer{
 	Name: "claimerr",
-	Doc: `forbid discarded errors from rescache and trace I/O
+	Doc: `forbid discarded errors from the rescache result cache
 
-Result-cache operations (Open, Put) and trace stream I/O (writes,
-flushes, closes) return errors whose loss silently damages persistent
-state: an unreported Put failure leaves the next pass cold, an
-unflushed trace replays differently than it recorded. Every such error
-must be assigned to a non-blank variable (or returned).
-errcheck catches the garden-variety cases; this analyzer additionally
-rejects the explicit "_ =" escape hatch for these two packages.`,
+Result-cache operations (Open, Put) return errors whose loss silently
+damages persistent state: an unreported Put failure leaves the next
+pass cold. Every such error must be assigned to a non-blank variable
+(or returned). errcheck catches the garden-variety cases; this analyzer
+additionally rejects the explicit "_ =" escape hatch for rescache.`,
 	Run: runClaimErr,
 }
 
@@ -63,7 +56,7 @@ func checkDiscardedCall(pass *Pass, call *ast.CallExpr, how string) {
 	if fn == nil || !guardedPkg(fn) || !returnsError(fn) {
 		return
 	}
-	pass.Reportf(call.Pos(), "%s.%s %s: rescache/trace errors corrupt persistent state when dropped — handle or return it", fn.Pkg().Name(), fn.Name(), how)
+	pass.Reportf(call.Pos(), "%s.%s %s: rescache errors corrupt persistent state when dropped — handle or return it", fn.Pkg().Name(), fn.Name(), how)
 }
 
 // checkBlankAssign reports error results from guarded packages
@@ -132,12 +125,7 @@ func guardedPkg(fn *types.Func) bool {
 		return false
 	}
 	path := fn.Pkg().Path()
-	for _, s := range claimErrPkgs {
-		if path == s || strings.HasSuffix(path, "/"+s) || path == "dcasim/"+s {
-			return true
-		}
-	}
-	return false
+	return path == claimErrPkg || strings.HasSuffix(path, "/"+claimErrPkg)
 }
 
 func returnsError(fn *types.Func) bool {

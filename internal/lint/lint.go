@@ -1,7 +1,7 @@
 // Package lint is dcalint's analysis framework: a deliberately small,
 // standard-library-only equivalent of golang.org/x/tools/go/analysis.
 //
-// The repo's headline guarantees — bit-identical replay, byte-identical
+// The repo's headline guarantees — bit-identical reruns, byte-identical
 // parallel output, the zero-allocation event kernel — are invariants
 // that one stray time.Now, map iteration, or closure capture silently
 // breaks. dcalint machine-checks them on every build, the way go vet

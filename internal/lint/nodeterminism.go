@@ -40,7 +40,6 @@ var OrderSensitivePkgs = append([]string{
 	"internal/config",
 	"internal/exp",
 	"internal/stats",
-	"internal/trace",
 	"internal/rescache",
 }, DeterministicPkgs...)
 
@@ -64,7 +63,7 @@ friends), no math/rand (use internal/rng, whose stream is stable
 across Go releases), and no goroutine spawns (the kernel is
 single-threaded by design; cross-run parallelism lives in the blessed
 internal/exp worker pool). In those packages plus the
-ordering-sensitive ones (config, exp, stats, trace, rescache): no
+ordering-sensitive ones (config, exp, stats, rescache): no
 map iteration unless the loop only collects keys/values into a slice
 that is sorted immediately after the loop.`,
 	Run: runNoDeterminism,

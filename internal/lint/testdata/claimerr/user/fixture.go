@@ -1,6 +1,6 @@
-// Fixture for the claimerr analyzer: errors returned by rescache and
-// trace operations must never be dropped — not in expression position,
-// not via the blank identifier, not behind defer.
+// Fixture for the claimerr analyzer: errors returned by rescache
+// operations must never be dropped — not in expression position, not
+// via the blank identifier, not behind defer.
 package user
 
 import (
@@ -9,7 +9,6 @@ import (
 
 	"dcasim/internal/rescache"
 	"dcasim/internal/sim"
-	"dcasim/internal/trace"
 )
 
 func ignored(c *rescache.Cache, res sim.Result) {
@@ -25,8 +24,8 @@ func blankMulti(path string) *rescache.Cache {
 	return c
 }
 
-func deferred(w *trace.Writer) {
-	defer w.Flush() // want `trace.Flush deferred with its error ignored`
+func deferred(c *rescache.Cache, res sim.Result) {
+	defer c.Put("k", res) // want `rescache.Put deferred with its error ignored`
 }
 
 // handled is the required shape.
@@ -42,8 +41,8 @@ func errorless(c *rescache.Cache) string {
 	return c.Dir()
 }
 
-// otherPkg: claimerr only guards rescache and trace (errcheck covers
-// the rest of the tree with its own policy).
+// otherPkg: claimerr only guards rescache (errcheck covers the rest of
+// the tree with its own policy).
 func otherPkg(f *os.File) {
 	f.Close()
 }

@@ -1,9 +1,9 @@
 // Package rescache is the persistent, content-addressed result cache of
 // the evaluation harness. A simulation run is a pure function of its
-// config (PR 3's replay verification pins this down to the bit), so a
-// result can be stored on disk keyed by config.Config.Hash() and reused
-// by any later process — a warm cache makes a full evaluation pass cost
-// approximately zero simulations.
+// config (sim's TestDeterminism and the golden tables pin this down to
+// the bit), so a result can be stored on disk keyed by
+// config.Config.Hash() and reused by any later process — a warm cache
+// makes a full evaluation pass cost approximately zero simulations.
 //
 // Layout: one binary file per entry, <dir>/<key>.res: a header (magic,
 // Format, config.SchemaVersion, a fingerprint of sim.Result's field

@@ -19,51 +19,59 @@ func TestAccountingInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := res.DCache
-		// The run stops when every core retires its budget, so a few
-		// requests (bounded by the cores' MSHRs) are still in flight;
-		// all counts must agree up to that slack.
-		slack := int64(len(cfg.Benchmarks) * cfg.CPU.MSHRs)
-		near := func(a, b int64) bool { return a-b <= slack && b-a <= slack }
+		checkAccounting(t, cfg, res)
+	}
+}
 
-		if !near(s.ReadHits+s.ReadMisses, s.ReadReqs) {
-			t.Errorf("%v: hits %d + misses %d != reads %d", org, s.ReadHits, s.ReadMisses, s.ReadReqs)
-		}
-		if !near(s.ReadsCompleted, s.ReadReqs) {
-			t.Errorf("%v: %d of %d reads completed", org, s.ReadsCompleted, s.ReadReqs)
-		}
-		// Every read miss produces exactly one refill request.
-		if !near(s.RefillReqs, s.ReadMisses) {
-			t.Errorf("%v: refills %d != read misses %d", org, s.RefillReqs, s.ReadMisses)
-		}
-		// Every read miss fetches exactly one block from main memory
-		// (plus MAP-I false-miss speculative fetches).
-		if res.MainMemReads < s.ReadMisses {
-			t.Errorf("%v: main memory reads %d < read misses %d", org, res.MainMemReads, s.ReadMisses)
-		}
-		if res.MainMemReads > s.ReadMisses+s.WastedFetches+slack {
-			t.Errorf("%v: main memory reads %d > misses %d + wasted %d",
-				org, res.MainMemReads, s.ReadMisses, s.WastedFetches)
-		}
-		// DRAM accesses split consistently.
-		d := res.DRAM
-		if d.Reads+d.Writes != d.Accesses {
-			t.Errorf("%v: reads %d + writes %d != accesses %d", org, d.Reads, d.Writes, d.Accesses)
-		}
-		if d.ReadRowHit+d.ReadRowMiss+d.ReadRowConf != d.Reads {
-			t.Errorf("%v: read row outcomes do not sum: %+v", org, d)
-		}
-		if d.WriteRowHit+d.WriteRowMiss+d.WriteRowConf != d.Writes {
-			t.Errorf("%v: write row outcomes do not sum: %+v", org, d)
-		}
-		// The controller issued exactly the DRAM accesses.
-		c := res.Ctrl
-		if c.PRIssued+c.LRIssued != d.Reads {
-			t.Errorf("%v: PR %d + LR %d != DRAM reads %d", org, c.PRIssued, c.LRIssued, d.Reads)
-		}
-		if c.WritesIssued != d.Writes {
-			t.Errorf("%v: controller writes %d != DRAM writes %d", org, c.WritesIssued, d.Writes)
-		}
+// checkAccounting fails t unless the counters of res, a run of cfg,
+// agree with each other across modules.
+func checkAccounting(t testing.TB, cfg config.Config, res Result) {
+	t.Helper()
+	org := cfg.Org
+	s := res.DCache
+	// The run stops when every core retires its budget, so a few
+	// requests (bounded by the cores' MSHRs) are still in flight;
+	// all counts must agree up to that slack.
+	slack := int64(len(cfg.Benchmarks) * cfg.CPU.MSHRs)
+	near := func(a, b int64) bool { return a-b <= slack && b-a <= slack }
+
+	if !near(s.ReadHits+s.ReadMisses, s.ReadReqs) {
+		t.Errorf("%v: hits %d + misses %d != reads %d", org, s.ReadHits, s.ReadMisses, s.ReadReqs)
+	}
+	if !near(s.ReadsCompleted, s.ReadReqs) {
+		t.Errorf("%v: %d of %d reads completed", org, s.ReadsCompleted, s.ReadReqs)
+	}
+	// Every read miss produces exactly one refill request.
+	if !near(s.RefillReqs, s.ReadMisses) {
+		t.Errorf("%v: refills %d != read misses %d", org, s.RefillReqs, s.ReadMisses)
+	}
+	// Every read miss fetches exactly one block from main memory
+	// (plus MAP-I false-miss speculative fetches).
+	if res.MainMemReads < s.ReadMisses {
+		t.Errorf("%v: main memory reads %d < read misses %d", org, res.MainMemReads, s.ReadMisses)
+	}
+	if res.MainMemReads > s.ReadMisses+s.WastedFetches+slack {
+		t.Errorf("%v: main memory reads %d > misses %d + wasted %d",
+			org, res.MainMemReads, s.ReadMisses, s.WastedFetches)
+	}
+	// DRAM accesses split consistently.
+	d := res.DRAM
+	if d.Reads+d.Writes != d.Accesses {
+		t.Errorf("%v: reads %d + writes %d != accesses %d", org, d.Reads, d.Writes, d.Accesses)
+	}
+	if d.ReadRowHit+d.ReadRowMiss+d.ReadRowConf != d.Reads {
+		t.Errorf("%v: read row outcomes do not sum: %+v", org, d)
+	}
+	if d.WriteRowHit+d.WriteRowMiss+d.WriteRowConf != d.Writes {
+		t.Errorf("%v: write row outcomes do not sum: %+v", org, d)
+	}
+	// The controller issued exactly the DRAM accesses.
+	c := res.Ctrl
+	if c.PRIssued+c.LRIssued != d.Reads {
+		t.Errorf("%v: PR %d + LR %d != DRAM reads %d", org, c.PRIssued, c.LRIssued, d.Reads)
+	}
+	if c.WritesIssued != d.Writes {
+		t.Errorf("%v: controller writes %d != DRAM writes %d", org, c.WritesIssued, d.Writes)
 	}
 }
 

@@ -28,15 +28,15 @@ func streamPrefix(t *testing.T, seed uint64, cores, n int) [][]workload.Op {
 	for i := range cfg.Benchmarks {
 		cfg.Benchmarks[i] = "mcf"
 	}
-	rs, err := openSources(&cfg)
+	gens, err := newGens(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]workload.Op, cores)
-	for i, src := range rs.srcs {
+	for i, gen := range gens {
 		out[i] = make([]workload.Op, n)
 		for j := range out[i] {
-			out[i][j] = src.Next()
+			out[i][j] = gen.Next()
 		}
 	}
 	return out

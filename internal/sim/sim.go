@@ -5,11 +5,10 @@
 package sim
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
+	"sync"
 
 	"dcasim/internal/cache"
 	"dcasim/internal/config"
@@ -21,7 +20,6 @@ import (
 	"dcasim/internal/mainmem"
 	"dcasim/internal/simtime"
 	"dcasim/internal/tagcache"
-	"dcasim/internal/trace"
 	"dcasim/internal/workload"
 )
 
@@ -48,148 +46,40 @@ type Result struct {
 	MainMemWrites int64
 }
 
-// runSources carries the resolved per-core operation streams of a run:
-// live synthetic generators, trace-replay decoders, and the optional
-// recording tee around either.
-type runSources struct {
-	names      []string // benchmark name per core, for Result.Benchmarks
-	srcs       []workload.Source
-	reader     *trace.Reader
-	writer     *trace.Writer
-	outBuf     *bufio.Writer
-	recordPath string
-	files      []*os.File
-}
-
-// openSources resolves cfg into per-core sources. On replay it rewrites
-// the run budgets from the trace header so the simulation consumes
-// exactly the recorded stream; on record it tees every source into a
-// trace writer.
-func openSources(cfg *config.Config) (*runSources, error) {
-	rs := &runSources{}
-	if path := cfg.ReplayPath(); path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("sim: open trace: %w", err)
-		}
-		rs.files = append(rs.files, f)
-		r, err := trace.NewReader(bufio.NewReaderSize(f, 1<<16))
-		if err != nil {
-			rs.closeFiles()
-			return nil, err
-		}
-		rs.reader = r
-		hdr := r.Header()
-		rs.names = hdr.Benchmarks
-		if hdr.InstrPerCore > 0 {
-			cfg.InstrPerCore = hdr.InstrPerCore
-			cfg.WarmMemops = hdr.WarmMemops
-			cfg.Seed = hdr.Seed
-			cfg.WSScale = hdr.WSScale
-		}
-		if cfg.InstrPerCore <= 0 {
-			rs.closeFiles()
-			return nil, fmt.Errorf("sim: trace %s carries no instruction budget and the config sets none", path)
-		}
-		rs.srcs = make([]workload.Source, len(rs.names))
-		for i := range rs.srcs {
-			rs.srcs[i] = r.Source(i)
-		}
-	} else {
-		rs.names = append([]string(nil), cfg.Benchmarks...)
-		rs.srcs = make([]workload.Source, len(rs.names))
-		for i, bench := range rs.names {
-			prof, err := workload.Lookup(bench)
-			if err != nil {
-				return nil, err
-			}
-			rs.srcs[i] = workload.NewGen(prof, cfg.Seed*1000003+uint64(i)*7919, int64(i)<<40, cfg.WSScale)
-		}
-	}
-	if cfg.RecordPath != "" {
-		f, err := os.Create(cfg.RecordPath)
-		if err != nil {
-			rs.closeFiles()
-			return nil, fmt.Errorf("sim: create trace: %w", err)
-		}
-		rs.files = append(rs.files, f)
-		rs.recordPath = cfg.RecordPath
-		rs.outBuf = bufio.NewWriterSize(f, 1<<16)
-		w, err := trace.NewWriter(rs.outBuf, trace.Header{
-			Benchmarks:   rs.names,
-			Seed:         cfg.Seed,
-			WSScale:      cfg.WSScale,
-			InstrPerCore: cfg.InstrPerCore,
-			WarmMemops:   cfg.WarmMemops,
-		})
-		if err != nil {
-			rs.abort()
-			return nil, err
-		}
-		rs.writer = w
-		for i := range rs.srcs {
-			rs.srcs[i] = w.Tee(i, rs.srcs[i])
-		}
-	}
-	return rs, nil
-}
-
-// abort closes the trace files after a failed run and removes a
-// partially written recording — a truncated .dct would replay as a
-// confusing stream-exhausted error much later.
-func (rs *runSources) abort() {
-	rs.closeFiles()
-	if rs.recordPath != "" {
-		os.Remove(rs.recordPath)
-	}
-}
-
-// finish flushes the recording, surfaces any replay decode error, and
-// closes the trace files.
-func (rs *runSources) finish() error {
-	var first error
-	if rs.writer != nil {
-		first = rs.writer.Flush()
-		if err := rs.outBuf.Flush(); first == nil && err != nil {
-			first = fmt.Errorf("sim: flush trace: %w", err)
-		}
-	}
-	if rs.reader != nil && first == nil {
-		if err := rs.reader.Err(); err != nil {
-			first = fmt.Errorf("sim: replay: %w", err)
-		}
-	}
-	if err := rs.closeFiles(); first == nil {
-		first = err
-	}
-	return first
-}
-
-func (rs *runSources) closeFiles() error {
-	var first error
-	for _, f := range rs.files {
-		if err := f.Close(); first == nil && err != nil {
-			first = err
-		}
-	}
-	rs.files = nil
-	return first
-}
-
 // testEngineHook, when set, observes the event engine of every Run
 // before any event is scheduled. It is a test-only seam (the
 // event-delta characterization test instruments Schedule through it)
 // and must stay nil outside tests.
 var testEngineHook func(*event.Engine)
 
+// runSpare holds the state the last Run spent, so the next Run warms over
+// its L1, L2 and tag-store memory as the experiment runner's warm-ups
+// do. A tag store is a run's one large allocation (7 MB for the bench
+// preset's direct-mapped cache): made afresh for each run it needs a
+// free hole of its whole size, and where garbage has split the hole the
+// previous store left, the heap grows by another store and the
+// process's peak memory with it.
+var runSpare struct {
+	sync.Mutex
+	w *Warmed
+}
+
 // Run executes one simulation — a functional warm-up of cfg's own
 // organization, then the timed region — and returns its results.
 func Run(cfg config.Config) (Result, error) {
-	w, err := Warm(cfg, []dcache.Org{cfg.Org}, nil)
+	runSpare.Lock()
+	old := runSpare.w
+	runSpare.w = nil
+	runSpare.Unlock()
+	w, err := Warm(cfg, []dcache.Org{cfg.Org}, old)
 	if err != nil {
 		return Result{}, err
 	}
-	return w.run(cfg, false) // Warm checked cfg
+	res, err := w.run(cfg, false) // Warm checked cfg
+	runSpare.Lock()
+	runSpare.w = w // spent by the run: the next Run reuses only its memory
+	runSpare.Unlock()
+	return res, err
 }
 
 // WarmKey identifies the state Warm(cfg, orgs) produces. Configs with
@@ -197,13 +87,8 @@ func Run(cfg config.Config) (Result, error) {
 // and, organization by organization, tag stores and MAP-I tables, so one
 // warm-up can serve them all. The key is built from exactly the Config
 // fields the warm-up reads, except Org: one warm-up fills the contents
-// of every organization it is given, and Warmed.Run picks cfg.Org's. ok
-// is false for trace replay and recording, whose streams cannot be
-// shared.
-func WarmKey(cfg config.Config) (key string, ok bool) {
-	if cfg.ReplayPath() != "" || cfg.RecordPath != "" {
-		return "", false
-	}
+// of every organization it is given, and Warmed.Run picks cfg.Org's.
+func WarmKey(cfg config.Config) string {
 	var buf [256]byte // keys are built per config, so spare the allocations
 	b := buf[:0]
 	for _, name := range cfg.Benchmarks {
@@ -220,16 +105,16 @@ func WarmKey(cfg config.Config) (key string, ok bool) {
 	} {
 		b = strconv.AppendInt(append(b, ' '), v, 10)
 	}
-	return string(b), true
+	return string(b)
 }
 
-// Warmed is a system after functional warm-up: each core's operation
-// source and L1, the shared L2 array, and, per organization warmed, the
-// DRAM cache's tags and MAP-I predictor. Run builds the timing side —
+// Warmed is a system after functional warm-up: each core's workload
+// generator and L1, the shared L2 array, and, per organization warmed,
+// the DRAM cache's tags and MAP-I predictor. Run builds the timing side —
 // event engine, controllers, channels, main memory, tag cache — over it.
 type Warmed struct {
-	cfg  config.Config // the warming config, trace header budgets applied
-	srcs *runSources
+	key  string // WarmKey of the warming config
+	gens []*workload.Gen
 	l1s  []*cache.Cache
 	l2   *cache.Cache
 	dcs  []*dcache.Contents // one per organization warmed
@@ -259,17 +144,11 @@ func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) 
 		}
 		old, *spare = *spare, Warmed{spent: true}
 	}
-	srcs, err := openSources(&cfg)
+	gens, err := newGens(cfg)
 	if err != nil {
 		return nil, err
 	}
-	warmed := false
-	defer func() {
-		if !warmed {
-			srcs.abort()
-		}
-	}()
-	w := &Warmed{cfg: cfg, srcs: srcs, runL2: old.runL2}
+	w := &Warmed{key: WarmKey(cfg), gens: gens, runL2: old.runL2}
 	for _, org := range orgs {
 		if w.contents(org) != nil {
 			continue
@@ -279,7 +158,7 @@ func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) 
 			SizeBytes: cfg.CacheSizeBytes,
 			DRAM:      cfg.DRAMGeometry(),
 			UseMAPI:   cfg.UseMAPI,
-			Cores:     len(srcs.srcs),
+			Cores:     len(w.gens),
 		}, old.contents(org))
 		if err != nil {
 			return nil, err
@@ -291,18 +170,18 @@ func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) 
 	}
 	// Each core's L1 and run copy start from the spare's, where it has
 	// one for that core.
-	w.l1s = make([]*cache.Cache, len(srcs.srcs))
-	w.runL1s = make([]*cache.Cache, len(srcs.srcs))
+	w.l1s = make([]*cache.Cache, len(w.gens))
+	w.runL1s = make([]*cache.Cache, len(w.gens))
 	copy(w.l1s, old.l1s)
 	copy(w.runL1s, old.runL1s)
 	// The cores only warm here (Run builds the timed ones), so one slice
 	// holds them instead of a pointer each.
-	cores := make([]cpu.Core, len(srcs.srcs))
-	for i, src := range srcs.srcs {
+	cores := make([]cpu.Core, len(w.gens))
+	for i, gen := range w.gens {
 		if w.l1s[i], err = cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways, w.l1s[i]); err != nil {
 			return nil, err
 		}
-		cores[i] = *cpu.NewCore(nil, i, cfg.CPU, src, w.l1s[i], nil)
+		cores[i] = *cpu.NewCore(nil, i, cfg.CPU, gen, w.l1s[i], nil)
 	}
 
 	// Interleave the cores in rounds so shared L2 and DRAM-cache state see
@@ -322,8 +201,21 @@ func Warm(cfg config.Config, orgs []dcache.Org, spare *Warmed) (*Warmed, error) 
 	}
 	batch.Flush()
 	w.l2.ResetStats()
-	warmed = true
 	return w, nil
+}
+
+// newGens builds each core's workload generator: core i runs
+// cfg.Benchmarks[i] from its own seed, in its own address range.
+func newGens(cfg config.Config) ([]*workload.Gen, error) {
+	gens := make([]*workload.Gen, len(cfg.Benchmarks))
+	for i, bench := range cfg.Benchmarks {
+		prof, err := workload.Lookup(bench)
+		if err != nil {
+			return nil, err
+		}
+		gens[i] = workload.NewGen(prof, cfg.Seed*1000003+uint64(i)*7919, int64(i)<<40, cfg.WSScale)
+	}
+	return gens, nil
 }
 
 // contents returns w's DRAM-cache contents for org, or nil.
@@ -342,8 +234,7 @@ func (w *Warmed) contents(org dcache.Org) *dcache.Contents {
 func (w *Warmed) Spent() bool { return w.spent }
 
 // Run runs cfg's timed region over w. cfg must have w's WarmKey, and w
-// must hold contents for cfg.Org; a trace replay or recording config
-// must be the one w was warmed with.
+// must hold contents for cfg.Org.
 //
 // With keep, the run works on copies of the L1 and L2 arrays, the MAP-I
 // table and the generators, and journals its writes to cfg.Org's tag
@@ -357,42 +248,35 @@ func (w *Warmed) Run(cfg config.Config, keep bool) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	key, shareable := WarmKey(cfg)
-	warmKey, _ := WarmKey(w.cfg)
 	switch {
 	case w.spent:
 		return Result{}, errors.New("sim: warm state already consumed")
-	case key != warmKey:
+	case WarmKey(cfg) != w.key:
 		return Result{}, errors.New("sim: config does not match the warm state")
 	case w.contents(cfg.Org) == nil:
 		return Result{}, fmt.Errorf("sim: the warm state holds no %v contents", cfg.Org)
-	case keep && !shareable:
-		return Result{}, errors.New("sim: trace replay and recording cannot share warm state")
 	}
 	return w.run(cfg, keep)
 }
 
 // run is Run for a config already checked against w.
 func (w *Warmed) run(cfg config.Config, keep bool) (Result, error) {
-	if w.srcs.reader != nil {
-		cfg.InstrPerCore = w.cfg.InstrPerCore
-	}
 	// A failed run leaves the state half-way through, so w stays spent
 	// unless a kept run rolls back cleanly.
 	w.spent = true
 	dc := w.contents(cfg.Org)
-	srcs, l1s, l2 := w.srcs.srcs, w.l1s, w.l2
+	gens, l1s, l2 := w.gens, w.l1s, w.l2
 	if keep {
-		srcs = make([]workload.Source, len(w.srcs.srcs))
-		for i := range srcs {
-			srcs[i] = w.srcs.srcs[i].(*workload.Gen).Clone() // shareable: no tee, no replay
+		gens = make([]*workload.Gen, len(w.gens))
+		for i, g := range w.gens {
+			gens[i] = g.Clone()
 			w.runL1s[i] = w.l1s[i].CopyTo(w.runL1s[i])
 		}
 		w.runL2 = w.l2.CopyTo(w.runL2)
 		l1s, l2 = w.runL1s, w.runL2
 		dc.Checkpoint()
 	}
-	res, err := w.timed(cfg, dc, srcs, l1s, l2)
+	res, err := timed(cfg, dc, gens, l1s, l2)
 	if err == nil && keep {
 		w.spent = !dc.Rollback()
 	}
@@ -401,13 +285,7 @@ func (w *Warmed) run(cfg config.Config, keep bool) (Result, error) {
 
 // timed builds the timing side of cfg over the warmed state and runs
 // until every core retires its budget.
-func (w *Warmed) timed(cfg config.Config, contents *dcache.Contents, srcs []workload.Source, l1s []*cache.Cache, l2arr *cache.Cache) (Result, error) {
-	finished := false
-	defer func() {
-		if !finished {
-			w.srcs.abort()
-		}
-	}()
+func timed(cfg config.Config, contents *dcache.Contents, gens []*workload.Gen, l1s []*cache.Cache, l2arr *cache.Cache) (Result, error) {
 	eng := &event.Engine{}
 	if testEngineHook != nil {
 		testEngineHook(eng)
@@ -423,7 +301,7 @@ func (w *Warmed) timed(cfg config.Config, contents *dcache.Contents, srcs []work
 		Ctrl:      cfg.CtrlConfig(),
 		UseMAPI:   cfg.UseMAPI,
 		BEARProbe: cfg.BEARProbe,
-		Cores:     len(srcs),
+		Cores:     len(gens),
 		Contents:  contents,
 	}
 	if cfg.TagCacheKB > 0 {
@@ -435,9 +313,9 @@ func (w *Warmed) timed(cfg config.Config, contents *dcache.Contents, srcs []work
 		return Result{}, err
 	}
 	l2 := cpu.NewL2(eng, l2arr, dc, cfg.L2HitLat, cfg.LeeWriteback)
-	cores := make([]*cpu.Core, len(srcs))
-	for i, src := range srcs {
-		cores[i] = cpu.NewCore(eng, i, cfg.CPU, src, l1s[i], l2)
+	cores := make([]*cpu.Core, len(gens))
+	for i, gen := range gens {
+		cores[i] = cpu.NewCore(eng, i, cfg.CPU, gen, l1s[i], l2)
 	}
 
 	// Timed region: run until every core retires its budget.
@@ -450,15 +328,9 @@ func (w *Warmed) timed(cfg config.Config, contents *dcache.Contents, srcs []work
 			return Result{}, fmt.Errorf("sim: deadlock with %d cores unfinished at %v", remaining, eng.Now())
 		}
 	}
-	// Any error — including a replay decode error surfaced here — takes
-	// the deferred abort path, which discards a partial recording.
-	if err := w.srcs.finish(); err != nil {
-		return Result{}, err
-	}
-	finished = true
 
 	res := Result{
-		Benchmarks:      append([]string(nil), w.srcs.names...),
+		Benchmarks:      append([]string(nil), cfg.Benchmarks...),
 		DCache:          dc.Stats(),
 		DRAM:            dc.DRAMStats(),
 		Ctrl:            dc.CtrlStats(),

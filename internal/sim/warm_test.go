@@ -34,10 +34,6 @@ var timedFields = map[string]bool{
 // with the same calls, and Warmed.Run serves each config its own.
 var perContentsFields = map[string]bool{"Org": true}
 
-// traceFields select trace replay or recording, which never share warm
-// state.
-var traceFields = map[string]bool{"TracePath": true, "RecordPath": true}
-
 // perturb changes v, a settable value, to a different value of its type:
 // every settable leaf of a struct, nil pointers and maps to non-nil ones.
 // It reports false for a kind it cannot change.
@@ -77,16 +73,13 @@ func perturb(v reflect.Value) bool {
 
 // TestWarmKeyCoversWarmFields pins WarmKey to the warm-up's inputs:
 // every Config field is classified, perturbing a warm field changes the
-// key, perturbing a timed or per-contents field leaves it alone, and a
-// trace field makes the config unshareable. A newly added field fails
-// until it is classified (and, if warm-up reads it, added to WarmKey).
+// key, and perturbing a timed or per-contents field leaves it alone. A
+// newly added field fails until it is classified (and, if warm-up reads
+// it, added to WarmKey).
 func TestWarmKeyCoversWarmFields(t *testing.T) {
 	base := config.Test()
 	base.Benchmarks = []string{"mcf", "lbm", "libquantum", "omnetpp"}
-	baseKey, ok := WarmKey(base)
-	if !ok {
-		t.Fatal("a synthetic config has no warm key")
-	}
+	baseKey := WarmKey(base)
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -96,28 +89,19 @@ func TestWarmKeyCoversWarmFields(t *testing.T) {
 			t.Errorf("field %s: cannot perturb its kind; extend perturb", name)
 			continue
 		}
-		key, ok := WarmKey(cfg)
+		key := WarmKey(cfg)
 		switch {
-		case traceFields[name]:
-			if ok {
-				t.Errorf("field %s: a trace config got a warm key", name)
-			}
 		case warmFields[name]:
-			if !ok || key == baseKey {
+			if key == baseKey {
 				t.Errorf("field %s is read by warm-up but does not change WarmKey", name)
 			}
 		case timedFields[name], perContentsFields[name]:
-			if !ok || key != baseKey {
+			if key != baseKey {
 				t.Errorf("field %s is timed-only or served per contents but changes WarmKey:\n%s\n%s", name, baseKey, key)
 			}
 		default:
 			t.Errorf("field %s is unclassified: add it to warmFields (and WarmKey) or timedFields", name)
 		}
-	}
-	replay := base
-	replay.Benchmarks = []string{config.TracePrefix + "x.dct"}
-	if _, ok := WarmKey(replay); ok {
-		t.Error(`a "trace:" config got a warm key`)
 	}
 }
 
@@ -214,9 +198,8 @@ func TestWarmGroupMatchesIndependent(t *testing.T) {
 }
 
 // TestWarmedRunRejectsMisuse: a warm state serves only valid configs
-// with its key and an organization it was warmed for, never after it was
-// consumed, and never keeps for a trace config; its memory is reused
-// only once it is spent.
+// with its key and an organization it was warmed for, and never after it
+// was consumed; its memory is reused only once it is spent.
 func TestWarmedRunRejectsMisuse(t *testing.T) {
 	cfg := config.Test()
 	cfg.Benchmarks = []string{"mcf", "lbm"}
@@ -253,18 +236,5 @@ func TestWarmedRunRejectsMisuse(t *testing.T) {
 	}
 	if _, err := w.Run(cfg, false); err == nil {
 		t.Fatal("a consumed warm state ran again")
-	}
-
-	rec := cfg
-	rec.RecordPath = t.TempDir() + "/rec.dct"
-	w, err = Warm(rec, []dcache.Org{rec.Org}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(rec, true); err == nil {
-		t.Fatal("a recording config kept its warm state for sharing")
-	}
-	if _, err := w.Run(rec, false); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // WeightedSpeedup returns sum_i shared[i]/alone[i], the multiprogrammed
 // throughput metric used for every speedup figure in the paper. A length
 // mismatch or a non-positive alone IPC is a data error, not a programming
-// error — a degenerate run (e.g. a zero-op replay trace under -keep-going)
+// error — a degenerate result (e.g. a zero IPC under -keep-going)
 // reaches this at table-render time, after every simulation has already
 // completed — so it is reported as an error rather than a panic.
 func WeightedSpeedup(shared, alone []float64) (float64, error) {

@@ -27,16 +27,6 @@ type Op struct {
 	PC    uint64 // synthetic program counter of the instruction
 }
 
-// Source is a deterministic stream of memory operations driving one
-// core. The synthetic generator (*Gen) is the built-in implementation;
-// internal/trace provides recording tees and trace-file replay sources.
-// Implementations must be infinite for the consumer's purposes: Next
-// never blocks and never fails — a source backed by finite external data
-// reports exhaustion out of band (see trace.Reader.Err).
-type Source interface {
-	Next() Op
-}
-
 // Profile describes one synthetic benchmark.
 type Profile struct {
 	Name         string
