@@ -16,9 +16,9 @@
 #                     loaders, config patching vs its JSON-merge
 #                     oracle, the canonical config encoder vs
 #                     encoding/json, the event kernel vs its heap
-#                     oracle, the DRAM-cache tag store vs its
-#                     stamp-based oracle, and whole simulations of
-#                     fuzzed configs (CI job)
+#                     oracle, the DRAM-cache tag store and the SRAM
+#                     cache vs their stamp-based oracles, and whole
+#                     simulations of fuzzed configs (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -101,9 +101,10 @@ faults:
 # drive the timing wheel and the retired 4-ary heap to the exact same
 # dispatch sequence (FuzzEngineOps), and an arbitrary op program must
 # get the same answers from the packed DRAM-cache tag store as from its
-# stamp-based oracle, journal rollbacks included (FuzzTagStore), and a
-# config that passes Validate must simulate to a finite positive IPC
-# per core with consistent counters (FuzzRun).
+# stamp-based oracle, journal rollbacks included (FuzzTagStore), and
+# from the SRAM cache as from its stamp-based oracle, copies and reuse
+# included (FuzzCache), and a config that passes Validate must simulate
+# to a finite positive IPC per core with consistent counters (FuzzRun).
 # Checked-in corpora live in internal/<pkg>/testdata/fuzz; CI archives
 # grown corpora.
 fuzz-short:
@@ -115,6 +116,7 @@ fuzz-short:
 	$(GO) test ./internal/config -run '^$$' -fuzz 'FuzzCanonical' -fuzztime 30s
 	$(GO) test ./internal/exp -run '^$$' -fuzz 'FuzzSweepSpec' -fuzztime 30s
 	$(GO) test ./internal/dcache -run '^$$' -fuzz 'FuzzTagStore' -fuzztime 30s
+	$(GO) test ./internal/cache -run '^$$' -fuzz 'FuzzCache' -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzRun' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate every example declarative spec at
@@ -135,8 +137,8 @@ docs-check:
 
 # Short benchmark pass: substrate microbenchmarks at a real benchtime,
 # figure benchmarks and the layer benchmarks (config patch, apply and
-# hash; result-cache get and put; the warm-up's two loops, L2 access and
-# DRAM-cache warm calls per organization; warm-up of one and of both
+# hash; result-cache get and put; the warm-up's two loops, L1 and L2
+# access and DRAM-cache warm calls per organization; warm-up of one and of both
 # organizations, and the timed region) at one iteration just to prove
 # the drivers run. Nothing here is gated:
 # tier-1 tests pin the allocation counts of the whole run, Fig. 8,

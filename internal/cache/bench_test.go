@@ -6,17 +6,19 @@ import (
 	"dcasim/internal/workload"
 )
 
-// l2Access is one access of the L2's warm-up traffic.
-type l2Access struct {
+// access is one access of a benchmarked stream.
+type access struct {
 	addr  int64
 	write bool
 }
 
-// BenchmarkCacheAccess: one Access per iteration on a bench-scale L2
-// (2 MB, 16 ways) fed the L1-miss stream of a bench-scale generator: the
-// first Table I benchmark at the bench preset's working-set scale (0.25)
-// behind a 32 KB 2-way L1, whose load misses and dirty victims reach the
-// L2 as in the functional warm-up.
+// BenchmarkCacheAccess: one Access per iteration on each SRAM cache of
+// the bench-scale hierarchy, fed the first Table I benchmark's generator
+// at the bench preset's working-set scale (0.25). /l1 is a 32 KB 2-way
+// L1 taking every memop; /l2 is the 2 MB 16-way L2 behind it, taking the
+// L1's load misses and dirty victims as in the functional warm-up. Each
+// stream is 2^18 accesses long, and each cache is filled by one pass over
+// its stream before timing.
 func BenchmarkCacheAccess(b *testing.B) {
 	prof, err := workload.Lookup(workload.TableI()[0].Benchmarks[0])
 	if err != nil {
@@ -27,31 +29,46 @@ func BenchmarkCacheAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var stream []l2Access
-	for len(stream) < 1<<18 {
+	var l1Stream, l2Stream []access
+	for len(l2Stream) < 1<<18 {
 		op := gen.Next()
+		if len(l1Stream) < 1<<18 {
+			l1Stream = append(l1Stream, access{op.Addr, op.Store})
+		}
 		res := l1.Access(op.Addr, op.Store)
 		if res.Hit {
 			continue
 		}
 		if res.VictimValid && res.VictimDirty {
-			stream = append(stream, l2Access{res.VictimAddr, true})
+			l2Stream = append(l2Stream, access{res.VictimAddr, true})
 		}
 		if !op.Store {
-			stream = append(stream, l2Access{op.Addr, false})
+			l2Stream = append(l2Stream, access{op.Addr, false})
 		}
 	}
-	l2, err := New(2<<20, 64, 16, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, a := range stream {
-		l2.Access(a.addr, a.write)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := stream[i%len(stream)]
-		l2.Access(a.addr, a.write)
+	for _, bc := range []struct {
+		name   string
+		size   int64
+		ways   int
+		stream []access
+	}{
+		{"l1", 32 << 10, 2, l1Stream},
+		{"l2", 2 << 20, 16, l2Stream},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := New(bc.size, 64, bc.ways, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, a := range bc.stream {
+				c.Access(a.addr, a.write)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := bc.stream[i%len(bc.stream)]
+				c.Access(a.addr, a.write)
+			}
+		})
 	}
 }

@@ -11,6 +11,14 @@ import (
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement over block addresses (physical address >> log2(block)).
+//
+// The cache is one array of words, ways+1 per set: a word per way
+// holding its tag plus one, with the dirty bit in bit 63, so a zero word
+// is an invalid way; then the set's order word (see Promote). A zero
+// array is an empty cache. Only a way that gets a block is promoted and
+// nothing invalidates a way, so a set's invalid ways stay behind all its
+// valid ones in the order: the least recently used way is an invalid
+// one while the set has one, and a miss needs no other rule.
 type Cache struct {
 	sets int64
 	ways int
@@ -22,34 +30,24 @@ type Cache struct {
 	setMask  int64
 	setShift uint
 
-	// lines packs each way's tag, LRU stamp, and dirty bit into one
-	// 16-byte record so a set's state is contiguous (a two-way L1 set is
-	// a single CPU cache line; a 16-way L2 set is four sequential ones).
-	// emptyTag marks an invalid way.
-	lines []line
-	tick  uint32
+	words []uint64
 
 	Hits   int64
 	Misses int64
 }
 
-type line struct {
-	tag   int64
-	lru   uint32
-	dirty bool
-}
-
-// emptyTag marks an invalid way. Real tags are block addresses divided by
-// the set count and therefore non-negative.
-const emptyTag = int64(-1)
+const dirtyBit = uint64(1) << 63
 
 // SetCount returns the number of sets of a cache of sizeBytes in
 // blocks of blockBytes over ways, or an error when that shape has no
-// whole, non-empty set: a non-positive parameter, fewer blocks than
-// ways, or a block count the ways do not divide.
+// whole, non-empty set: a non-positive parameter, more than MaxWays
+// ways, fewer blocks than ways, or a block count the ways do not divide.
 func SetCount(sizeBytes int64, blockBytes, ways int) (int64, error) {
 	if sizeBytes <= 0 || blockBytes <= 0 || ways <= 0 {
 		return 0, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
+	}
+	if ways > MaxWays {
+		return 0, fmt.Errorf("cache: %d ways exceed the %d an LRU order word holds", ways, MaxWays)
 	}
 	blocks := sizeBytes / int64(blockBytes)
 	if blocks < int64(ways) {
@@ -70,13 +68,11 @@ func New(sizeBytes int64, blockBytes, ways int, spare *Cache) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{sets: sets, ways: ways}
-	if n := sets * int64(ways); spare != nil && int64(cap(spare.lines)) >= n {
-		c.lines = spare.lines[:n]
+	if n := sets * int64(ways+1); spare != nil && int64(cap(spare.words)) >= n {
+		c.words = spare.words[:n]
+		clear(c.words)
 	} else {
-		c.lines = make([]line, n)
-	}
-	for i := range c.lines {
-		c.lines[i] = line{tag: emptyTag}
+		c.words = make([]uint64, n)
 	}
 	if sets&(sets-1) == 0 {
 		c.setsPow2 = true
@@ -90,23 +86,39 @@ func New(sizeBytes int64, blockBytes, ways int, spare *Cache) (*Cache, error) {
 // state and counters — reusing dst's array when it is large enough, and
 // returns it. dst may be nil; otherwise nothing else may use it.
 func (c *Cache) CopyTo(dst *Cache) *Cache {
-	var lines []line
+	var words []uint64
 	if dst != nil {
-		lines = dst.lines[:0]
+		words = dst.words[:0]
 	} else {
 		dst = &Cache{}
 	}
 	*dst = *c
-	dst.lines = append(lines, c.lines...)
+	dst.words = append(words, c.words...)
 	return dst
 }
 
-// split maps a block address to its (set, tag) pair.
-func (c *Cache) split(blockAddr int64) (set, tag int64) {
+// set returns the words of blockAddr's set, its ways then its order
+// word, and the tag word blockAddr's way would hold.
+func (c *Cache) set(blockAddr int64) (ws []uint64, set int64, want uint64) {
+	var tag int64
 	if c.setsPow2 {
-		return blockAddr & c.setMask, blockAddr >> c.setShift
+		set, tag = blockAddr&c.setMask, blockAddr>>c.setShift
+	} else {
+		tag = blockAddr / c.sets
+		set = blockAddr - tag*c.sets
 	}
-	return blockAddr % c.sets, blockAddr / c.sets
+	n := int64(c.ways + 1)
+	return c.words[set*n : set*n+n], set, uint64(tag) + 1
+}
+
+// find returns the way of ws holding the tag word want, or -1.
+func (c *Cache) find(ws []uint64, want uint64) int {
+	for w, x := range ws[:c.ways] {
+		if x&^dirtyBit == want {
+			return w
+		}
+	}
+	return -1
 }
 
 // Sets returns the number of sets.
@@ -114,19 +126,6 @@ func (c *Cache) Sets() int64 { return c.sets }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
-
-func (c *Cache) idx(set int64, way int) int64 { return set*int64(c.ways) + int64(way) }
-
-func (c *Cache) find(blockAddr int64) (set int64, way int) {
-	set, t := c.split(blockAddr)
-	base := set * int64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+int64(w)].tag == t {
-			return set, w
-		}
-	}
-	return set, -1
-}
 
 // Result reports the outcome of an Access.
 type Result struct {
@@ -139,50 +138,33 @@ type Result struct {
 // Access performs a load (write=false) or store (write=true) with
 // allocate-on-miss semantics and returns the displaced victim, if any.
 // This is the hottest loop of the whole simulator (every warm-up
-// operation and every timed memory operation passes through it): the hit
-// scan touches only the tag words, and the victim scan runs only on a
-// miss.
+// operation and every timed memory operation passes through it): a hit
+// scans the way words once and promotes without a branch, and a miss
+// replaces the order word's least recently used way without a scan.
 //
 //dcalint:noalloc
 func (c *Cache) Access(blockAddr int64, write bool) Result {
-	set, tg := c.split(blockAddr)
-	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
-	c.tick++
-	for w := range ws {
-		l := &ws[w]
-		if l.tag == tg {
-			c.Hits++
-			l.lru = c.tick
-			if write {
-				l.dirty = true
-			}
-			return Result{Hit: true}
-		}
+	ws, set, want := c.set(blockAddr)
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
+	o := &ws[c.ways]
+	if w := c.find(ws, want); w >= 0 {
+		c.Hits++
+		ws[w] |= dirty
+		*o = Promote(*o, w)
+		return Result{Hit: true}
 	}
 	c.Misses++
-	victim := -1
-	var oldest uint32
-	for w := range ws {
-		l := &ws[w]
-		if l.tag == emptyTag {
-			victim = w
-			break
-		}
-		if victim < 0 || l.lru < oldest {
-			victim, oldest = w, l.lru
-		}
+	v := LRU(*o, c.ways)
+	x := ws[v]
+	ws[v] = want | dirty
+	*o = Promote(*o, v)
+	if x == 0 {
+		return Result{}
 	}
-	l := &ws[victim]
-	res := Result{}
-	if l.tag != emptyTag {
-		res.VictimAddr = l.tag*c.sets + set
-		res.VictimValid = true
-		res.VictimDirty = l.dirty
-	}
-	l.tag = tg
-	l.dirty = write
-	l.lru = c.tick
-	return res
+	return Result{VictimAddr: int64(x&^dirtyBit-1)*c.sets + set, VictimValid: true, VictimDirty: x&dirtyBit != 0}
 }
 
 // Touch performs a read-hit check in a single way scan: on a hit it
@@ -193,40 +175,37 @@ func (c *Cache) Access(blockAddr int64, write bool) Result {
 //
 //dcalint:noalloc
 func (c *Cache) Touch(blockAddr int64) bool {
-	set, tg := c.split(blockAddr)
-	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
-	for w := range ws {
-		l := &ws[w]
-		if l.tag == tg {
-			c.Hits++
-			c.tick++
-			l.lru = c.tick
-			return true
-		}
+	ws, _, want := c.set(blockAddr)
+	w := c.find(ws, want)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.Hits++
+	ws[c.ways] = Promote(ws[c.ways], w)
+	return true
 }
 
 // Probe reports presence without changing any state.
 func (c *Cache) Probe(blockAddr int64) (present, dirty bool) {
-	set, way := c.find(blockAddr)
-	if way < 0 {
+	ws, _, want := c.set(blockAddr)
+	w := c.find(ws, want)
+	if w < 0 {
 		return false, false
 	}
-	return true, c.lines[c.idx(set, way)].dirty
+	return true, ws[w]&dirtyBit != 0
 }
 
 // Clean clears the dirty bit of blockAddr if present, returning whether
-// it was dirty. Used by the Lee DRAM-aware writeback policy, which
-// eagerly writes row-mates back and leaves them resident clean.
+// it was present and dirty. Used by the Lee DRAM-aware writeback policy,
+// which eagerly writes row-mates back and leaves them resident clean.
 func (c *Cache) Clean(blockAddr int64) bool {
-	set, way := c.find(blockAddr)
-	if way < 0 {
+	ws, _, want := c.set(blockAddr)
+	w := c.find(ws, want)
+	if w < 0 {
 		return false
 	}
-	l := &c.lines[c.idx(set, way)]
-	was := l.dirty
-	l.dirty = false
+	was := ws[w]&dirtyBit != 0
+	ws[w] &^= dirtyBit
 	return was
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -28,6 +29,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(64, 64, 0, nil); err == nil {
 		t.Error("zero ways accepted")
 	}
+	if _, err := New(4*17*64, 64, 17, nil); err == nil {
+		t.Error("more ways than an order word holds accepted")
+	}
+	if _, err := New(4*MaxWays*64, 64, MaxWays, nil); err != nil {
+		t.Errorf("%d ways rejected: %v", MaxWays, err)
+	}
 	c := mustNew(t, 32<<10, 64, 2)
 	if c.Sets() != 256 || c.Ways() != 2 {
 		t.Fatalf("32KB/2way: %d sets x %d ways, want 256x2", c.Sets(), c.Ways())
@@ -43,10 +50,10 @@ func TestNewOverSpare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &c.lines[0] != &old.lines[0] {
+	if &c.words[0] != &old.words[0] {
 		t.Fatal("the spare's array was not reused")
 	}
-	if p, _ := c.Probe(5); p || c.tick != 0 || c.Hits+c.Misses != 0 {
+	if p, _ := c.Probe(5); p || slices.ContainsFunc(c.words, func(x uint64) bool { return x != 0 }) || c.Hits+c.Misses != 0 {
 		t.Fatal("a cache built over a spare kept its contents")
 	}
 	if r := c.Access(5, false); r.Hit || r.VictimValid {
@@ -61,9 +68,9 @@ func TestCopyTo(t *testing.T) {
 	c.Access(0, true)
 	c.Access(8, false)
 	dst := mustNew(t, 1024, 64, 2)
-	arr := &dst.lines[0]
+	arr := &dst.words[0]
 	cp := c.CopyTo(dst)
-	if cp != dst || &cp.lines[0] != arr {
+	if cp != dst || &cp.words[0] != arr {
 		t.Fatal("CopyTo did not copy into the given cache's array")
 	}
 	if present, dirty := cp.Probe(0); !present || !dirty || cp.Misses != 2 {

@@ -187,7 +187,7 @@ func (c Config) Validate() error {
 	// The DRAM cache's layout rules, applied here so a bad size fails
 	// before hashing and dispatch rather than inside a warm-up.
 	if _, err := dcache.NewGeometry(c.Org, c.CacheSizeBytes, c.DRAMGeometry()); err != nil {
-		return fmt.Errorf("config: CacheSizeBytes %d: %w", c.CacheSizeBytes, err)
+		return fmt.Errorf("config: CacheSizeBytes %d over RowBytes %d: %w", c.CacheSizeBytes, c.RowBytes, err)
 	}
 	switch {
 	// A NaN or infinite float has no canonical encoding, so the config

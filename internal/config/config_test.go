@@ -123,9 +123,11 @@ func TestValidateRejectsBrokenCPU(t *testing.T) {
 
 // TestValidateRejectsRuntimeFailures: configs that passed Validate and
 // then panicked in the event engine (a negative latency), simulated
-// nonsense (a negative DRAM timing, a zero burst) or failed only inside
-// a run (an SRAM cache with no whole set) are rejected with an error
-// naming the field. Zero turnarounds stay legal.
+// nonsense (a negative DRAM timing, a zero burst, a DRAM row the
+// DRAM-cache layout does not fit) or failed only inside a run (an SRAM
+// cache with no whole set, or with more ways than an LRU order word
+// holds) are rejected with an error naming the field. Zero turnarounds
+// stay legal.
 func TestValidateRejectsRuntimeFailures(t *testing.T) {
 	cases := []struct {
 		field  string
@@ -138,11 +140,14 @@ func TestValidateRejectsRuntimeFailures(t *testing.T) {
 		{"TRCD", func(c *Config) { c.Timing.TRCD = -simtime.Nanosecond }},
 		{"L1Ways", func(c *Config) { c.L1Ways = 0 }},
 		{"L2Ways", func(c *Config) { c.L2Ways = -1 }},
-		{"L1Bytes", func(c *Config) { c.L1Bytes = 64 }},      // one block over two ways
-		{"L2Bytes", func(c *Config) { c.L2Bytes = 24 * 64 }}, // 24 blocks over 16 ways
+		{"L1Bytes", func(c *Config) { c.L1Bytes = 64 }},                     // one block over two ways
+		{"L2Bytes", func(c *Config) { c.L2Bytes = 24 * 64 }},                // 24 blocks over 16 ways
+		{"L1Ways", func(c *Config) { c.L1Ways, c.L1Bytes = 17, 4*17*64 }},   // 4 whole sets of 17 ways
+		{"L2Ways", func(c *Config) { c.L2Ways, c.L2Bytes = 17, 512*17*64 }}, // 512 whole sets of 17 ways
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = -4096 }},
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 0 }},
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 4096 + 64 }}, // not a whole row
+		{"RowBytes", func(c *Config) { c.RowBytes = 2048 }},                  // a set's tag and data would split
 	}
 	for _, tc := range cases {
 		c := withMix(Test())

@@ -153,9 +153,12 @@ func (c *Core) Warm(memops int64, l2 *cache.Cache, b *dcache.WarmBatch) {
 			if res.VictimValid && res.VictimDirty {
 				warmInstall(l2, b, res.VictimAddr, true, c.id)
 			}
-			if !l2.Touch(op.Addr) {
+			// A load miss reads the DRAM cache, then installs clean.
+			if res := l2.Access(op.Addr, false); !res.Hit {
 				b.Read(op.Addr, c.id, op.PC)
-				warmInstall(l2, b, op.Addr, false, c.id)
+				if res.VictimValid && res.VictimDirty {
+					b.Write(res.VictimAddr, c.id)
+				}
 			}
 		}
 	}

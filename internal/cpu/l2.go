@@ -131,8 +131,7 @@ func (l *L2) leeDrain(victim int64, coreID int) {
 		if a == victim {
 			continue
 		}
-		if present, dirty := l.arr.Probe(a); present && dirty {
-			l.arr.Clean(a)
+		if l.arr.Clean(a) {
 			l.LeeEager++
 			l.writeback(a, coreID)
 		}

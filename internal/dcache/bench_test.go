@@ -47,11 +47,15 @@ func warmCalls(tb testing.TB, n int) []warmCall {
 				if res.VictimValid && res.VictimDirty {
 					install(res.VictimAddr, true, core)
 				}
-				if op.Store || l2.Touch(op.Addr) {
+				if op.Store {
 					continue
 				}
-				calls = append(calls, warmCall{addr: op.Addr, pc: op.PC, core: core})
-				install(op.Addr, false, core)
+				if res := l2.Access(op.Addr, false); !res.Hit {
+					calls = append(calls, warmCall{addr: op.Addr, pc: op.PC, core: core})
+					if res.VictimValid && res.VictimDirty {
+						calls = append(calls, warmCall{addr: res.VictimAddr, core: core, write: true})
+					}
+				}
 			}
 		}
 	}

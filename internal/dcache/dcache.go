@@ -550,17 +550,7 @@ func (d *DCache) issueDataWrite(set int64, way, coreID int, reqType core.Request
 //
 //dcalint:noalloc
 func (c *Contents) WarmRead(addr int64, coreID int, pc uint64) {
-	set, way, vw := c.tags.lookupOrVictim(addr)
-	hit := way >= 0
-	if c.mapi != nil {
-		p := c.mapi.PredictMiss(coreID, pc)
-		c.mapi.Update(coreID, pc, p, hit)
-	}
-	if hit {
-		c.tags.touch(set, way)
-		return
-	}
-	c.tags.install(addr, set, vw, false)
+	c.warm(&warmCall{addr: addr, pc: pc, core: coreID}, c.geom.SetOf(addr))
 }
 
 // WarmWrite performs a functional writeback: hits become dirty, misses
@@ -568,13 +558,27 @@ func (c *Contents) WarmRead(addr int64, coreID int, pc uint64) {
 //
 //dcalint:noalloc
 func (c *Contents) WarmWrite(addr int64, coreID int) {
-	set, way, vw := c.tags.lookupOrVictim(addr)
-	if way >= 0 {
-		c.tags.setDirty(set, way)
-		c.tags.touch(set, way)
-		return
+	c.warm(&warmCall{addr: addr, core: coreID, write: true}, c.geom.SetOf(addr))
+}
+
+// warm applies a warm call whose block maps to set.
+//
+//dcalint:noalloc
+func (c *Contents) warm(k *warmCall, set int64) {
+	way, vw := c.tags.lookupOrVictim(k.addr, set)
+	if !k.write && c.mapi != nil {
+		p := c.mapi.PredictMiss(k.core, k.pc)
+		c.mapi.Update(k.core, k.pc, p, way >= 0)
 	}
-	c.tags.install(addr, set, vw, true)
+	switch {
+	case way < 0:
+		c.tags.install(k.addr, set, vw, k.write)
+	case k.write:
+		c.tags.setDirty(set, way)
+		fallthrough
+	default:
+		c.tags.touch(set, way)
+	}
 }
 
 // RowSpan returns the contiguous block-address window whose members map

@@ -79,6 +79,7 @@ func (o *Org) UnmarshalJSON(b []byte) error {
 const (
 	BlockBytes = 64
 	TADBytes   = 72 // 64 B data + 8 B tag in the direct-mapped design
+	RowBytes   = 4096
 
 	saSetsPerRow = 4
 	saWays       = 15
@@ -98,21 +99,28 @@ type Geometry struct {
 	DRAM      addrmap.Geometry
 
 	// Power-of-two set counts (the set-associative organization always;
-	// direct-mapped never, 56 TADs per row) split addresses with a mask
-	// and shift instead of the div/mod pair on the warm-up fast path.
-	setsPow2 bool
-	setShift uint
+	// direct-mapped never, 56 TADs per row) find a set with a mask
+	// instead of a division. A tag, (block - set) / Sets, is an exact
+	// quotient and never takes one: it shifts out Sets' factors of two
+	// (setShift) and multiplies by the inverse of the odd part modulo
+	// 2^64 (oddInverse, 1 for a power of two).
+	setsPow2   bool
+	setShift   uint
+	oddInverse uint64
 }
 
-// NewGeometry derives a geometry from the stacked-DRAM shape. The DRAM
-// geometry's row size and block size define the layout; sizeBytes must be
-// a positive whole number of rows.
+// NewGeometry derives a geometry from the stacked-DRAM shape. The layout
+// needs RowBytes rows of BlockBytes blocks; sizeBytes must be a positive
+// whole number of rows.
 func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, error) {
 	if err := dram.Validate(); err != nil {
 		return Geometry{}, err
 	}
 	if dram.BlockSize != BlockBytes {
 		return Geometry{}, fmt.Errorf("dcache: DRAM block size %d, want %d", dram.BlockSize, BlockBytes)
+	}
+	if dram.RowBytes != RowBytes {
+		return Geometry{}, fmt.Errorf("dcache: RowBytes %d, want %d: the layout packs %d sets or %d TADs into a row", dram.RowBytes, RowBytes, saSetsPerRow, dmTADsPerRow)
 	}
 	if sizeBytes <= 0 || sizeBytes%int64(dram.RowBytes) != 0 {
 		return Geometry{}, fmt.Errorf("dcache: size %d is not a positive multiple of row size %d", sizeBytes, dram.RowBytes)
@@ -129,9 +137,14 @@ func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, err
 	default:
 		return Geometry{}, fmt.Errorf("dcache: unknown org %d", int(org))
 	}
-	if g.Sets&(g.Sets-1) == 0 {
-		g.setsPow2 = true
-		g.setShift = uint(bits.TrailingZeros64(uint64(g.Sets)))
+	g.setsPow2 = g.Sets&(g.Sets-1) == 0
+	g.setShift = uint(bits.TrailingZeros64(uint64(g.Sets)))
+	// Newton's iteration doubles the correct low bits of an inverse of
+	// the odd part d, and d is its own inverse modulo 8: 3 → 96 bits.
+	d := uint64(g.Sets) >> g.setShift
+	g.oddInverse = d
+	for i := 0; i < 5; i++ {
+		g.oddInverse *= 2 - d*g.oddInverse
 	}
 	return g, nil
 }
@@ -140,10 +153,11 @@ func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, err
 // 256 MB set-associative instance).
 func (g Geometry) DataCapacity() int64 { return g.Sets * int64(g.Ways) * BlockBytes }
 
-// SetOf maps a physical block address (block number) to its set.
+// SetOf maps a physical block address (block number) to its set. It is
+// the one division a direct-mapped lookup takes.
 func (g *Geometry) SetOf(blockAddr int64) int64 {
 	if blockAddr < 0 {
-		panic(fmt.Sprintf("dcache: negative block address %d", blockAddr))
+		negativeBlock(blockAddr)
 	}
 	if g.setsPow2 {
 		return blockAddr & (g.Sets - 1)
@@ -151,12 +165,20 @@ func (g *Geometry) SetOf(blockAddr int64) int64 {
 	return blockAddr % g.Sets
 }
 
+// negativeBlock panics; it is kept out of line so SetOf inlines.
+//
+//go:noinline
+func negativeBlock(blockAddr int64) {
+	panic(fmt.Sprintf("dcache: negative block address %d", blockAddr))
+}
+
 // TagOf returns the tag stored for blockAddr.
-func (g *Geometry) TagOf(blockAddr int64) int64 {
-	if g.setsPow2 {
-		return blockAddr >> g.setShift
-	}
-	return blockAddr / g.Sets
+func (g *Geometry) TagOf(blockAddr int64) int64 { return g.tagIn(blockAddr, g.SetOf(blockAddr)) }
+
+// tagIn returns the tag of blockAddr, which maps to set, without a
+// division.
+func (g *Geometry) tagIn(blockAddr, set int64) int64 {
+	return int64(uint64(blockAddr-set) >> g.setShift * g.oddInverse)
 }
 
 // rowOf returns the DRAM row (linear row index) holding a set.

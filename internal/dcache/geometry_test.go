@@ -1,9 +1,11 @@
 package dcache
 
 import (
+	"strings"
 	"testing"
 
 	"dcasim/internal/addrmap"
+	"dcasim/internal/rng"
 )
 
 func paperDRAM() addrmap.Geometry {
@@ -50,15 +52,40 @@ func TestGeometryErrors(t *testing.T) {
 	if _, err := NewGeometry(SetAssoc, 256<<20, bad); err == nil {
 		t.Error("non-64B block accepted")
 	}
+	// The layout packs a 4 KB row; any other row would split a set's tag
+	// and data across rows, or leave most of each row unused.
+	for _, row := range []int{64, 2048, 8192} {
+		bad := paperDRAM()
+		bad.RowBytes = row
+		for _, org := range []Org{SetAssoc, DirectMapped} {
+			if _, err := NewGeometry(org, 256<<20, bad); err == nil || !strings.Contains(err.Error(), "RowBytes") {
+				t.Errorf("%v over %d-byte rows: err = %v, want one naming RowBytes", org, row, err)
+			}
+		}
+	}
 }
 
+// TestSetMapping: SetOf and TagOf are the remainder and quotient of the
+// set count, in both organizations and over row counts that make the
+// set count a power of two, an odd number, or neither.
 func TestSetMapping(t *testing.T) {
-	g, _ := NewGeometry(SetAssoc, 16<<20, paperDRAM())
-	if g.SetOf(0) != 0 || g.SetOf(g.Sets) != 0 || g.SetOf(g.Sets+5) != 5 {
-		t.Fatal("SetOf is not addr mod sets")
-	}
-	if g.TagOf(g.Sets+5) != 1 {
-		t.Fatal("TagOf is not addr div sets")
+	r := rng.New(7)
+	for _, org := range []Org{SetAssoc, DirectMapped} {
+		for _, rows := range []int64{1, 3, 4, 5, 12, 4096} {
+			g, err := NewGeometry(org, rows*RowBytes, paperDRAM())
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs := []int64{0, g.Sets - 1, g.Sets, g.Sets + 5, 1<<62 - 1}
+			for i := 0; i < 1000; i++ {
+				addrs = append(addrs, int64(r.Uint64()>>(1+r.Intn(62))))
+			}
+			for _, a := range addrs {
+				if set, tag := g.SetOf(a), g.TagOf(a); set != a%g.Sets || tag != a/g.Sets {
+					t.Fatalf("%v over %d rows: block %d maps to set %d tag %d, want %d and %d", org, rows, a, set, tag, a%g.Sets, a/g.Sets)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package dcache
 
-import "math/bits"
+import "dcasim/internal/cache"
 
 // tagStore is the functional (zero-time) tag state of the DRAM cache:
 // which blocks are present, their dirtiness, and LRU order. Timing is
@@ -12,9 +12,10 @@ import "math/bits"
 // way. A set-associative set is one 16-word, 128-byte record, as the
 // Loh–Hill tag block keeps a set's tags together: its 15 way words, then
 // an order word of the 15 way indices, four bits each, most recently
-// used first. A zero order word reads as the identity order, so a
-// cleared array is an empty store. A direct-mapped set is one way word
-// and keeps no order: a 1-way set has no replacement choice.
+// used first, kept by the SRAM caches' helpers (cache.Promote). A zero
+// order word reads as the identity order, so a cleared array is an empty
+// store. A direct-mapped set is one way word and keeps no order: a 1-way
+// set has no replacement choice.
 type tagStore struct {
 	geom  Geometry
 	words []uint64
@@ -41,12 +42,6 @@ const (
 	// and the order word.
 	recShift  = 4
 	orderWord = 1<<recShift - 1
-
-	// identityOrder is what a zero order word reads as: way 0 most
-	// recently used, way saWays-1 least.
-	identityOrder = uint64(0x0EDCBA9876543210)
-	// nibbleOnes has a one in each of the order word's 15 nibbles.
-	nibbleOnes = uint64(0x0111111111111111)
 )
 
 // newTagStore builds an empty store for g, reusing spare's memory when it
@@ -90,20 +85,20 @@ func (t *tagStore) find(set, tag int64) int {
 // lookup returns the way holding blockAddr, or -1.
 func (t *tagStore) lookup(blockAddr int64) (set int64, way int) {
 	set = t.geom.SetOf(blockAddr)
-	return set, t.find(set, t.geom.TagOf(blockAddr))
+	return set, t.find(set, t.geom.tagIn(blockAddr, set))
 }
 
 // lookupOrVictim combines lookup and victim selection for the warm-up
-// fast path: way is -1 on a miss, in which case victim is the way to
-// replace (the first invalid way if one exists, else LRU).
+// fast path, for a block and the set it maps to: way is -1 on a miss, in
+// which case victim is the way to replace (the first invalid way if one
+// exists, else LRU).
 //
 //dcalint:noalloc
-func (t *tagStore) lookupOrVictim(blockAddr int64) (set int64, way, victim int) {
-	set = t.geom.SetOf(blockAddr)
-	if way = t.find(set, t.geom.TagOf(blockAddr)); way >= 0 {
-		return set, way, -1
+func (t *tagStore) lookupOrVictim(blockAddr, set int64) (way, victim int) {
+	if way = t.find(set, t.geom.tagIn(blockAddr, set)); way >= 0 {
+		return way, -1
 	}
-	return set, -1, t.victim(set)
+	return -1, t.victim(set)
 }
 
 // victim selects the replacement way in set: an invalid way if one
@@ -118,26 +113,13 @@ func (t *tagStore) victim(set int64) int {
 			return w
 		}
 	}
-	return int(readOrder(rec[orderWord]) >> (4 * (saWays - 1)))
-}
-
-// readOrder returns the LRU order an order word holds.
-func readOrder(o uint64) uint64 {
-	if o == 0 {
-		return identityOrder
-	}
-	return o
+	return cache.LRU(rec[orderWord], saWays)
 }
 
 // promote moves way to the front of set's LRU order.
 func (t *tagStore) promote(set int64, way int) {
 	o := &t.words[set<<recShift+orderWord]
-	order, w := readOrder(*o), uint64(way)
-	// way's nibble is the lowest zero nibble of order^w*nibbleOnes, and
-	// the classic zero-byte test, on nibbles, finds the lowest exactly.
-	x := order ^ w*nibbleOnes
-	p := bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3)) &^ 3
-	*o = order&^(1<<(p+4)-1) | (order&(1<<p-1))<<4 | w
+	*o = cache.Promote(*o, way)
 }
 
 // touch updates replacement state for a hit. A 1-way store has none.
@@ -185,7 +167,7 @@ func (t *tagStore) install(blockAddr int64, set int64, way int, dirty bool) {
 	if t.journaling {
 		t.save(i)
 	}
-	x := uint64(t.geom.TagOf(blockAddr)) + 1
+	x := uint64(t.geom.tagIn(blockAddr, set)) + 1
 	if dirty {
 		x |= dirtyBit
 	}
@@ -195,21 +177,25 @@ func (t *tagStore) install(blockAddr int64, set int64, way int, dirty bool) {
 	}
 }
 
-// preload loads the words of the sets blocks map to, both 64-byte lines
-// of a set-associative record, and returns their sum. Loading a batch of
-// sets before their calls scan them lets the host overlap the misses
-// that one dependent scan after another would each wait out.
+// preload maps each call's block to its set, into sets, and loads the
+// words of those sets, both 64-byte lines of a set-associative record,
+// returning their sum. Loading a batch of sets before their calls scan
+// them lets the host overlap the misses that one dependent scan after
+// another would each wait out.
 //
 //dcalint:noalloc
-func (t *tagStore) preload(calls []warmCall) (sum uint64) {
+func (t *tagStore) preload(calls []warmCall, sets []int64) (sum uint64) {
+	sets = sets[:len(calls)]
 	if t.shift == 0 {
 		for i := range calls {
-			sum += t.words[t.geom.SetOf(calls[i].addr)]
+			sets[i] = t.geom.SetOf(calls[i].addr)
+			sum += t.words[sets[i]]
 		}
 		return sum
 	}
 	for i := range calls {
-		rec := t.words[t.geom.SetOf(calls[i].addr)<<recShift:][:orderWord+1]
+		sets[i] = t.geom.SetOf(calls[i].addr)
+		rec := t.words[sets[i]<<recShift:][:orderWord+1]
 		sum += rec[0] + rec[8]
 	}
 	return sum

@@ -45,8 +45,8 @@ func newOracleTags(g Geometry) *oracleTags {
 func (t *oracleTags) idx(set int64, way int) int64 { return set*int64(t.geom.Ways) + int64(way) }
 
 func (t *oracleTags) lookup(blockAddr int64) (set int64, way int) {
-	set = t.geom.SetOf(blockAddr)
-	want := t.geom.TagOf(blockAddr)
+	set = blockAddr % t.geom.Sets
+	want := blockAddr / t.geom.Sets
 	for w := 0; w < t.geom.Ways; w++ {
 		if t.tag[t.idx(set, w)] == want {
 			return set, w
@@ -106,7 +106,7 @@ func (t *oracleTags) victimInfo(set int64, way int) (blockAddr int64, valid, dir
 func (t *oracleTags) install(blockAddr int64, set int64, way int, dirty bool) {
 	i := t.idx(set, way)
 	t.save(i)
-	t.tag[i] = t.geom.TagOf(blockAddr)
+	t.tag[i] = blockAddr / t.geom.Sets
 	t.dirty[i] = dirty
 	t.tick++
 	t.lru[i] = t.tick
@@ -192,7 +192,8 @@ func driveTags(t *testing.T, org Org, program []byte) journalOutcomes {
 			}
 		case 1: // a warm call, a write when op's top bit is set
 			addr, write := block(a, b), op&0x80 != 0
-			s1, w1, v1 := ts.lookupOrVictim(addr)
+			s1 := g.SetOf(addr)
+			w1, v1 := ts.lookupOrVictim(addr, s1)
 			s2, w2, v2 := ref.lookupOrVictim(addr)
 			if s1 != s2 || w1 != w2 || v1 != v2 {
 				fail("lookupOrVictim", [3]int64{s1, int64(w1), int64(v1)}, [3]int64{s2, int64(w2), int64(v2)})

@@ -37,7 +37,8 @@ func TestTagJournalRollback(t *testing.T) {
 		write := func(n int) {
 			for i := 0; i < n; i++ {
 				addr := int64(i * 7919)
-				set, way, vw := ts.lookupOrVictim(addr)
+				set := ts.geom.SetOf(addr)
+				way, vw := ts.lookupOrVictim(addr, set)
 				if way >= 0 {
 					ts.setDirty(set, way)
 					ts.touch(set, way)

@@ -8,14 +8,15 @@ const warmBatchCalls = 128
 // WarmBatch defers the functional warm-up's DRAM-cache calls and applies
 // them in batches. A flush has each contents first load the set of every
 // call, so that the host overlaps those cache misses, and then apply the
-// calls in their original order through WarmRead and WarmWrite. The
+// calls in their original order as WarmRead and WarmWrite would. The
 // contents are pure sinks — nothing they hold feeds back into the calls
 // — so deferring the calls changes nothing the contents compute.
 type WarmBatch struct {
 	dcs   []*Contents
 	n     int
 	calls [warmBatchCalls]warmCall
-	sum   uint64 // the preloaded words, kept so the compiler keeps the loads
+	sets  [warmBatchCalls]int64 // each call's set in the contents being flushed
+	sum   uint64                // the preloaded words, kept so the compiler keeps the loads
 }
 
 // warmCall is one deferred call: WarmWrite(addr, core) when write is
@@ -56,21 +57,16 @@ func (b *WarmBatch) add(k warmCall) {
 }
 
 // Flush applies every deferred call to every contents and empties the
-// batch.
+// batch. A call's set, found by the preload, is not found again.
 //
 //dcalint:noalloc
 func (b *WarmBatch) Flush() {
 	calls := b.calls[:b.n]
 	b.n = 0
 	for _, c := range b.dcs {
-		b.sum += c.tags.preload(calls)
+		b.sum += c.tags.preload(calls, b.sets[:])
 		for i := range calls {
-			k := &calls[i]
-			if k.write {
-				c.WarmWrite(k.addr, k.core)
-			} else {
-				c.WarmRead(k.addr, k.core, k.pc)
-			}
+			c.warm(&calls[i], b.sets[i])
 		}
 	}
 }
