@@ -22,10 +22,8 @@
 #   make sweep-smoke - run every example sweep spec end to end against
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
-#                     markdown link integrity over README /
-#                     ARCHITECTURE / docs / examples, plus the guard
-#                     that every registered scheduling policy has a
-#                     row in docs/adding-a-policy.md's policy table
+#                     markdown link and anchor integrity over README /
+#                     ARCHITECTURE / ROADMAP / examples
 #   make bench-short - one pass over the substrate microbenchmarks, one
 #                      small figure benchmark and the config, result-cache,
 #                      SRAM-cache, DRAM-cache-contents and simulation
@@ -129,9 +127,7 @@ sweep-smoke:
 	done
 
 # Documentation gate: relative markdown links (files and #anchors) must
-# resolve across README / ARCHITECTURE / docs / examples, and every
-# registered scheduling policy needs a row in the authoring guide's
-# policy table (docscheck links the full registry to compare).
+# resolve across README / ARCHITECTURE / ROADMAP / examples.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -8,7 +8,6 @@
 //	       [-tagkb N] [-bench m1,m2,m3,m4] [-instr N]
 //	       [-scale bench|test|paper] [-seed N] [-seeds N] [-config cfg.json]
 //	       [-save-config cfg.json] [-cache dir] [-run-timeout d]
-//	       [-list-policies]
 //
 //	dcasim sweep -spec spec.json [-cache dir] [-j N] [-seeds N]
 //	             [-format text|csv|json] [-keep-going] [-run-timeout d]
@@ -34,10 +33,8 @@
 // arms a per-run watchdog against hung simulations. See
 // examples/sweep/ and the README.
 //
-// -alg selects the base scheduling algorithm by registered policy name
-// (case-insensitive; aliases accepted) and -list-policies prints the
-// registry — the built-ins plus every policy package linked in via
-// dcasim/internal/sched/policies. See docs/adding-a-policy.md.
+// -alg selects the base scheduling algorithm: bliss, fr-fcfs (or frfcfs)
+// or fcfs, in any case.
 package main
 
 import (
@@ -57,10 +54,6 @@ import (
 	"dcasim/internal/rescache"
 	"dcasim/internal/sim"
 	"dcasim/internal/stats"
-
-	// Link the full in-tree scheduling-policy set (ATLAS, ...) so -alg
-	// and sweep specs resolve every registered name.
-	_ "dcasim/internal/sched/policies"
 )
 
 func main() {
@@ -72,8 +65,7 @@ func main() {
 	}
 	var (
 		design   = flag.String("design", "dca", "controller design: cd, rod, or dca")
-		alg      = flag.String("alg", "bliss", "base scheduling algorithm (a registered policy name; see -list-policies)")
-		listPols = flag.Bool("list-policies", false, "print the registered scheduling policies and exit")
+		alg      = flag.String("alg", "bliss", "base scheduling algorithm: bliss, fr-fcfs, or fcfs")
 		org      = flag.String("org", "sa", "cache organization: sa (set-associative) or dm (direct-mapped)")
 		remap    = flag.Bool("remap", false, "enable XOR permutation remapping")
 		lee      = flag.Bool("lee", false, "enable Lee DRAM-aware L2 writeback")
@@ -91,10 +83,6 @@ func main() {
 	)
 	flag.IntVar(workers, "workers", *workers, "alias for -j")
 	flag.Parse()
-	if *listPols {
-		fmt.Print(exp.DescribePolicies())
-		return
-	}
 	if err := exp.ValidateWorkers(*workers); err != nil {
 		log.Fatal(err)
 	}

@@ -1,15 +1,9 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It keeps the prose layer as live as the code layer:
-//
-//   - Every relative markdown link in README.md, ARCHITECTURE.md, and
-//     the docs/ and examples/ trees must resolve to an existing file,
-//     and every fragment (#section) must name a real heading in its
-//     target document (GitHub anchor rules: lowercased, punctuation
-//     stripped, spaces to hyphens).
-//   - Every registered scheduling policy must have a row in the policy
-//     table of docs/adding-a-policy.md, so the authoring guide cannot
-//     silently fall behind the registry. The check links the full
-//     policy set the binaries link (internal/sched/policies).
+// It keeps the prose layer as live as the code layer: every relative
+// markdown link in README.md, ARCHITECTURE.md, ROADMAP.md and the
+// examples/ tree must resolve to an existing file, and every fragment
+// (#section) must name a real heading in its target document (GitHub
+// anchor rules: lowercased, punctuation stripped, spaces to hyphens).
 //
 // External links (http/https/mailto) are not fetched: the gate must be
 // deterministic and offline. Run from the repository root; exits
@@ -23,21 +17,11 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"dcasim/internal/sched"
-
-	// Link the full in-tree scheduling-policy set so the policy-table
-	// guard sees every name the binaries can resolve.
-	_ "dcasim/internal/sched/policies"
 )
 
 // roots are the documentation entry points checked for link integrity,
 // relative to the repository root.
-var roots = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md", "docs", "examples"}
-
-// policyGuide is the document whose policy table must list every
-// registered policy.
-const policyGuide = "docs/adding-a-policy.md"
+var roots = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md", "examples"}
 
 func main() {
 	var problems []string
@@ -56,13 +40,6 @@ func main() {
 		problems = append(problems, probs...)
 	}
 
-	probs, err := checkPolicyTable(policyGuide)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-		os.Exit(1)
-	}
-	problems = append(problems, probs...)
-
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintf(os.Stderr, "docscheck: %s\n", p)
@@ -70,7 +47,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck OK: %d markdown files, links and policy table verified\n", len(files))
+	fmt.Printf("docscheck OK: %d markdown files, links verified\n", len(files))
 }
 
 // collectMarkdown expands the root list into the sorted set of .md
@@ -197,21 +174,4 @@ func slugify(heading string) string {
 		}
 	}
 	return b.String()
-}
-
-// checkPolicyTable requires a `| <name> |`-leading table row in the
-// authoring guide for every registered policy.
-func checkPolicyTable(guide string) ([]string, error) {
-	data, err := os.ReadFile(guide)
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
-	for _, name := range sched.Names() {
-		row := regexp.MustCompile(`(?mi)^\|\s*` + regexp.QuoteMeta(name) + `\s*\|`)
-		if !row.Match(data) {
-			problems = append(problems, fmt.Sprintf("%s: registered policy %q has no row in the policy table (add `| %s | ... |`)", guide, name, name))
-		}
-	}
-	return problems, nil
 }

@@ -5,7 +5,7 @@
 //
 //	experiments [-mixes N] [-j N] [-scale bench|test] [-only fig8,fig9,...]
 //	            [-seeds N] [-cache dir] [-format text|csv|json] [-keep-going]
-//	            [-run-timeout d] [-list-policies]
+//	            [-run-timeout d]
 //
 // By default it runs all 30 Table I workload mixes at the bench scale and
 // prints Tables I–II and Figures 8–19 plus the extension studies. The
@@ -48,11 +48,6 @@ import (
 	"dcasim/internal/exp"
 	"dcasim/internal/rescache"
 	"dcasim/internal/stats"
-
-	// Link the full in-tree scheduling-policy set (ATLAS, ...): the
-	// figure specs name only built-ins, but sweep patches loaded through
-	// shared configs may select any registered policy.
-	_ "dcasim/internal/sched/policies"
 )
 
 func main() {
@@ -69,14 +64,9 @@ func main() {
 		format   = flag.String("format", "text", "table output format: text, csv, or json")
 		keep     = flag.Bool("keep-going", false, "continue past failing figures, report every failure, exit nonzero at the end")
 		runTO    = flag.Duration("run-timeout", 0, "per-run watchdog: fail a simulation that exceeds this (0 = off)")
-		listPols = flag.Bool("list-policies", false, "print the registered scheduling policies and exit")
 	)
 	flag.IntVar(workers, "workers", *workers, "alias for -j")
 	flag.Parse()
-	if *listPols {
-		fmt.Print(exp.DescribePolicies())
-		return
-	}
 
 	// Validate before any simulation: a typo must not cost a full
 	// bench-scale sweep before failing at the first table.

@@ -28,15 +28,9 @@ import (
 	"dcasim/internal/dcache"
 	"dcasim/internal/exp"
 	"dcasim/internal/rescache"
-	"dcasim/internal/sched"
 	"dcasim/internal/sim"
 	"dcasim/internal/stats"
 	"dcasim/internal/workload"
-
-	// The facade links the full in-tree scheduling-policy set (ATLAS, ...)
-	// so every registered name resolves for any importer; built-ins
-	// register from internal/sched itself.
-	_ "dcasim/internal/sched/policies"
 )
 
 // Config is the full-system configuration (see internal/config).
@@ -55,26 +49,20 @@ const (
 	DCA = core.DCA
 )
 
-// Algorithm names the base scheduling policy (a registered policy
-// name; see SchedulerNames and docs/adding-a-policy.md).
+// Algorithm names the base scheduling policy: one of the three below.
 type Algorithm = core.Algorithm
 
-// Built-in scheduling algorithms. Additional policies (e.g. ATLAS)
-// register themselves via internal/sched/policies; select them by name
-// with ParseAlgorithm or by setting Config.Algorithm directly.
+// Scheduling algorithms: the paper's BLISS baseline and the FR-FCFS and
+// FCFS alternatives of its §IV-B.
 const (
 	AlgBLISS  = core.AlgBLISS
 	AlgFRFCFS = core.AlgFRFCFS
 	AlgFCFS   = core.AlgFCFS
 )
 
-// ParseAlgorithm resolves a policy name (case-insensitive; aliases
-// accepted) against the registry.
+// ParseAlgorithm resolves a policy name in any case, with "frfcfs"
+// accepted for FR-FCFS.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
-
-// SchedulerNames lists every registered scheduling policy's canonical
-// name, sorted.
-func SchedulerNames() []string { return sched.Names() }
 
 // Org selects the DRAM cache organization.
 type Org = dcache.Org

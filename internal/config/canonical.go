@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -22,7 +21,7 @@ import (
 // The bytes are exactly those encoding/json's Marshal writes for a
 // Config (TestCanonicalMatchesMarshal and FuzzCanonical hold the encoder
 // to it), and Canonical fails where Marshal fails: on a Design or
-// Algorithm missing from its registry, an unknown Org, and a NaN or
+// Algorithm outside the paper's three, an unknown Org, and a NaN or
 // infinite float.
 func (c Config) Canonical() ([]byte, error) {
 	var err error
@@ -64,8 +63,8 @@ func (c Config) Hash() string {
 }
 
 // appendCanonical appends the canonical encoding of c to b and records
-// the first failure in *err. Field names are the Go field names, and
-// AlgParams is omitted when empty, as Config's json tags declare.
+// the first failure in *err. Field names are the Go field names, as
+// Config declares no json tags.
 func (c *Config) appendCanonical(b []byte, err *error) []byte {
 	e := encoder{b: b, err: err}
 	e = e.raw(`{"Benchmarks":`).strings(c.Benchmarks)
@@ -77,7 +76,6 @@ func (c *Config) appendCanonical(b []byte, err *error) []byte {
 	e = e.raw(`,"TagCacheKB":`).int(int64(c.TagCacheKB))
 	e = e.raw(`,"BEARProbe":`).bool(c.BEARProbe)
 	e = e.raw(`,"Algorithm":`).algorithm("Algorithm", c.Algorithm)
-	e = e.algParams("AlgParams", c.AlgParams)
 	e = e.raw(`,"CacheSizeBytes":`).int(c.CacheSizeBytes)
 	e = e.raw(`,"Channels":`).int(int64(c.Channels))
 	e = e.raw(`,"Ranks":`).int(int64(c.Ranks))
@@ -239,17 +237,16 @@ func (e encoder) strings(ss []string) encoder {
 	return e.raw("]")
 }
 
-// design writes a registered design's name.
+// design writes the design's name.
 func (e encoder) design(path string, d core.Design) encoder {
-	spec, err := d.Spec()
-	if err != nil {
-		return e.fail(path, err)
+	name := d.String()
+	if _, err := core.ParseDesign(name); err != nil {
+		return e.fail(path, fmt.Errorf("unknown design %d", int(d)))
 	}
-	return e.string(spec.Name)
+	return e.string(name)
 }
 
-// algorithm writes the canonical registered name of a, the zero value
-// as BLISS.
+// algorithm writes the canonical name of a, the zero value as BLISS.
 func (e encoder) algorithm(path string, a core.Algorithm) encoder {
 	name, err := core.ParseAlgorithm(string(a.Canonical()))
 	if err != nil {
@@ -267,27 +264,6 @@ func (e encoder) org(o dcache.Org) encoder {
 	}
 }
 
-// algParams writes `,"AlgParams":{...}` with the keys sorted, or
-// nothing when m is empty (the field's omitempty).
-func (e encoder) algParams(path string, m map[string]float64) encoder {
-	if len(m) == 0 {
-		return e
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e = e.raw(`,"AlgParams":{`)
-	for i, k := range keys {
-		if i > 0 {
-			e = e.raw(",")
-		}
-		e = e.string(k).raw(":").float(path, m[k])
-	}
-	return e.raw("}")
-}
-
 // ctrl writes the controller override, null when unset.
 func (e encoder) ctrl(cc *core.Config) encoder {
 	if cc == nil {
@@ -295,7 +271,6 @@ func (e encoder) ctrl(cc *core.Config) encoder {
 	}
 	e = e.raw(`{"Design":`).design("Ctrl.Design", cc.Design)
 	e = e.raw(`,"Algorithm":`).algorithm("Ctrl.Algorithm", cc.Algorithm)
-	e = e.algParams("Ctrl.AlgParams", cc.AlgParams)
 	e = e.raw(`,"ReadQueueCap":`).int(int64(cc.ReadQueueCap))
 	e = e.raw(`,"WriteQueueCap":`).int(int64(cc.WriteQueueCap))
 	e = e.raw(`,"WriteFlushLow":`).float("Ctrl.WriteFlushLow", cc.WriteFlushLow)

@@ -15,7 +15,6 @@ import (
 	"dcasim/internal/core"
 	"dcasim/internal/dcache"
 	"dcasim/internal/exp"
-	_ "dcasim/internal/sched/policies" // the sweep examples select ATLAS
 )
 
 // marshalOracle is the encoding Canonical replaced and must reproduce:
@@ -39,7 +38,7 @@ func checkCanonical(t *testing.T, c config.Config) {
 
 // fill sets every leaf under v to a value distinct from its neighbours,
 // numbering the leaves in declaration order from *n. Enums take
-// registered values, alternating with the leaf's parity; bools are true
+// valid values, alternating with the leaf's parity; bools are true
 // on odd leaves when odd is set, on even leaves otherwise, so two runs
 // with opposite odd show every bool both ways.
 func fill(t *testing.T, v reflect.Value, n *int, odd bool) {
@@ -70,16 +69,6 @@ func fill(t *testing.T, v reflect.Value, n *int, odd bool) {
 		fill(t, s.Index(0), n, odd)
 		fill(t, s.Index(1), n, odd)
 		v.Set(s)
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		for i := 0; i < 2; i++ {
-			key := reflect.New(v.Type().Key()).Elem()
-			fill(t, key, n, odd)
-			val := reflect.New(v.Type().Elem()).Elem()
-			fill(t, val, n, odd)
-			m.SetMapIndex(key, val)
-		}
-		v.Set(m)
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d<&>", *n))
 	case reflect.Bool:
@@ -104,8 +93,8 @@ func TestCanonicalMatchesMarshal(t *testing.T) {
 		var c config.Config
 		n := 0
 		fill(t, reflect.ValueOf(&c).Elem(), &n, odd)
-		if c.Ctrl == nil || len(c.Ctrl.AlgParams) == 0 || len(c.AlgParams) == 0 {
-			t.Fatal("the walk left Ctrl or an AlgParams unset")
+		if c.Ctrl == nil {
+			t.Fatal("the walk left Ctrl unset")
 		}
 		checkCanonical(t, c)
 	}
@@ -118,7 +107,7 @@ type badConfig struct {
 }
 
 // unencodable lists configs the json.Marshal oracle cannot encode, by
-// the field at fault: an unregistered Design or Algorithm, an unknown
+// the field at fault: a Design or Algorithm outside the paper's, an unknown
 // Org, and a NaN or infinite float at the top level or in Ctrl.
 func unencodable() []badConfig {
 	base := config.Test()
@@ -142,13 +131,11 @@ func unencodable() []badConfig {
 	add("WSScale", func(c *config.Config) { c.WSScale = math.NaN() })
 	add("WSScale", func(c *config.Config) { c.WSScale = math.Inf(1) })
 	add("CPU.FreqGHz", func(c *config.Config) { c.CPU.FreqGHz = math.Inf(1) })
-	add("AlgParams", func(c *config.Config) { c.AlgParams = map[string]float64{"Threshold": math.NaN()} })
 	add("Ctrl.Design", ctrl(func(cc *core.Config) { cc.Design = core.Design(99) }))
 	add("Ctrl.WriteFlushLow", ctrl(func(cc *core.Config) { cc.WriteFlushLow = math.NaN() }))
 	add("Ctrl.WriteFlushHigh", ctrl(func(cc *core.Config) { cc.WriteFlushHigh = math.NaN() }))
 	add("Ctrl.ScheduleAllHigh", ctrl(func(cc *core.Config) { cc.ScheduleAllHigh = math.NaN() }))
 	add("Ctrl.ScheduleAllLow", ctrl(func(cc *core.Config) { cc.ScheduleAllLow = math.Inf(-1) }))
-	add("Ctrl.AlgParams", ctrl(func(cc *core.Config) { cc.AlgParams = map[string]float64{"Threshold": math.Inf(1)} }))
 	return cases
 }
 
@@ -179,7 +166,7 @@ func TestUnencodableConfigs(t *testing.T) {
 
 // TestValidateRejectsUnencodable: Validate rejects every config the
 // hash cannot encode, naming the field (as core.Config calls it under
-// Ctrl; the registries name an unknown design or algorithm), so a
+// Ctrl; core names an unknown design or algorithm), so a
 // validated config always hashes.
 func TestValidateRejectsUnencodable(t *testing.T) {
 	for _, tc := range unencodable() {
@@ -251,31 +238,30 @@ func canonicalBases(f *testing.F) []config.Config {
 // bytes are equal when the oracle succeeds, and both fail together. The
 // input which picks a base config (canonicalBases), and each bit of mode
 // overwrites some of its fields with the other inputs: arbitrary
-// strings appended to Benchmarks, an arbitrary
-// AlgParams entry at the top level or in a set Ctrl, floats in WSScale,
-// CPU.FreqGHz and a Ctrl threshold, enums in and out of range, and
-// Ctrl cleared.
+// strings appended to Benchmarks, a set Ctrl, floats in WSScale,
+// CPU.FreqGHz and a Ctrl threshold, enums in and out of range (names
+// outside the paper's grid too), and Ctrl cleared.
 func FuzzCanonical(f *testing.F) {
 	bases := canonicalBases(f)
 	for i := range bases {
-		f.Add(uint8(i), uint8(0), "", "", "", "", 0.0, 0, 0, "")
+		f.Add(uint8(i), uint8(0), "", "", "", 0.0, 0, 0, "")
 	}
 	lsep, psep := string(rune(0x2028)), string(rune(0x2029))
 	for _, s := range []string{"<a&b>", "line" + lsep + "para" + psep, "bad\xffutf8\xc3", "\x00\b\f\n\r\t\x1f\x7f\"\\", "\xc3\xa9\xe2\x82\xac\xf0\x9d\x84\x9e"} {
-		f.Add(uint8(2), uint8(0x0f), s, s, s, s, 1.0, 0, 0, "")
+		f.Add(uint8(2), uint8(0x0b), s, s, s, 1.0, 0, 0, "")
 	}
 	negZero := math.Copysign(0, -1)
 	for _, v := range []float64{1e-7, 1e-6, 1e21, 1e20, negZero, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 123456.789} {
-		f.Add(uint8(2), uint8(0x8c), "", "", "", "Threshold", v, 0, 0, "")
+		f.Add(uint8(2), uint8(0x88), "", "", "", v, 0, 0, "")
 	}
 	for _, e := range []struct {
 		design, org int
 		alg         string
-	}{{0, 0, ""}, {2, 1, "frfcfs"}, {1, 0, "BLISS"}, {-1, 0, "FCFS"}, {3, 0, ""}, {0, 2, ""}, {0, -1, ""}, {99, 7, "bogus"}} {
-		f.Add(uint8(2), uint8(0x60), "", "", "", "", 0.0, e.design, e.org, e.alg)
-		f.Add(uint8(2), uint8(0x68), "", "", "", "", 0.5, e.design, e.org, e.alg)
+	}{{0, 0, ""}, {2, 1, "frfcfs"}, {1, 0, "BLISS"}, {-1, 0, "FCFS"}, {3, 0, ""}, {0, 2, ""}, {0, -1, ""}, {99, 7, "bogus"}, {0, 0, "ATLAS"}, {2, 0, "Fr-FcFs"}} {
+		f.Add(uint8(2), uint8(0x60), "", "", "", 0.0, e.design, e.org, e.alg)
+		f.Add(uint8(2), uint8(0x68), "", "", "", 0.5, e.design, e.org, e.alg)
 	}
-	f.Fuzz(func(t *testing.T, which, mode uint8, bench, bench2, bench3, key string, val float64, design, org int, alg string) {
+	f.Fuzz(func(t *testing.T, which, mode uint8, bench, bench2, bench3 string, val float64, design, org int, alg string) {
 		c := bases[int(which)%len(bases)]
 		if mode&0x01 != 0 {
 			c.Benchmarks = append(slices.Clip(c.Benchmarks), bench)
@@ -283,12 +269,8 @@ func FuzzCanonical(f *testing.F) {
 		if mode&0x02 != 0 {
 			c.Benchmarks = append(slices.Clip(c.Benchmarks), bench2, bench3)
 		}
-		if mode&0x04 != 0 {
-			c.AlgParams = map[string]float64{key: val}
-		}
 		if mode&0x08 != 0 {
 			cc := c.CtrlConfig()
-			cc.AlgParams = map[string]float64{key: val, "Threshold": 2}
 			cc.WriteFlushLow = val
 			c.Ctrl = &cc
 		}

@@ -7,7 +7,6 @@ package config
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"dcasim/internal/addrmap"
 	"dcasim/internal/cache"
@@ -35,11 +34,6 @@ type Config struct {
 	BEARProbe    bool // BEAR writeback-probe elision (extension)
 	// Algorithm overrides the base scheduling algorithm (default BLISS).
 	Algorithm core.Algorithm
-	// AlgParams overrides the selected policy's declared tunables by
-	// name (e.g. ATLAS's QuantumNS); nil keeps every default. Unknown
-	// names and out-of-range values are rejected by Validate. Marshals
-	// with omitempty so configs without overrides keep their hash.
-	AlgParams map[string]float64 `json:",omitempty"`
 
 	// Die-stacked DRAM shape (Table II).
 	CacheSizeBytes int64
@@ -144,7 +138,6 @@ func (c Config) CtrlConfig() core.Config {
 	}
 	cc := core.DefaultConfig(c.Design)
 	cc.Algorithm = c.Algorithm
-	cc.AlgParams = c.AlgParams
 	return cc
 }
 
@@ -174,9 +167,6 @@ func (c Config) Validate() error {
 		}
 		if c.Ctrl.Algorithm.Canonical() != c.Algorithm.Canonical() {
 			return fmt.Errorf("config: Algorithm %v diverges from Ctrl.Algorithm %v (the controller uses Ctrl.Algorithm)", c.Algorithm, c.Ctrl.Algorithm)
-		}
-		if len(c.AlgParams) > 0 && !reflect.DeepEqual(c.AlgParams, c.Ctrl.AlgParams) {
-			return fmt.Errorf("config: AlgParams diverge from Ctrl.AlgParams (the controller uses Ctrl.AlgParams)")
 		}
 	}
 	switch c.Org {

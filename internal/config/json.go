@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"slices"
 	"sort"
 	"strings"
-
-	"dcasim/internal/core"
 )
 
 // SchemaVersion identifies the serialized Config layout. It is folded
@@ -92,7 +89,7 @@ func ParsePreset(s string) (Config, error) {
 // that does not parse fails the call before any applies, then applies
 // the parsed patches (Apply). Each patch decodes strictly into a copy of
 // the config, so keys match fields as they do in Load
-// (case-insensitively), objects merge into structs and maps (so
+// (case-insensitively), objects merge into structs (so
 // {"Timing":{"TWTR":2500}} changes one timing parameter and keeps the
 // rest), and arrays and scalars replace. Unknown fields anywhere in a
 // patch are errors, and so is a null anywhere but as the value of Ctrl:
@@ -169,9 +166,9 @@ func encodePatch(v interface{}) ([]byte, error) {
 func (c Config) Apply(patches ...ParsedPatch) (Config, error) {
 	out := c
 	out.Benchmarks = slices.Clone(c.Benchmarks)
-	out.AlgParams = maps.Clone(c.AlgParams)
 	if c.Ctrl != nil {
-		out.Ctrl = cloneCtrl(*c.Ctrl)
+		cc := *c.Ctrl
+		out.Ctrl = &cc
 	}
 	for _, pp := range patches {
 		if pp.fields != nil {
@@ -185,7 +182,8 @@ func (c Config) Apply(patches ...ParsedPatch) (Config, error) {
 				continue
 			}
 			if out.Ctrl == nil {
-				out.Ctrl = cloneCtrl(out.CtrlConfig())
+				cc := out.CtrlConfig()
+				out.Ctrl = &cc
 			}
 			if err := decodeInto(out.Ctrl, enc); err != nil {
 				return Config{}, fmt.Errorf("%w (in Ctrl)", err)
@@ -193,13 +191,6 @@ func (c Config) Apply(patches ...ParsedPatch) (Config, error) {
 		}
 	}
 	return out, nil
-}
-
-// cloneCtrl returns a copy of cc that shares no map with it: CtrlConfig
-// hands back the top-level AlgParams map itself.
-func cloneCtrl(cc core.Config) *core.Config {
-	cc.AlgParams = maps.Clone(cc.AlgParams)
-	return &cc
 }
 
 // decodePatch normalizes one patch object: numbers stay exact, a

@@ -133,6 +133,16 @@ func TestLoadRejectsUnknownFieldsAndSchema(t *testing.T) {
 	if _, err := Load(write("schema.json", `{"schema":999,"config":{}}`)); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("Load accepted a future schema: %v", err)
 	}
+	// Schema-2 files could name the AlgParams tunable maps and the ATLAS
+	// policy; both are gone, and a file naming either fails, naming it.
+	for _, tc := range []struct{ file, content, name string }{
+		{"algparams.json", `{"schema":2,"config":{"Algorithm":"BLISS","AlgParams":{"Threshold":2}}}`, "AlgParams"},
+		{"atlas.json", `{"schema":2,"config":{"Algorithm":"ATLAS"}}`, "ATLAS"},
+	} {
+		if _, err := Load(write(tc.file, tc.content)); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: Load error %v, want one naming %s", tc.file, err, tc.name)
+		}
+	}
 }
 
 func TestParsePreset(t *testing.T) {

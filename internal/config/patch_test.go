@@ -67,7 +67,6 @@ func TestPatchRejectsNull(t *testing.T) {
 		`{"Timing":{"TWTR":null}}`:                      "Timing.TWTR",
 		`{"CPU":null}`:                                  "CPU",
 		`{"Benchmarks":["mcf",null]}`:                   "Benchmarks[1]",
-		`{"AlgParams":{"Threshold":null}}`:              "AlgParams.Threshold",
 		`{"Ctrl":{"FlushFactor":null}}`:                 "Ctrl.FlushFactor",
 		`{"Design":"CD","timing":{"tRP":1,"TWR":null}}`: "timing.TWR",
 	} {
@@ -80,17 +79,15 @@ func TestPatchRejectsNull(t *testing.T) {
 }
 
 // fuzzBases are the configs FuzzPatch patches: a bare preset, a preset
-// with a mix, and one whose Benchmarks, AlgParams and Ctrl (with its own
-// AlgParams) are all set, so aliasing any of them shows.
+// with a mix, and one whose Benchmarks and Ctrl are both set, so
+// aliasing either shows.
 func fuzzBases() []config.Config {
 	mix := config.Bench()
 	mix.Benchmarks = []string{"mcf", "lbm", "gcc", "milc"}
 	full := mix
 	full.Benchmarks = []string{"soplex", "mcf", "libquantum", "omnetpp"}
 	full.Design, full.Org = core.ROD, dcache.DirectMapped
-	full.AlgParams = map[string]float64{"Threshold": 2}
 	ctrl := full.CtrlConfig()
-	ctrl.AlgParams = map[string]float64{"Threshold": 2}
 	ctrl.FlushFactor = 3
 	full.Ctrl = &ctrl
 	return []config.Config{config.Test(), mix, full}
@@ -110,14 +107,8 @@ func mutate(c config.Config) {
 	if len(c.Benchmarks) > 0 {
 		c.Benchmarks[0] += "-mutated"
 	}
-	if c.AlgParams != nil {
-		c.AlgParams["Mutated"] = 1
-	}
 	if c.Ctrl != nil {
 		c.Ctrl.FlushFactor++
-		if c.Ctrl.AlgParams != nil {
-			c.Ctrl.AlgParams["Mutated"] = 1
-		}
 	}
 }
 
@@ -242,7 +233,13 @@ func FuzzPatch(f *testing.F) {
 		}
 	}
 	for _, p := range []string{
+		// Names outside the schema: the removed AlgParams maps and the
+		// removed ATLAS policy fail on both sides.
 		`{"AlgParams":{"Threshold":2},"Ctrl":{"AlgParams":{"Threshold":3}}}`,
+		`{"Ctrl":{"AlgParams":{"QuantumNS":10000}}}`,
+		`{"Algorithm":"ATLAS"}`,
+		`{"Ctrl":{"Algorithm":"atlas"}}`,
+		`{"Algorithm":"Fr-FcFs","Design":"rod"}`,
 		`{"Ctrl":null}`,
 		`{"Seed":null}`,
 		`{"SEED":5,"Seed":6}`,

@@ -1,25 +1,18 @@
-package policytest_test
+package core
 
-// Self-test of the conformance harness: deliberately broken policies,
-// registered under the reserved "broken." name prefix, must each be
-// caught by the invariant they violate. The first five break the
+// Self-test of the conformance checks: deliberately broken policies must
+// each be caught by the invariant they violate. The first six break the
 // Instance contract directly; the last one is contract-clean under the
-// harness's probes but becomes impure mid-run, and must be caught by the
+// direct probes but becomes impure mid-run, and must be caught by the
 // differential oracle instead.
 
 import (
 	"strings"
 	"testing"
 
-	"dcasim/internal/core"
 	"dcasim/internal/sched"
-	"dcasim/internal/sched/policytest"
 	"dcasim/internal/simtime"
 )
-
-// BrokenPrefix marks self-test fixture policies; TestAllRegisteredPolicies
-// skips them.
-const brokenPrefix = "broken."
 
 // conformant is a neutral, restriction-free baseline the broken variants
 // embed and selectively override.
@@ -30,14 +23,6 @@ func (conformant) BeginPick(simtime.Time) int         { return 1 }
 func (conformant) PhaseMask(int) (uint64, bool)       { return ^uint64(0), true }
 func (conformant) PhaseAllows(int, int) bool          { return true }
 func (conformant) OnServed(now simtime.Time, app int) {}
-
-type fixture struct {
-	name string
-	make func() sched.Instance
-}
-
-func (f fixture) Name() string                         { return f.name }
-func (f fixture) New(int, sched.Params) sched.Instance { return f.make() }
 
 type zeroPhases struct{ conformant }
 
@@ -50,6 +35,27 @@ func (maskLiar) PhaseMask(int) (uint64, bool) {
 	return ^uint64(0) &^ (1 << 1), true // claims app 1 blocked...
 }
 func (maskLiar) PhaseAllows(int, int) bool { return true } // ...but allows it
+
+// blacklistMask is BLISS with its phase mask inverted: the mask admits
+// the blacklisted applications while PhaseAllows admits the rest. It
+// looks conformant whenever nothing is blacklisted, which is why the
+// contract probe serves a streak before it probes the phases.
+type blacklistMask struct {
+	conformant
+	b   *sched.BLISS
+	now simtime.Time
+}
+
+func (f *blacklistMask) BeginPick(now simtime.Time) int {
+	f.now = now
+	if f.b.AnyBlacklisted(now) {
+		return 2
+	}
+	return 1
+}
+func (f *blacklistMask) PhaseMask(int) (uint64, bool)       { return f.b.BlacklistMask(f.now), true }
+func (f *blacklistMask) PhaseAllows(_, app int) bool        { return !f.b.Blacklisted(f.now, app) }
+func (f *blacklistMask) OnServed(now simtime.Time, app int) { f.b.OnServed(now, app) }
 
 type highAppBlocker struct{ conformant }
 
@@ -92,50 +98,33 @@ func (l *lateImpure) PhaseMask(int) (uint64, bool) {
 func (l *lateImpure) PhaseAllows(_, app int) bool    { return app != l.blocked }
 func (l *lateImpure) OnServed(_ simtime.Time, _ int) { l.served++ }
 
-func init() {
-	for _, f := range []fixture{
-		{brokenPrefix + "zero-phases", func() sched.Instance { return zeroPhases{} }},
-		{brokenPrefix + "mask-liar", func() sched.Instance { return maskLiar{} }},
-		{brokenPrefix + "high-app-blocker", func() sched.Instance { return highAppBlocker{} }},
-		{brokenPrefix + "flapping-rhf", func() sched.Instance { return &flappingRHF{} }},
-		{brokenPrefix + "unstable-phases", func() sched.Instance { return &unstablePhases{} }},
-		{brokenPrefix + "late-impure", func() sched.Instance { return &lateImpure{} }},
-	} {
-		core.MustRegisterPolicy(sched.Registration{Policy: f, Doc: "policytest self-test fixture"})
-	}
-}
-
 func TestHarnessCatchesBrokenPolicies(t *testing.T) {
 	cases := []struct {
-		name string
-		want string // substring of the expected violation message
+		name    string
+		newInst func(apps int) sched.Instance
+		want    string // substring of the expected violation message
 	}{
-		{"zero-phases", "BeginPick"},
-		{"mask-liar", "disagrees with mask bit"},
-		{"high-app-blocker", "outside bits 0..63"},
-		{"flapping-rhf", "RowHitFirst"},
-		{"unstable-phases", "not idempotent"},
+		{"zero-phases", func(int) sched.Instance { return zeroPhases{} }, "BeginPick"},
+		{"mask-liar", func(int) sched.Instance { return maskLiar{} }, "disagrees with mask bit"},
+		{"blacklist-mask", func(apps int) sched.Instance { return &blacklistMask{b: sched.NewBLISS(apps)} }, "disagrees with mask bit"},
+		{"high-app-blocker", func(int) sched.Instance { return highAppBlocker{} }, "outside bits 0..63"},
+		{"flapping-rhf", func(int) sched.Instance { return &flappingRHF{} }, "RowHitFirst"},
+		{"unstable-phases", func(int) sched.Instance { return &unstablePhases{} }, "not idempotent"},
 		// Any differential mismatch (pick sequence, counts, stats)
 		// carries the run context; "seed" pins it to the oracle, not a
 		// contract probe.
-		{"late-impure", "seed"},
+		{"late-impure", func(int) sched.Instance { return &lateImpure{} }, "seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := policytest.Check(brokenPrefix + tc.name)
+			err := checkConformance(tc.name, tc.newInst)
 			if err == nil {
-				t.Fatalf("harness passed the deliberately broken policy %q", tc.name)
+				t.Fatalf("conformance passed the deliberately broken policy %q", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("broken policy %q caught, but by the wrong invariant:\n got: %v\nwant substring %q", tc.name, err, tc.want)
 			}
 			t.Logf("caught: %v", err)
 		})
-	}
-}
-
-func TestHarnessRejectsUnknownPolicy(t *testing.T) {
-	if err := policytest.Check("no-such-policy"); err == nil || !strings.Contains(err.Error(), "not a registered policy") {
-		t.Fatalf("unknown policy not rejected: %v", err)
 	}
 }

@@ -310,19 +310,17 @@ type Stats struct {
 // non-empty-bank bitmaps in priority-class order (policy phase, row hit,
 // bus direction, age — exactly the linear scan's [4]int64 key), removal
 // is intrusive unlinking, and the RRPC decay is a lazy epoch scheme. The
-// policy phases come from the registered scheduling policy's Instance
-// (see dcasim/internal/sched); the schedule produced is bit-identical to
-// the reference linear scan, which the conformance harness in
-// dcasim/internal/sched/policytest replays side by side against every
-// registered policy.
+// policy phases come from the configured algorithm's sched.Instance; the
+// schedule produced is bit-identical to the reference linear scan, which
+// the conformance tests replay side by side for each of the three
+// policies.
 type Controller struct {
 	eng *event.Engine
 	ch  *dram.Channel
 	cfg Config
 
-	// Design hooks resolved from the registry at construction: the
-	// queue-mapping rule and whether the two-level PR/LR machinery
-	// (ScheduleAll, OFS) is active.
+	// The design's queue-mapping rule and whether its two-level PR/LR
+	// machinery (ScheduleAll, OFS) is active.
 	route    func(kind dram.Kind, req RequestType) bool
 	twoLevel bool
 
@@ -369,18 +367,11 @@ type Controller struct {
 
 	stats Stats
 
-	// onIssue, when non-nil, observes every issue decision (test hook
-	// for the differential scheduling oracle in sched/policytest).
+	// onIssue, when non-nil, observes every issue decision: the chosen
+	// entry, the issue time, whether it left the read queue, and whether
+	// it was an opportunistic (OFS) LR issue. The conformance tests'
+	// differential oracle records the schedule through it.
 	onIssue func(e *Entry, now simtime.Time, fromRead, viaOFS bool)
-}
-
-// SetIssueObserver installs fn to observe every issue decision: the
-// chosen entry, the issue time, whether it left the read queue, and
-// whether it was an opportunistic (OFS) LR issue. It exists for test
-// instrumentation — the differential conformance harness records both
-// schedules through it — and must be set before simulation starts.
-func (c *Controller) SetIssueObserver(fn func(e *Entry, now simtime.Time, fromRead, viaOFS bool)) {
-	c.onIssue = fn
 }
 
 // NewController builds a controller for one channel serving `apps`
@@ -391,25 +382,24 @@ func NewController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int) *C
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newController(eng, ch, cfg, apps, cfg.Algorithm.newInstance(apps))
+}
+
+// newController is NewController over a given policy instance, which
+// the conformance tests use to inject deliberately broken policies.
+func newController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int, pol sched.Instance) *Controller {
 	nb := ch.Banks()
 	if nb > 64 {
 		panic(fmt.Sprintf("core: controller supports at most 64 banks per channel, got %d", nb))
 	}
-	spec, err := cfg.Design.Spec()
-	if err != nil {
-		panic(err) // unreachable: Validate resolved the design above
-	}
-	reg, params, err := cfg.Policy()
-	if err != nil {
-		panic(err) // unreachable: Validate resolved the policy above
-	}
+	t, _ := cfg.Design.traits()
 	c := &Controller{
 		eng:      eng,
 		ch:       ch,
 		cfg:      cfg,
-		route:    spec.RouteToWrite,
-		twoLevel: spec.TwoLevel,
-		pol:      reg.Policy.New(apps, params),
+		route:    t.route,
+		twoLevel: t.twoLevel,
+		pol:      pol,
 		rows:     make([]int64, nb),
 		rrpcVal:  make([]uint8, nb),
 		rrpcEp:   make([]uint64, nb),

@@ -27,102 +27,67 @@
 //     no PR is pending and the LR's bank shows no row conflict or has a
 //     re-reference prediction counter (RRPC) below the flushing factor.
 //
-// Both axes are open registries rather than closed enums: designs carry
-// their classification hooks in a DesignSpec (RegisterDesign), and the
-// scheduling algorithm within a priority class is resolved by name
-// against the policy registry in dcasim/internal/sched (RegisterPolicy).
-// The paper's grid — CD/ROD/DCA × BLISS/FR-FCFS/FCFS — is registered
-// here and in sched's init; additional policies (e.g.
-// dcasim/internal/sched/atlas) register themselves when imported.
+// The design and the scheduling algorithm are closed sets: the paper's
+// CD/ROD/DCA × BLISS/FR-FCFS/FCFS grid. BLISS is the paper's baseline;
+// FR-FCFS and FCFS back its §IV-B claim that DCA "is not limited to any
+// scheduling algorithm". The policies themselves live in
+// dcasim/internal/sched.
 package core
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"dcasim/internal/dram"
 	"dcasim/internal/sched"
 )
 
-// Design selects a controller organisation. Values are indices into the
-// design registry: the paper's three designs are the CD/ROD/DCA
-// constants, and RegisterDesign mints new values at init time, so a
-// switch over Design is never exhaustive — always handle the default.
+// Design selects a controller organisation: one of the paper's three.
 type Design int
 
-// The paper's controller designs, registered at init.
+// The paper's controller designs.
 const (
 	CD Design = iota
 	ROD
 	DCA
 )
 
-// DesignSpec carries a design's identity and the classification hooks
-// the controller consults, so a new design is data plus two decisions
-// rather than edits to the controller's switch statements.
-type DesignSpec struct {
-	// Name is the canonical spelling (the Config.Design JSON value);
-	// Aliases are accepted on parse. Matching is case-insensitive.
-	Name    string
-	Aliases []string
-	// Doc is a one-line description for listings.
-	Doc string
+// designTraits is what distinguishes one design from another.
+type designTraits struct {
+	name string
 
-	// RouteToWrite decides whether an access of the given DRAM kind,
-	// belonging to a request of the given type, enters the write queue
-	// (otherwise it is a read-queue resident). This is the queue-mapping
-	// half of a design (paper Fig. 3 and Fig. 6).
-	RouteToWrite func(kind dram.Kind, req RequestType) bool
+	// route decides whether an access of the given DRAM kind, belonging
+	// to a request of the given type, enters the write queue (otherwise
+	// it is a read-queue resident). This is the queue-mapping half of a
+	// design (paper Fig. 3 and Fig. 6).
+	route func(kind dram.Kind, req RequestType) bool
 
-	// TwoLevel enables DCA's two-level read classification: PR/LR lanes,
+	// twoLevel enables DCA's two-level read classification: PR/LR lanes,
 	// the ScheduleAll occupancy hysteresis, and opportunistic flushing
 	// (OFS). Without it every read schedules equally.
-	TwoLevel bool
+	twoLevel bool
 
-	// Architected queue capacities for DefaultConfig; zero means the
-	// Table II default of 64.
-	ReadQueueCap  int
-	WriteQueueCap int
+	// Table II queue capacities, for DefaultConfig.
+	readCap, writeCap int
 }
 
-// designs is the registry, indexed by Design value, in registration
-// order. It is populated by init functions; the simulator never mutates
-// it after startup.
-var designs []DesignSpec
-
-func init() {
-	for _, reg := range []struct {
-		want Design
-		spec DesignSpec
-	}{
-		{CD, DesignSpec{
-			Name:         "CD",
-			Doc:          "conventional design: queue by access type",
-			RouteToWrite: routeByAccessType,
-		}},
-		{ROD, DesignSpec{
-			Name:         "ROD",
-			Doc:          "request-oriented design: queue by request type",
-			RouteToWrite: routeByRequestType,
-			// Table II: ROD narrows the read queue and widens the write
-			// queue because whole requests land on one side.
-			ReadQueueCap:  32,
-			WriteQueueCap: 96,
-		}},
-		{DCA, DesignSpec{
-			Name:         "DCA",
-			Doc:          "DRAM-cache-aware: CD mapping + two-level PR/LR read scheduling",
-			RouteToWrite: routeByAccessType,
-			TwoLevel:     true,
-		}},
-	} {
-		if got := MustRegisterDesign(reg.spec); got != reg.want {
-			panic(fmt.Sprintf("core: design %s registered as %d, want %d", reg.spec.Name, int(got), int(reg.want)))
-		}
+// traits returns the design's name, queue mapping, two-level flag and
+// Table II queue capacities; ok is false for a value that is none of
+// CD, ROD and DCA.
+func (d Design) traits() (t designTraits, ok bool) {
+	switch d {
+	case CD:
+		return designTraits{name: "CD", route: routeByAccessType, readCap: 64, writeCap: 64}, true
+	case ROD:
+		// ROD narrows the read queue and widens the write queue because
+		// whole requests land on one side.
+		return designTraits{name: "ROD", route: routeByRequestType, readCap: 32, writeCap: 96}, true
+	case DCA:
+		return designTraits{name: "DCA", route: routeByAccessType, twoLevel: true, readCap: 64, writeCap: 64}, true
 	}
+	return designTraits{}, false
 }
 
 // routeByAccessType is the CD/DCA queue mapping: writes to the write
@@ -145,95 +110,32 @@ func routeByRequestType(kind dram.Kind, req RequestType) bool {
 	}
 }
 
-// RegisterDesign adds a controller design to the registry and returns
-// its Design value. Names and aliases must be unused
-// (case-insensitively) and RouteToWrite must be non-nil. Registration
-// normally happens in package init functions.
-func RegisterDesign(spec DesignSpec) (Design, error) {
-	if spec.Name == "" {
-		return 0, fmt.Errorf("core: RegisterDesign: empty design name")
-	}
-	if spec.RouteToWrite == nil {
-		return 0, fmt.Errorf("core: RegisterDesign %q: nil RouteToWrite", spec.Name)
-	}
-	for _, k := range append([]string{spec.Name}, spec.Aliases...) {
-		if prev, err := ParseDesign(k); err == nil {
-			return 0, fmt.Errorf("core: design name %q already registered (by %q)", k, designs[prev].Name)
-		}
-	}
-	designs = append(designs, spec)
-	return Design(len(designs) - 1), nil
-}
-
-// MustRegisterDesign is RegisterDesign that panics on error, for package
-// init use.
-func MustRegisterDesign(spec DesignSpec) Design {
-	d, err := RegisterDesign(spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Designs returns every registered design in registration order (the
-// paper's CD, ROD, DCA first).
-func Designs() []Design {
-	out := make([]Design, len(designs))
-	for i := range designs {
-		out[i] = Design(i)
-	}
-	return out
-}
-
-// Spec returns the design's registration, or an error for a value
-// outside the registry.
-func (d Design) Spec() (DesignSpec, error) {
-	if d < 0 || int(d) >= len(designs) {
-		return DesignSpec{}, fmt.Errorf("core: unknown design %d (registered: %s)", int(d), designNames())
-	}
-	return designs[d], nil
-}
-
-func designNames() string {
-	names := make([]string, len(designs))
-	for i := range designs {
-		names[i] = designs[i].Name
-	}
-	return strings.Join(names, ", ")
-}
-
-// String implements fmt.Stringer via the registry.
+// String implements fmt.Stringer.
 func (d Design) String() string {
-	if spec, err := d.Spec(); err == nil {
-		return spec.Name
+	if t, ok := d.traits(); ok {
+		return t.name
 	}
 	return fmt.Sprintf("Design(%d)", int(d))
 }
 
-// ParseDesign resolves a design name or alias (case-insensitively)
-// against the registry.
+// ParseDesign resolves a design name, in any case.
 func ParseDesign(s string) (Design, error) {
-	for i := range designs {
-		if strings.EqualFold(s, designs[i].Name) {
-			return Design(i), nil
-		}
-		for _, a := range designs[i].Aliases {
-			if strings.EqualFold(s, a) {
-				return Design(i), nil
-			}
+	for _, d := range [...]Design{CD, ROD, DCA} {
+		if strings.EqualFold(s, d.String()) {
+			return d, nil
 		}
 	}
-	return CD, fmt.Errorf("core: unknown design %q (registered: %s)", s, designNames())
+	return CD, fmt.Errorf("core: unknown design %q (want CD, ROD or DCA)", s)
 }
 
 // MarshalJSON encodes the design as its canonical name so serialized
 // configurations read "DCA" rather than an opaque enum ordinal.
 func (d Design) MarshalJSON() ([]byte, error) {
-	spec, err := d.Spec()
-	if err != nil {
+	t, ok := d.traits()
+	if !ok {
 		return nil, fmt.Errorf("core: cannot marshal unknown design %d", int(d))
 	}
-	return json.Marshal(spec.Name)
+	return json.Marshal(t.name)
 }
 
 // UnmarshalJSON accepts the same names ParseDesign does.
@@ -272,16 +174,12 @@ func (t RequestType) String() string {
 	return "?"
 }
 
-// Algorithm names the base scheduling algorithm within a priority class.
-// The paper evaluates on BLISS but notes DCA "is not limited to any
-// scheduling algorithm"; values are resolved by name against the policy
-// registry in dcasim/internal/sched, so any imported policy package
-// (e.g. dcasim/internal/sched/atlas) extends the accepted set. The zero
-// value canonicalises to BLISS, the paper's baseline. Because the value
-// set is open, a switch over Algorithm must always handle the default.
+// Algorithm names the base scheduling algorithm within a priority class:
+// one of the paper's three. The zero value canonicalises to BLISS, the
+// paper's baseline.
 type Algorithm string
 
-// The paper's three policies, registered by internal/sched.
+// The paper's three policies.
 const (
 	// AlgBLISS is blacklisting + row-hit-first + direction + age.
 	AlgBLISS Algorithm = "BLISS"
@@ -291,15 +189,29 @@ const (
 	AlgFCFS Algorithm = "FCFS"
 )
 
+// lookupAlgorithm resolves a spelling of one of the three algorithms:
+// its canonical name in any case, or the alias "frfcfs".
+func lookupAlgorithm(s string) (Algorithm, bool) {
+	for _, a := range [...]Algorithm{AlgBLISS, AlgFRFCFS, AlgFCFS} {
+		if strings.EqualFold(s, string(a)) {
+			return a, true
+		}
+	}
+	if strings.EqualFold(s, "frfcfs") {
+		return AlgFRFCFS, true
+	}
+	return "", false
+}
+
 // Canonical maps the zero value to BLISS (the default algorithm) and any
-// registered alias to its canonical spelling; unknown names pass through
+// accepted spelling to its canonical name; unknown names pass through
 // unchanged for the caller to reject.
 func (a Algorithm) Canonical() Algorithm {
 	if a == "" {
 		return AlgBLISS
 	}
-	if r, ok := sched.Lookup(string(a)); ok {
-		return Algorithm(r.Policy.Name())
+	if c, ok := lookupAlgorithm(string(a)); ok {
+		return c
 	}
 	return a
 }
@@ -308,40 +220,19 @@ func (a Algorithm) Canonical() Algorithm {
 // reads "BLISS".
 func (a Algorithm) String() string { return string(a.Canonical()) }
 
-// RegisterPolicy registers a scheduling policy (see sched.Register) and
-// returns its typed Algorithm name, for policy packages that want a
-// ready-made constant: Config.Algorithm accepts the returned value.
-func RegisterPolicy(r sched.Registration) (Algorithm, error) {
-	if err := sched.Register(r); err != nil {
-		return "", err
-	}
-	return Algorithm(r.Policy.Name()), nil
-}
-
-// MustRegisterPolicy is RegisterPolicy that panics on error, for package
-// init use.
-func MustRegisterPolicy(r sched.Registration) Algorithm {
-	a, err := RegisterPolicy(r)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// ParseAlgorithm resolves a policy name or alias (case-insensitively,
-// e.g. "bliss", "fr-fcfs", "frfcfs") against the policy registry.
+// ParseAlgorithm resolves an algorithm name, in any case, with "frfcfs"
+// accepted for FR-FCFS.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	if r, ok := sched.Lookup(s); ok {
-		return Algorithm(r.Policy.Name()), nil
+	if a, ok := lookupAlgorithm(s); ok {
+		return a, nil
 	}
-	return AlgBLISS, fmt.Errorf("core: unknown scheduling algorithm %q (registered: %s)",
-		s, strings.Join(sched.Names(), ", "))
+	return AlgBLISS, fmt.Errorf("core: unknown scheduling algorithm %q (want BLISS, FR-FCFS or FCFS)", s)
 }
 
-// MarshalJSON encodes the algorithm as its canonical registered name.
+// MarshalJSON encodes the algorithm as its canonical name.
 func (a Algorithm) MarshalJSON() ([]byte, error) {
-	c := a.Canonical()
-	if _, ok := sched.Lookup(string(c)); !ok {
+	c, ok := lookupAlgorithm(string(a.Canonical()))
+	if !ok {
 		return nil, fmt.Errorf("core: cannot marshal unknown algorithm %q", string(a))
 	}
 	return json.Marshal(string(c))
@@ -361,17 +252,24 @@ func (a *Algorithm) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// newInstance builds one channel's scheduling-policy instance for apps
+// applications. The algorithm must be one ParseAlgorithm accepts.
+func (a Algorithm) newInstance(apps int) sched.Instance {
+	switch a.Canonical() {
+	case AlgBLISS:
+		return sched.NewBLISSInstance(apps)
+	case AlgFRFCFS:
+		return sched.FRFCFS{}
+	case AlgFCFS:
+		return sched.FCFS{}
+	}
+	panic(fmt.Sprintf("core: unknown scheduling algorithm %q", string(a)))
+}
+
 // Config holds the per-channel queue and threshold parameters (Table II).
 type Config struct {
 	Design    Design
 	Algorithm Algorithm // base scheduling algorithm (default BLISS)
-
-	// AlgParams overrides the scheduling policy's declared tunables by
-	// name (e.g. BLISS's "Threshold"); keys are validated against the
-	// policy's ParamSpecs by Validate. Nil — the default — keeps every
-	// parameter at its declared default and is omitted from the
-	// canonical JSON, so existing config hashes are unchanged.
-	AlgParams map[string]float64 `json:",omitempty"`
 
 	ReadQueueCap  int
 	WriteQueueCap int
@@ -391,53 +289,33 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table II parameters for a design: 64-entry
-// read and write queues (ROD: 32-entry read, 96-entry write, from its
-// DesignSpec), write flush thresholds 50 %/85 %, DCA ScheduleAll
-// thresholds 75 %/85 %, FF-4.
+// read and write queues (ROD: 32-entry read, 96-entry write), write
+// flush thresholds 50 %/85 %, DCA ScheduleAll thresholds 75 %/85 %,
+// FF-4.
 func DefaultConfig(d Design) Config {
-	cfg := Config{
+	t, _ := d.traits() // an unknown design gets zero caps; Validate names it
+	return Config{
 		Design:          d,
 		Algorithm:       AlgBLISS,
-		ReadQueueCap:    64,
-		WriteQueueCap:   64,
+		ReadQueueCap:    t.readCap,
+		WriteQueueCap:   t.writeCap,
 		WriteFlushLow:   0.50,
 		WriteFlushHigh:  0.85,
 		ScheduleAllHigh: 0.85,
 		ScheduleAllLow:  0.75,
 		FlushFactor:     4,
 	}
-	if spec, err := d.Spec(); err == nil {
-		if spec.ReadQueueCap > 0 {
-			cfg.ReadQueueCap = spec.ReadQueueCap
-		}
-		if spec.WriteQueueCap > 0 {
-			cfg.WriteQueueCap = spec.WriteQueueCap
-		}
-	}
-	return cfg
-}
-
-// Policy resolves the configured Algorithm against the scheduling-policy
-// registry, returning the registration and the fully resolved parameter
-// set (declared defaults overlaid with AlgParams).
-func (c Config) Policy() (*sched.Registration, sched.Params, error) {
-	name := c.Algorithm.Canonical()
-	r, ok := sched.Lookup(string(name))
-	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown scheduling algorithm %q (registered: %s)",
-			string(c.Algorithm), strings.Join(sched.Names(), ", "))
-	}
-	p, err := r.ResolveParams(c.AlgParams)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, p, nil
 }
 
 // Validate reports a descriptive error for unusable parameters,
-// including a design or algorithm missing from the registries and
-// AlgParams rejected by the policy's ParamSpecs.
+// including a design or algorithm outside the paper's grid.
 func (c Config) Validate() error {
+	if _, ok := c.Design.traits(); !ok {
+		return fmt.Errorf("core: unknown design %d (want CD, ROD or DCA)", int(c.Design))
+	}
+	if _, err := ParseAlgorithm(string(c.Algorithm.Canonical())); err != nil {
+		return err
+	}
 	if err := c.checkFinite(); err != nil {
 		return err
 	}
@@ -451,18 +329,12 @@ func (c Config) Validate() error {
 	case c.FlushFactor > 7:
 		return fmt.Errorf("core: flush factor %d exceeds 3-bit RRPC range", c.FlushFactor)
 	}
-	if _, err := c.Design.Spec(); err != nil {
-		return err
-	}
-	if _, _, err := c.Policy(); err != nil {
-		return err
-	}
 	return nil
 }
 
-// checkFinite reports the first NaN or infinite threshold or AlgParams
-// value (in sorted name order), naming it: the comparisons in Validate
-// let NaN through, and a config holding one cannot be hashed.
+// checkFinite reports the first NaN or infinite threshold, naming it:
+// the comparisons in Validate let NaN through, and a config holding one
+// cannot be hashed.
 func (c Config) checkFinite() error {
 	for _, f := range [...]struct {
 		name string
@@ -475,16 +347,6 @@ func (c Config) checkFinite() error {
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: %s %v is not a finite number", f.name, f.v)
-		}
-	}
-	names := make([]string, 0, len(c.AlgParams))
-	for name := range c.AlgParams {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		if v := c.AlgParams[name]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: AlgParams[%q] %v is not a finite number", name, v)
 		}
 	}
 	return nil

@@ -2,9 +2,7 @@ package core
 
 // White-box tests of controller internals (lazy RRPC epochs, the spill
 // ring) that need unexported access. The linear-scan reference oracle
-// and the differential schedule tests that used to live beside these
-// moved to dcasim/internal/sched/policytest, where they run for every
-// registered policy.
+// and the differential schedule tests are in conformance_test.go.
 
 import (
 	"testing"

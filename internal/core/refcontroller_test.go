@@ -1,16 +1,14 @@
-package policytest
+package core
 
-// This file preserves the pre-index controller as a policy-generic
-// test-only oracle: queues are plain slices, every scheduling slot
-// linearly scans them re-Peeking each entry, remove is an O(N) shift,
-// and the RRPC decay eagerly walks all banks. Where the original
-// hard-coded BLISS and per-design switches, this version consumes the
-// same registry surfaces as the production controller — Design.Spec()
-// for routing/two-level structure and sched.Instance for scheduling —
-// so any registered policy can be replayed through it.
+// The reference oracle of the conformance tests: the pre-index
+// controller, kept as a test-only linear scan. Queues are plain slices,
+// every scheduling slot linearly scans them re-Peeking each entry,
+// remove is an O(N) shift, and the RRPC decay eagerly walks all banks.
+// It reads the same design traits as the production controller and
+// schedules through a given sched.Instance, so any policy can be
+// replayed through it.
 
 import (
-	"dcasim/internal/core"
 	"dcasim/internal/dram"
 	"dcasim/internal/event"
 	"dcasim/internal/sched"
@@ -19,7 +17,7 @@ import (
 
 type refEntry struct {
 	Acc          dram.Access
-	ReqType      core.RequestType
+	ReqType      RequestType
 	priorityRead bool
 	enqueued     simtime.Time
 	seq          uint64
@@ -28,10 +26,10 @@ type refEntry struct {
 type refController struct {
 	eng         *event.Engine
 	ch          *dram.Channel
-	cfg         core.Config
+	cfg         Config
 	inst        sched.Instance
 	rowHitFirst bool
-	route       func(dram.Kind, core.RequestType) bool
+	route       func(dram.Kind, RequestType) bool
 	twoLevel    bool
 
 	readQ     []*refEntry
@@ -45,42 +43,34 @@ type refController struct {
 	busy        bool
 	seq         uint64
 
-	stats core.Stats
+	stats Stats
 
 	onIssue func(e *refEntry, now simtime.Time, fromRead, viaOFS bool)
 }
 
-func newRefController(eng *event.Engine, ch *dram.Channel, cfg core.Config, apps int) *refController {
+func newRefController(eng *event.Engine, ch *dram.Channel, cfg Config, inst sched.Instance) *refController {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	spec, err := cfg.Design.Spec()
-	if err != nil {
-		panic(err)
-	}
-	reg, params, err := cfg.Policy()
-	if err != nil {
-		panic(err)
-	}
-	inst := reg.Policy.New(apps, params)
+	t, _ := cfg.Design.traits()
 	return &refController{
 		eng:         eng,
 		ch:          ch,
 		cfg:         cfg,
 		inst:        inst,
 		rowHitFirst: inst.RowHitFirst(),
-		route:       spec.RouteToWrite,
-		twoLevel:    spec.TwoLevel,
+		route:       t.route,
+		twoLevel:    t.twoLevel,
 		rrpc:        make([]uint8, ch.Banks()),
 	}
 }
 
-func (c *refController) Enqueue(acc dram.Access, reqType core.RequestType) {
+func (c *refController) Enqueue(acc dram.Access, reqType RequestType) {
 	c.seq++
 	e := &refEntry{Acc: acc, ReqType: reqType, enqueued: c.eng.Now(), seq: c.seq}
 	toWrite := c.route(acc.Kind, reqType)
 	if !toWrite && !acc.Kind.IsWrite() {
-		e.priorityRead = reqType == core.ReadReq
+		e.priorityRead = reqType == ReadReq
 	}
 	if toWrite {
 		if len(c.writeQ) < c.cfg.WriteQueueCap {
@@ -316,7 +306,7 @@ func (c *refController) remove(q *[]*refEntry, e *refEntry) {
 			return
 		}
 	}
-	panic("policytest: entry not found in reference queue")
+	panic("core: entry not found in reference queue")
 }
 
 func (c *refController) refill(q, overflow *[]*refEntry, cap int) {

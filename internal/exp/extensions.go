@@ -1,12 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
 	"dcasim/internal/core"
-	"dcasim/internal/sched"
 	"dcasim/internal/simtime"
 )
 
@@ -36,77 +31,10 @@ var TWTRValues = []simtime.Time{
 	simtime.FromNS(10),
 }
 
-// SchedulerAlgorithms are the base algorithms swept by the sched study.
-// Deliberately static rather than derived from the policy registry: the
-// golden figure tables pin the sched study's exact rows, so a policy
-// package registering itself must not silently grow this list. Sweep
-// additional registered policies (e.g. ATLAS) through sweep specs —
-// see examples/sweep/policy_comparison.json — or PolicyAxes.
+// SchedulerAlgorithms are the base algorithms swept by the sched study:
+// all three of the paper's policies. examples/sweep/policy_comparison.json
+// sweeps the same three across CD and DCA.
 var SchedulerAlgorithms = []core.Algorithm{core.AlgBLISS, core.AlgFRFCFS, core.AlgFCFS}
-
-// PolicyAxes returns the ready-made sweep axes a registered scheduling
-// policy declared (sched.Registration.SweepAxes) converted to sweep-spec
-// axes, so `dcasim sweep` specs and programmatic sweeps can pick them up
-// without hand-writing the patches.
-func PolicyAxes(name string) ([]SweepAxis, error) {
-	r, ok := sched.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown scheduling policy %q (registered: %s)",
-			name, strings.Join(sched.Names(), ", "))
-	}
-	axes := make([]SweepAxis, 0, len(r.SweepAxes))
-	for _, a := range r.SweepAxes {
-		ax := SweepAxis{Name: a.Name}
-		for _, p := range a.Points {
-			if !json.Valid([]byte(p.Patch)) {
-				return nil, fmt.Errorf("exp: policy %q axis %q point %q: invalid patch %s",
-					name, a.Name, p.Label, p.Patch)
-			}
-			ax.Values = append(ax.Values, SweepPoint{Label: p.Label, Set: json.RawMessage(p.Patch)})
-		}
-		axes = append(axes, ax)
-	}
-	return axes, nil
-}
-
-// DescribePolicies renders the policy registry as a text table for the
-// CLIs' -list-policies flags: canonical name, aliases, declared tunables
-// with defaults and ranges, and the one-line description.
-func DescribePolicies() string {
-	var b strings.Builder
-	for _, name := range sched.Names() {
-		r, ok := sched.Lookup(name)
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "%s", name)
-		if len(r.Aliases) > 0 {
-			fmt.Fprintf(&b, " (aliases: %s)", strings.Join(r.Aliases, ", "))
-		}
-		if r.Doc != "" {
-			fmt.Fprintf(&b, " — %s", r.Doc)
-		}
-		b.WriteString("\n")
-		for _, p := range r.Params {
-			fmt.Fprintf(&b, "    %-16s default %v", p.Name, p.Default)
-			if p.Max > p.Min {
-				fmt.Fprintf(&b, "  range [%v, %v]", p.Min, p.Max)
-			}
-			if p.Doc != "" {
-				fmt.Fprintf(&b, "  %s", p.Doc)
-			}
-			b.WriteString("\n")
-		}
-		for _, a := range r.SweepAxes {
-			labels := make([]string, len(a.Points))
-			for i, pt := range a.Points {
-				labels[i] = pt.Label
-			}
-			fmt.Fprintf(&b, "    sweep axis %s: %s\n", a.Name, strings.Join(labels, ", "))
-		}
-	}
-	return b.String()
-}
 
 func extensionSpecs() []TableSpec {
 	vsCD := func(d core.Design) ColSpec {

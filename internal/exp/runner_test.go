@@ -33,7 +33,7 @@ func TestRunErrorMemoized(t *testing.T) {
 }
 
 // TestUnencodableConfigIsAnError: a config with no canonical encoding
-// (an unregistered Design or Algorithm, an unknown Org, a NaN) fails
+// (a Design or Algorithm outside the paper's, an unknown Org, a NaN) fails
 // Run, Ensure and a table with an error naming the field, instead of
 // panicking in the config hash, and starts no simulation.
 func TestUnencodableConfigIsAnError(t *testing.T) {

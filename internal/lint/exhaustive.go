@@ -10,31 +10,22 @@ import (
 )
 
 // Exhaustive requires switches over the repo's closed enums (dcache.Org,
-// dram.Kind, core.RequestType, ...) to either cover every declared
-// constant or carry a default clause that surfaces the unknown value
-// (panic or an error mentioning it). Registry-backed enums — types like
-// core.Design and core.Algorithm whose defining package exports a
-// Register*/MustRegister* function minting new values — are open sets:
-// there, covering today's constants proves nothing, and every switch
-// must carry a loud default. This is the safety net the plugin-policy
-// architecture leans on: registering a fourth design must fail loudly at
-// every switch that silently assumed three.
+// dram.Kind, core.Design, core.Algorithm, cachefs.Op, ...) to either
+// cover every declared constant or carry a default clause that surfaces
+// the unknown value (panic or an error mentioning it). Adding a fourth
+// design or policy must then fail loudly at every switch that silently
+// assumed three.
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",
 	Doc: `require enum switches to cover every constant or fail loudly
 
-A closed enum is a defined integer type with at least two package-level
-constants of that exact type. A switch whose tag has such a type must
-list every constant across its cases, or have a default clause whose
-body panics or constructs an error (fmt.Errorf / errors.New) — a
-default that silently picks one behaviour converts "new enum value
-added" into a wrong simulation result instead of a crash or error.
-
-An open registry enum is a defined integer or string type whose
-defining package exports a Register*/MustRegister* function returning
-it: the value set grows at link time (core.RegisterDesign,
-core.RegisterPolicy), so case coverage can never be exhaustive and
-every switch over such a type must carry a panic/error default.`,
+A closed enum is a defined integer or string type with at least two
+package-level constants of that exact type. A switch whose tag has such
+a type must list every constant across its cases, or have a default
+clause whose body panics or constructs an error (fmt.Errorf /
+errors.New) — a default that silently picks one behaviour converts
+"new enum value added" into a wrong simulation result instead of a
+crash or error.`,
 	Run: runExhaustive,
 }
 
@@ -58,9 +49,8 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 	if !ok {
 		return
 	}
-	regFn := registryFunc(named)
 	enums := enumConstants(named)
-	if regFn == "" && len(enums) < 2 {
+	if len(enums) < 2 {
 		return
 	}
 
@@ -77,20 +67,6 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 				covered[tv.Value] = true
 			}
 		}
-	}
-
-	if regFn != "" {
-		// Open registry enum: constant coverage proves nothing, a loud
-		// default is mandatory.
-		if defaultClause != nil && defaultSurfacesUnknown(pass, defaultClause) {
-			return
-		}
-		if defaultClause != nil {
-			pass.Reportf(sw.Pos(), "switch over %s, an open registry enum (%s mints new values), silently picks a behaviour in its default; make the default panic / return an error", named.Obj().Name(), regFn)
-			return
-		}
-		pass.Reportf(sw.Pos(), "switch over %s, an open registry enum (%s mints new values), has no default: covering today's constants is not exhaustive — add a default that panics / returns an error", named.Obj().Name(), regFn)
-		return
 	}
 
 	var missing []string
@@ -112,43 +88,6 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 	pass.Reportf(sw.Pos(), "non-exhaustive switch over %s: missing %s (add the cases or a default that panics / returns an error)", named.Obj().Name(), strings.Join(missing, ", "))
 }
 
-// registryFunc detects open registry enums: it returns the name of an
-// exported Register*/MustRegister* function declared in the enum's
-// defining package whose results include the type, or "" if there is
-// none. Such a function mints values beyond the declared constants, so
-// no switch over the type can ever be exhaustive by case coverage.
-func registryFunc(named *types.Named) string {
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "dcasim") {
-		return ""
-	}
-	basic, ok := named.Underlying().(*types.Basic)
-	if !ok || basic.Info()&(types.IsInteger|types.IsString) == 0 {
-		return ""
-	}
-	scope := obj.Pkg().Scope()
-	for _, name := range scope.Names() { // sorted: deterministic pick
-		if !strings.HasPrefix(name, "Register") && !strings.HasPrefix(name, "MustRegister") {
-			continue
-		}
-		fn, ok := scope.Lookup(name).(*types.Func)
-		if !ok {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok {
-			continue
-		}
-		res := sig.Results()
-		for i := 0; i < res.Len(); i++ {
-			if types.Identical(res.At(i).Type(), named) {
-				return name
-			}
-		}
-	}
-	return ""
-}
-
 // enumConstants returns the package-level constants declared with
 // exactly the named type, sorted by value.
 func enumConstants(named *types.Named) []*types.Const {
@@ -163,7 +102,7 @@ func enumConstants(named *types.Named) []*types.Const {
 		return nil
 	}
 	basic, ok := named.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsInteger == 0 {
+	if !ok || basic.Info()&(types.IsInteger|types.IsString) == 0 {
 		return nil
 	}
 	scope := obj.Pkg().Scope()
@@ -185,7 +124,7 @@ func valueCovered(covered map[constant.Value]bool, v constant.Value) bool {
 		return true
 	}
 	// constant.Value is not guaranteed canonical across packages;
-	// compare numerically as a fallback.
+	// compare by value as a fallback.
 	for cv := range covered {
 		if constant.Compare(cv, token.EQL, v) {
 			return true

@@ -19,8 +19,6 @@ var DeterministicPkgs = []string{
 	"internal/cpu",
 	"internal/dcache",
 	"internal/sched",
-	"internal/sched/atlas",
-	"internal/sched/policies",
 	"internal/workload",
 	"internal/addrmap",
 	"internal/cache",

@@ -1,9 +1,7 @@
 // Fixture for the exhaustive analyzer: switches over a closed enum
-// (a defined integer type with >= 2 typed package constants) must
-// cover every constant or carry a default that panics / builds an
-// error. Open registry enums — types an exported Register*/
-// MustRegister* function in the same package returns — additionally
-// require a loud default even when every declared constant is covered.
+// (a defined integer or string type with >= 2 typed package constants)
+// must cover every constant or carry a default that panics / builds an
+// error.
 package policy
 
 import "fmt"
@@ -79,22 +77,31 @@ func notAnEnum(n int) bool {
 	}
 }
 
-// Policy is an open registry enum: MustRegisterPolicy below mints values
-// beyond the declared constants (mirrors core.Algorithm).
+// Policy is a closed string enum (mirrors core.Algorithm): the same
+// rules hold as for integer enums.
 type Policy string
 
 const (
-	PolBLISS Policy = "BLISS"
-	PolFCFS  Policy = "FCFS"
+	PolBLISS  Policy = "BLISS"
+	PolFRFCFS Policy = "FR-FCFS"
+	PolFCFS   Policy = "FCFS"
 )
 
-// MustRegisterPolicy marks Policy as registry-backed for the analyzer.
-func MustRegisterPolicy(name string) Policy { return Policy(name) }
+// stringFull covers every constant: exhaustive without a default.
+func stringFull(p Policy) string {
+	switch p {
+	case PolBLISS:
+		return "bliss"
+	case PolFRFCFS:
+		return "frfcfs"
+	case PolFCFS:
+		return "fcfs"
+	}
+	return "?"
+}
 
-// openCovered lists every declared constant — still not exhaustive,
-// because registration can mint a third value.
-func openCovered(p Policy) string {
-	switch p { // want `open registry enum \(MustRegisterPolicy mints new values\), has no default`
+func stringMissing(p Policy) string {
+	switch p { // want `non-exhaustive switch over Policy: missing PolFRFCFS`
 	case PolBLISS:
 		return "bliss"
 	case PolFCFS:
@@ -103,8 +110,17 @@ func openCovered(p Policy) string {
 	return "?"
 }
 
-// openLoudDefault is the blessed pattern for registry enums.
-func openLoudDefault(p Policy) string {
+func stringSilentDefault(p Policy) bool {
+	switch p { // want `switch over Policy misses PolBLISS, PolFCFS and its default silently picks a behaviour`
+	case PolFRFCFS:
+		return true
+	default:
+		return false
+	}
+}
+
+// stringLoudDefault surfaces an unknown name in a panic.
+func stringLoudDefault(p Policy) string {
 	switch p {
 	case PolBLISS:
 		return "bliss"
@@ -113,33 +129,12 @@ func openLoudDefault(p Policy) string {
 	}
 }
 
-// Scheme is an int-based registry enum (mirrors core.Design).
-type Scheme int
-
-const (
-	SchemeA Scheme = iota
-	SchemeB
-)
-
-// RegisterScheme marks Scheme as registry-backed for the analyzer.
-func RegisterScheme(name string) (Scheme, error) { return SchemeA, nil }
-
-// openSilentDefault has a default, but it silently picks a behaviour.
-func openSilentDefault(s Scheme) bool {
-	switch s { // want `open registry enum \(RegisterScheme mints new values\), silently picks a behaviour`
-	case SchemeA, SchemeB:
+// notAnEnumString: switches over plain strings are unconstrained.
+func notAnEnumString(s string) bool {
+	switch s {
+	case "bliss":
 		return true
 	default:
 		return false
-	}
-}
-
-// openErrDefault surfaces unknown registrations as an error.
-func openErrDefault(s Scheme) (string, error) {
-	switch s {
-	case SchemeA:
-		return "a", nil
-	default:
-		return "", fmt.Errorf("unknown scheme %d", int(s))
 	}
 }

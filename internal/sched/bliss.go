@@ -1,19 +1,13 @@
-// Package sched is the scheduling-policy plugin layer: the Policy /
-// Instance interfaces the controller picks through, a name-keyed
-// registry (Register / Lookup / Names) that internal/config resolves
-// Algorithm values against, and the three paper policies (BLISS,
-// FR-FCFS, FCFS) as built-in registrations.
+// Package sched holds the scheduling policies the DRAM-cache controllers
+// pick through: the Instance interface and the paper's three policies,
+// BLISS, FR-FCFS and FCFS. internal/core builds one instance per channel
+// from the configured core.Algorithm.
 //
-// A policy is one self-contained package: it registers its canonical
-// name, aliases, tunable parameters (ParamSpecs, set per run through the
-// configuration's AlgParams map), and ready-made sweep axes, plus a
-// constructor for per-channel Instances. The controller keeps the shared
-// per-(bank, lane) indexed-queue machinery and asks the instance only
-// for *phase restrictions* — which applications may be served in each
-// scan phase — so every policy inherits the O(1)-amortised pick paths.
-// See Instance for the exact contract and dcasim/internal/sched/policytest
-// for the conformance harness every registered policy must pass;
-// docs/adding-a-policy.md walks through writing one.
+// The controller keeps the shared per-(bank, lane) indexed-queue
+// machinery and asks the instance only for *phase restrictions* — which
+// applications may be served in each scan phase — so every policy shares
+// the O(1)-amortised pick paths. See Instance for the exact contract;
+// the conformance tests in internal/core check it.
 //
 // The BLISS blacklisting scheduler (Subramanian et al.) is the paper's
 // baseline: an application served Threshold times in a row is

@@ -9,7 +9,6 @@ import (
 	"dcasim/internal/config"
 	"dcasim/internal/core"
 	"dcasim/internal/dcache"
-	"dcasim/internal/sched"
 	"dcasim/internal/simtime"
 	"dcasim/internal/workload"
 )
@@ -53,10 +52,17 @@ func ctrlFrac(name string, field func(*core.Config) *float64) fuzzField {
 	return fuzzField{name, -100, 1100, func(c *config.Config, v int64) { *field(fuzzCtrl(c)) = milli(v) }}
 }
 
-// fuzzFields lists every field FuzzRun may edit; an input names them by
-// index, so append new ones at the end.
+// fuzzAlgorithms are the scheduling algorithms FuzzRun picks from.
+var fuzzAlgorithms = []core.Algorithm{core.AlgBLISS, core.AlgFRFCFS, core.AlgFCFS}
+
+// fuzzFields lists every field FuzzRun may edit. An input names a field
+// by a byte taken modulo the table's length, so editing the table
+// re-points corpus bytes: appending a row re-points every byte at or
+// above the old length, and removing one re-points the rows after it
+// too. Only FuzzRun's named seeds, which fuzzInput encodes by field
+// name, stay stable.
 var fuzzFields = []fuzzField{
-	{"Design", -1, int64(len(core.Designs())), func(c *config.Config, v int64) {
+	{"Design", -1, int64(core.DCA) + 1, func(c *config.Config, v int64) {
 		c.Design = core.Design(v)
 		if c.Ctrl != nil {
 			c.Ctrl.Design = c.Design
@@ -68,28 +74,14 @@ var fuzzFields = []fuzzField{
 	boolField("LeeWriteback", func(c *config.Config) *bool { return &c.LeeWriteback }),
 	intField("TagCacheKB", -1, 256, 1, func(c *config.Config) *int { return &c.TagCacheKB }),
 	boolField("BEARProbe", func(c *config.Config) *bool { return &c.BEARProbe }),
-	// The last value names no registered policy.
-	{"Algorithm", 0, int64(len(sched.Names())), func(c *config.Config, v int64) {
+	// The last value names no policy.
+	{"Algorithm", 0, int64(len(fuzzAlgorithms)), func(c *config.Config, v int64) {
 		c.Algorithm = "nosuchpolicy"
-		if names := sched.Names(); v < int64(len(names)) {
-			c.Algorithm = core.Algorithm(names[v])
+		if v < int64(len(fuzzAlgorithms)) {
+			c.Algorithm = fuzzAlgorithms[v]
 		}
 		if c.Ctrl != nil {
 			c.Ctrl.Algorithm = c.Algorithm
-		}
-	}},
-	// One tunable of the selected policy, log-uniform over a little more
-	// than its declared range.
-	{"AlgParams", 0, 8*1200 - 1, func(c *config.Config, v int64) {
-		reg, ok := sched.Lookup(string(c.Algorithm.Canonical()))
-		if !ok || len(reg.Params) == 0 {
-			return
-		}
-		spec := reg.Params[int(v%8)%len(reg.Params)]
-		lo, hi := math.Log(spec.Min), math.Log(spec.Max)
-		c.AlgParams = map[string]float64{spec.Name: math.Exp(lo + (milli(v/8)-0.1)*(hi-lo))}
-		if c.Ctrl != nil {
-			c.Ctrl.AlgParams = c.AlgParams
 		}
 	}},
 	{"CacheSizeBytes", -1, 2048, func(c *config.Config, v int64) { c.CacheSizeBytes = v << 12 }},
@@ -201,6 +193,9 @@ func FuzzRun(f *testing.F) {
 		{{"TagCacheKB", 64}, {"BEARProbe", 1}, {"XORRemap", 1}},
 		{{"LeeWriteback", 1}, {"UseMAPI", 0}, {"Ctrl.FlushFactor", 7}},
 		{{"Timing.TWTR", 0}, {"Timing.TRTW", 0}, {"Ctrl.ReadQueueCap", 1}, {"Ctrl.WriteQueueCap", 1}},
+		// FuzzRun's first find: a CacheSizeBytes of -4 096 validated, then
+		// panicked building the tag store.
+		{{"CacheSizeBytes", -1}},
 	} {
 		f.Add(fuzzInput(f, mix, edits...))
 	}

@@ -7,8 +7,6 @@ import (
 	"dcasim/internal/config"
 	"dcasim/internal/core"
 	"dcasim/internal/dcache"
-	"dcasim/internal/sched"
-	_ "dcasim/internal/sched/policies"
 )
 
 // warmFields are the Config fields the functional warm-up reads. WarmKey
@@ -23,7 +21,7 @@ var warmFields = map[string]bool{
 // must not change when they do.
 var timedFields = map[string]bool{
 	"Design": true, "XORRemap": true, "LeeWriteback": true, "TagCacheKB": true,
-	"BEARProbe": true, "Algorithm": true, "AlgParams": true, "Timing": true,
+	"BEARProbe": true, "Algorithm": true, "Timing": true,
 	"Ctrl": true, "MainMem": true, "CPU": true, "L2HitLat": true, "InstrPerCore": true,
 }
 
@@ -35,7 +33,7 @@ var timedFields = map[string]bool{
 var perContentsFields = map[string]bool{"Org": true}
 
 // perturb changes v, a settable value, to a different value of its type:
-// every settable leaf of a struct, nil pointers and maps to non-nil ones.
+// every settable leaf of a struct, nil pointers to non-nil ones.
 // It reports false for a kind it cannot change.
 func perturb(v reflect.Value) bool {
 	switch v.Kind() {
@@ -51,10 +49,6 @@ func perturb(v reflect.Value) bool {
 		v.SetString(v.String() + "x")
 	case reflect.Slice:
 		v.Set(reflect.Append(v, reflect.New(v.Type().Elem()).Elem()))
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		m.SetMapIndex(reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem())
-		v.Set(m)
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 	case reflect.Struct:
@@ -107,7 +101,7 @@ func TestWarmKeyCoversWarmFields(t *testing.T) {
 
 // warmVariants are the timed-only variations one warm group serves:
 // every writeback, remapping, tag-cache and probe option and every
-// registered scheduling policy, under each design.
+// scheduling policy, under each design.
 func warmVariants(t *testing.T, org dcache.Org) []config.Config {
 	t.Helper()
 	base := config.Test()
@@ -122,11 +116,7 @@ func warmVariants(t *testing.T, org dcache.Org) []config.Config {
 	if org == dcache.SetAssoc {
 		mods = append(mods, func(c *config.Config) { c.TagCacheKB = 64 })
 	}
-	for _, name := range sched.Names() {
-		alg, err := core.ParseAlgorithm(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, alg := range fuzzAlgorithms {
 		mods = append(mods, func(c *config.Config) { c.Algorithm = alg })
 	}
 	var cfgs []config.Config
