@@ -15,8 +15,8 @@
 #                     its payload decoder, the config and sweep-spec
 #                     loaders, config patching vs its JSON-merge
 #                     oracle, the canonical config encoder vs
-#                     encoding/json, the event kernel vs its heap
-#                     oracle, the DRAM-cache tag store and the SRAM
+#                     encoding/json, the event kernel vs its
+#                     sorted-slice reference, the DRAM-cache tag store and the SRAM
 #                     cache vs their stamp-based oracles, and whole
 #                     simulations of fuzzed configs (CI job)
 #   make sweep-smoke - run every example sweep spec end to end against
@@ -26,8 +26,9 @@
 #                     ARCHITECTURE / ROADMAP / examples
 #   make bench-short - one pass over the substrate microbenchmarks, one
 #                      small figure benchmark and the config, result-cache,
-#                      SRAM-cache, DRAM-cache-contents and simulation
-#                      layer benchmarks, with allocation stats
+#                      SRAM-cache, DRAM-cache-contents, controller-pick
+#                      and simulation layer benchmarks, with allocation
+#                      stats
 #   make ab         - same-machine A/B of the repository benchmark
 #                     (bench/): ten interleaved pairs of runs of BASE
 #                     (default: the merge-base with main) and of the
@@ -96,8 +97,8 @@ faults:
 # to its base (FuzzPatch), the canonical config encoder behind the
 # cache key must write exactly encoding/json's bytes and fail where it
 # fails (FuzzCanonical), an arbitrary op program must
-# drive the timing wheel and the retired 4-ary heap to the exact same
-# dispatch sequence (FuzzEngineOps), and an arbitrary op program must
+# drive the event kernel's heap and its sorted-slice reference to the
+# exact same dispatch sequence (FuzzEngineOps), and an arbitrary op program must
 # get the same answers from the packed DRAM-cache tag store as from its
 # stamp-based oracle, journal rollbacks included (FuzzTagStore), and
 # from the SRAM cache as from its stamp-based oracle, copies and reuse
@@ -131,16 +132,19 @@ sweep-smoke:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# Short benchmark pass: substrate microbenchmarks at a real benchtime,
+# Short benchmark pass: substrate microbenchmarks and the controller's
+# pick (one channel's scheduling slot under loaded queues, DCA and CD
+# under BLISS) at a real benchtime,
 # figure benchmarks and the layer benchmarks (config patch, apply and
 # hash; result-cache get and put; the warm-up's two loops, L1 and L2
 # access and DRAM-cache warm calls per organization; warm-up of one and of both
 # organizations, and the timed region) at one iteration just to prove
 # the drivers run. Nothing here is gated:
 # tier-1 tests pin the allocation counts of the whole run, Fig. 8,
-# Channel.Issue and the event wheel, and `make ab` measures time.
+# Channel.Issue and the event kernel, and `make ab` measures time.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventEngine|BenchmarkChannelIssue|BenchmarkWorkloadGen' -benchmem -benchtime 0.2s .
+	$(GO) test -run '^$$' -bench 'BenchmarkControllerPick' -benchmem -benchtime 0.2s ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8$$|BenchmarkSimOneRun' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/config ./internal/rescache ./internal/cache ./internal/dcache ./internal/sim
 

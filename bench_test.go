@@ -84,7 +84,7 @@ func BenchmarkFigures(b *testing.B) {
 func BenchmarkFig8J1(b *testing.B) { benchFigure(b, "fig8", 1) }
 func BenchmarkFig8J8(b *testing.B) { benchFigure(b, "fig8", 8) }
 
-// --- Ablations called out in DESIGN.md ---
+// --- Ablations of the DCA controller's parameters ---
 
 // BenchmarkAblationFlushFactor sweeps the OFS flushing factor (§IV-C).
 func BenchmarkAblationFlushFactor(b *testing.B) {
@@ -137,7 +137,7 @@ func BenchmarkChannelIssue(b *testing.B) {
 	for i := range accs {
 		accs[i] = &dram.Access{
 			Kind:  dram.ReadData,
-			Loc:   addrmap.Loc{Bank: i % 16, Row: int64(i / 16), Col: i % 64},
+			Loc:   addrmap.Loc{Bank: int32(i % 16), Row: int64(i / 16), Col: int32(i % 64)},
 			Bytes: 64,
 		}
 	}
@@ -163,8 +163,7 @@ func BenchmarkEventEngine(b *testing.B) {
 
 // benchEventDeltas schedules bursts of 64 events at the given delta
 // menu and drains between bursts — the schedule/fire rhythm the
-// simulator itself produces. Each menu targets one regime of the
-// timing wheel (see internal/event/wheel.go); TestZeroAllocScheduling
+// simulator itself produces. TestZeroAllocScheduling (internal/event)
 // runs the same menus with allocations pinned at zero.
 func benchEventDeltas(b *testing.B, deltas []simtime.Time) {
 	var eng event.Engine
@@ -180,9 +179,8 @@ func benchEventDeltas(b *testing.B, deltas []simtime.Time) {
 	eng.Run()
 }
 
-// benchUniformDeltas spreads schedules uniformly across the inner two
-// wheel levels (up to ~1 µs), so pops regularly cascade level-1
-// buckets down to level 0.
+// benchUniformDeltas spreads schedules uniformly up to ~1 µs, so the
+// heap's order is unrelated to the order of scheduling.
 var benchUniformDeltas = func() []simtime.Time {
 	d := make([]simtime.Time, 1024)
 	x := uint64(0x9e3779b97f4a7c15)
@@ -195,23 +193,20 @@ var benchUniformDeltas = func() []simtime.Time {
 	return d
 }()
 
-// BenchmarkEventUniform measures the cascade-heavy regime: uniform
-// deltas spanning levels 0–1.
+// BenchmarkEventUniform measures uniform deltas up to ~1 µs.
 func BenchmarkEventUniform(b *testing.B) { benchEventDeltas(b, benchUniformDeltas) }
 
 // BenchmarkEventDRAMClustered measures the regime the characterization
 // test (internal/sim) shows real runs live in: deltas drawn from the
-// fixed DRAM timing constants, all inside the level-0 window, so
-// nearly every schedule is a direct O(1) bucket append.
+// fixed DRAM timing constants, all under 65.5 ns.
 func BenchmarkEventDRAMClustered(b *testing.B) {
 	benchEventDeltas(b, []simtime.Time{
 		250, 1670, 3330, 5000, 7500, 8000, 11330, 15000, 27330, 30000, 50000,
 	})
 }
 
-// BenchmarkEventSpill measures the far-future overflow path: deltas
-// beyond the outermost wheel level land in the sorted spill and are
-// refilled back into the wheel when the clock approaches them.
+// BenchmarkEventSpill measures far-future deltas, around 2^41 ps
+// (~2 s), which no simulated component produces.
 func BenchmarkEventSpill(b *testing.B) {
 	benchEventDeltas(b, []simtime.Time{
 		1 << 41, 1<<41 + 512, 3 << 40, 1<<41 + 3*256, 1 << 42,

@@ -149,7 +149,7 @@ func makeTraffic(seed uint64, n, apps int) []diffOp {
 		ops[i] = diffOp{
 			acc: dram.Access{
 				Kind:  kinds[r.Intn(len(kinds))],
-				Loc:   addrmap.Loc{Bank: r.Intn(8), Row: int64(r.Intn(16)), Col: r.Intn(64)},
+				Loc:   addrmap.Loc{Bank: int32(r.Intn(8)), Row: int64(r.Intn(16)), Col: int32(r.Intn(64))},
 				Bytes: 64,
 				App:   app,
 			},

@@ -77,10 +77,31 @@ func laneMismatch(lane int, lastDir dram.Dir) bool {
 }
 
 // bankLane is the pair of intrusive lists holding one bank's entries of
-// one lane: the full FIFO (seq order) and its row-hit sublist.
+// one lane: the full FIFO (seq order) and its row-hit sublist. Each
+// list's head seq and application are cached beside it (valid while the
+// head is non-nil), so a pick compares and admits heads without loading
+// them; only the winner is read.
 type bankLane struct {
 	mainHead, mainTail *Entry
 	hitHead, hitTail   *Entry
+	mainSeq, hitSeq    uint64
+	mainApp, hitApp    int
+}
+
+// setMainHead makes e (possibly nil) the head of the FIFO list.
+func (bl *bankLane) setMainHead(e *Entry) {
+	bl.mainHead = e
+	if e != nil {
+		bl.mainSeq, bl.mainApp = e.seq, e.Acc.App
+	}
+}
+
+// setHitHead makes e (possibly nil) the head of the row-hit sublist.
+func (bl *bankLane) setHitHead(e *Entry) {
+	bl.hitHead = e
+	if e != nil {
+		bl.hitSeq, bl.hitApp = e.seq, e.Acc.App
+	}
 }
 
 // qindex is one architected queue (read or write) indexed by global bank
@@ -96,45 +117,52 @@ type qindex struct {
 	stale    uint64            // banks whose hit sublists need a rebuild
 	count    int
 
-	// appCnt[app*laneCount+lane] counts queued entries per application
-	// and lane (apps outside [0, napps) share the final slot; a phase
-	// mask never excludes them). It lets a pick prove "no candidate is
-	// admitted by this phase" in O(apps) and skip the phase instead of
-	// walking every list to find nothing — under BLISS this is the
-	// steady state of single-application (alone) runs, whose only app
-	// re-blacklists after every fourth service.
-	appCnt []int32
-	napps  int
+	// Per lane, appBits has bit a set while the lane holds an entry of
+	// application a < napps, counted in appCnt[a*laneCount+lane];
+	// wideCnt counts the entries of the other applications, which
+	// hasAllowed always admits (napps is at most 64, the mask's range).
+	// They let a pick prove "no candidate is admitted by this phase" in
+	// O(lanes) and skip the phase instead of walking every list to find
+	// nothing — under BLISS this is the steady state of
+	// single-application (alone) runs, whose only app re-blacklists
+	// after every fourth service.
+	appCnt  []int32
+	appBits [laneCount]uint64
+	wideCnt [laneCount]int32
+	napps   int
 }
 
-func (q *qindex) init(nbanks, napps int) {
+func (q *qindex) init(nbanks, apps int) {
 	q.banks = make([][laneCount]bankLane, nbanks)
-	q.napps = napps
-	q.appCnt = make([]int32, (napps+1)*laneCount)
+	q.napps = min(apps, 64)
+	q.appCnt = make([]int32, q.napps*laneCount)
 }
 
-func (q *qindex) appSlot(app int) int {
-	if app < 0 || app >= q.napps {
-		return q.napps
+// countApp adds d (+1 or -1) to the count of app's entries in lane.
+func (q *qindex) countApp(app int, lane uint8, d int32) {
+	if uint(app) >= uint(q.napps) {
+		q.wideCnt[lane] += d
+		return
 	}
-	return app
+	i := app*laneCount + int(lane)
+	q.appCnt[i] += d
+	if q.appCnt[i] == 0 {
+		q.appBits[lane] &^= 1 << uint(app)
+	} else {
+		q.appBits[lane] |= 1 << uint(app)
+	}
 }
 
 // hasAllowed reports whether any queued entry in the allowed lanes
-// belongs to an application the phase's allowed-mask admits (i.e.
+// may belong to an application the phase's allowed-mask admits (i.e.
 // whether a restricted scan phase can possibly find a candidate).
-// Applications outside [0, napps) and outside the mask's 64-bit range
-// are always admitted, matching entryAllowed.
+// Applications outside [0, napps) count as admitted: beyond the mask's
+// 64-bit range appAllowed admits them too, and within it a false yes
+// only costs a scan that finds nothing.
 func (q *qindex) hasAllowed(laneMask uint8, allowed uint64) bool {
-	for a := 0; a <= q.napps; a++ {
-		if a < q.napps && a < 64 && allowed>>uint(a)&1 == 0 {
-			continue
-		}
-		base := a * laneCount
-		for lane := 0; lane < laneCount; lane++ {
-			if laneMask&(1<<uint(lane)) != 0 && q.appCnt[base+lane] > 0 {
-				return true
-			}
+	for lane := 0; lane < laneCount; lane++ {
+		if laneMask&(1<<uint(lane)) != 0 && (q.appBits[lane]&allowed != 0 || q.wideCnt[lane] > 0) {
+			return true
 		}
 	}
 	return false
@@ -151,7 +179,7 @@ func (q *qindex) add(e *Entry, openRow int64) {
 	if bl.mainTail != nil {
 		bl.mainTail.bNext = e
 	} else {
-		bl.mainHead = e
+		bl.setMainHead(e)
 	}
 	bl.mainTail = e
 	bit := uint64(1) << uint(e.gb)
@@ -163,12 +191,12 @@ func (q *qindex) add(e *Entry, openRow int64) {
 		if bl.hitTail != nil {
 			bl.hitTail.hNext = e
 		} else {
-			bl.hitHead = e
+			bl.setHitHead(e)
 		}
 		bl.hitTail = e
 		q.hitBanks[e.lane] |= bit
 	}
-	q.appCnt[q.appSlot(e.Acc.App)*laneCount+int(e.lane)]++
+	q.countApp(e.Acc.App, e.lane, 1)
 	q.count++
 }
 
@@ -178,7 +206,7 @@ func (q *qindex) unlink(e *Entry) {
 	if e.bPrev != nil {
 		e.bPrev.bNext = e.bNext
 	} else {
-		bl.mainHead = e.bNext
+		bl.setMainHead(e.bNext)
 	}
 	if e.bNext != nil {
 		e.bNext.bPrev = e.bPrev
@@ -194,7 +222,7 @@ func (q *qindex) unlink(e *Entry) {
 		if e.hPrev != nil {
 			e.hPrev.hNext = e.hNext
 		} else {
-			bl.hitHead = e.hNext
+			bl.setHitHead(e.hNext)
 		}
 		if e.hNext != nil {
 			e.hNext.hPrev = e.hPrev
@@ -207,7 +235,7 @@ func (q *qindex) unlink(e *Entry) {
 			q.hitBanks[e.lane] &^= bit
 		}
 	}
-	q.appCnt[q.appSlot(e.Acc.App)*laneCount+int(e.lane)]--
+	q.countApp(e.Acc.App, e.lane, -1)
 	q.count--
 }
 
@@ -242,7 +270,7 @@ func (q *qindex) rebuildHit(gb int, row int64) {
 				if bl.hitTail != nil {
 					bl.hitTail.hNext = e
 				} else {
-					bl.hitHead = e
+					bl.setHitHead(e)
 				}
 				bl.hitTail = e
 			} else if e.inHit {
@@ -352,7 +380,10 @@ type Controller struct {
 	rrpcEp  []uint64
 
 	// Thresholds that are pure functions of the config, precomputed.
+	// ScheduleAll engages at a read-queue count of saOn or more and
+	// releases below saOff (see newController).
 	writeHi, writeLo int
+	saOn, saOff      int
 
 	// Restriction state of the current scan phase, loaded by enterPhase:
 	// with a mask-representable phase (curMaskOK) the restricted scans
@@ -407,6 +438,21 @@ func newController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int, po
 		writeLo:  int(float64(cfg.WriteQueueCap)*cfg.WriteFlushLow + 0.5),
 	}
 	c.rowHitFirst = c.pol.RowHitFirst()
+	// The ScheduleAll rule compares the read queue's occupancy,
+	// float64(n)/float64(cap), with ScheduleAllHigh and ScheduleAllLow.
+	// Occupancy never falls as n grows, so each comparison flips at one
+	// count: evaluate the rule for every n once, here, and keep the two
+	// counts where it flips.
+	c.saOn, c.saOff = cfg.ReadQueueCap+1, cfg.ReadQueueCap+1
+	for n := cfg.ReadQueueCap; n >= 0; n-- {
+		occ := float64(n) / float64(cfg.ReadQueueCap)
+		if occ > cfg.ScheduleAllHigh {
+			c.saOn = n
+		}
+		if !(occ < cfg.ScheduleAllLow) {
+			c.saOff = n
+		}
+	}
 	for i := range c.rows {
 		c.rows[i] = -1
 	}
@@ -451,10 +497,11 @@ func (c *Controller) getEntry() *Entry {
 	return new(Entry)
 }
 
-// putEntry clears a retired record (dropping its callback references)
-// and returns it to the free list.
+// putEntry returns a retired record to the free list. Enqueue sets
+// every field again and unlink has cleared the links, so only the
+// completion callback is dropped, lest it keep its handler reachable.
 func (c *Controller) putEntry(e *Entry) {
-	*e = Entry{}
+	e.Acc.Done = event.Callback{}
 	c.pool = append(c.pool, e)
 }
 
@@ -469,17 +516,14 @@ func (c *Controller) Enqueue(acc dram.Access, reqType RequestType) {
 	e.seq = c.seq
 	e.gb = int32(c.ch.GlobalBank(acc.Loc))
 	toWrite := c.route(acc.Kind, reqType)
-	if acc.Kind.IsWrite() {
+	e.priorityRead = !toWrite && !acc.Kind.IsWrite() && reqType == ReadReq
+	switch {
+	case acc.Kind.IsWrite():
 		e.lane = laneWrite
-	} else {
-		if !toWrite {
-			e.priorityRead = reqType == ReadReq
-		}
-		if e.priorityRead {
-			e.lane = lanePRRead
-		} else {
-			e.lane = laneLRRead
-		}
+	case e.priorityRead:
+		e.lane = lanePRRead
+	default:
+		e.lane = laneLRRead
 	}
 	if toWrite {
 		if c.wq.count < c.cfg.WriteQueueCap {
@@ -618,6 +662,7 @@ func (c *Controller) enterPhase(q *qindex, laneMask uint8, p int) bool {
 // lists (each list head is its bank's oldest).
 func (q *qindex) minSeqHead(laneMask uint8) *Entry {
 	var best *Entry
+	var bestSeq uint64
 	for lane := 0; lane < laneCount; lane++ {
 		if laneMask&(1<<uint(lane)) == 0 {
 			continue
@@ -626,8 +671,8 @@ func (q *qindex) minSeqHead(laneMask uint8) *Entry {
 		for bm != 0 {
 			gb := bits.TrailingZeros64(bm)
 			bm &^= 1 << uint(gb)
-			if e := q.banks[gb][lane].mainHead; best == nil || e.seq < best.seq {
-				best = e
+			if bl := &q.banks[gb][lane]; best == nil || bl.mainSeq < bestSeq {
+				best, bestSeq = bl.mainHead, bl.mainSeq
 			}
 		}
 	}
@@ -643,8 +688,10 @@ func (q *qindex) minSeqHead(laneMask uint8) *Entry {
 func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entry {
 	lastDir := c.ch.LastDir()
 	for hitPass := 0; hitPass < 2; hitPass++ {
+		viaHit := hitPass == 0
 		for dmv := 0; dmv < 2; dmv++ {
 			var best *Entry
+			var bestSeq uint64
 			for lane := 0; lane < laneCount; lane++ {
 				if laneMask&(1<<uint(lane)) == 0 {
 					continue
@@ -652,25 +699,14 @@ func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entr
 				if laneMismatch(lane, lastDir) != (dmv == 1) {
 					continue
 				}
-				var bm uint64
-				if hitPass == 0 {
+				bm := q.nonEmpty[lane]
+				if viaHit {
 					bm = q.hitBanks[lane]
-				} else {
-					bm = q.nonEmpty[lane]
 				}
 				for bm != 0 {
 					gb := bits.TrailingZeros64(bm)
 					bm &^= 1 << uint(gb)
-					bl := &q.banks[gb][lane]
-					var e *Entry
-					if hitPass == 0 {
-						e = c.firstEligible(bl.hitHead, true, restricted, best)
-					} else {
-						e = c.firstEligible(bl.mainHead, false, restricted, best)
-					}
-					if e != nil && (best == nil || e.seq < best.seq) {
-						best = e
-					}
+					best, bestSeq = c.listBest(&q.banks[gb][lane], viaHit, restricted, best, bestSeq)
 				}
 			}
 			if best != nil {
@@ -686,37 +722,48 @@ func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entr
 	return nil
 }
 
-// firstEligible returns the first (oldest) entry of a list, skipping
-// entries the current phase does not admit when restricted. Lists are
-// seq-ascending, so the walk aborts once it passes limit (the best
-// candidate found so far in the same priority class): no later node can
-// beat it.
-func (c *Controller) firstEligible(head *Entry, viaHit, restricted bool, limit *Entry) *Entry {
-	for e := head; e != nil; {
-		if limit != nil && e.seq > limit.seq {
-			return nil
-		}
-		if !restricted || c.entryAllowed(e) {
-			return e
-		}
+// listBest returns the better (older) of best and the first entry of
+// one of bl's lists — its row-hit sublist when viaHit — that the
+// current phase admits when restricted. The list head is judged on its
+// cached seq and application; only a head the phase rejects makes the
+// pick load entries.
+func (c *Controller) listBest(bl *bankLane, viaHit, restricted bool, best *Entry, bestSeq uint64) (*Entry, uint64) {
+	head, seq, app := bl.mainHead, bl.mainSeq, bl.mainApp
+	if viaHit {
+		head, seq, app = bl.hitHead, bl.hitSeq, bl.hitApp
+	}
+	if best != nil && seq > bestSeq {
+		return best, bestSeq
+	}
+	if !restricted || c.appAllowed(app) {
+		return head, seq
+	}
+	// Lists are seq-ascending, so the walk stops once it passes best:
+	// no later node can beat it.
+	for e := head; ; {
 		if viaHit {
 			e = e.hNext
 		} else {
 			e = e.bNext
 		}
+		if e == nil || best != nil && e.seq > bestSeq {
+			return best, bestSeq
+		}
+		if c.appAllowed(e.Acc.App) {
+			return e, e.seq
+		}
 	}
-	return nil
 }
 
-// entryAllowed tests e's app against the current phase restriction. In
-// mask mode, apps outside bits 0..63 are always admitted (negative apps
+// appAllowed tests app against the current phase restriction. In mask
+// mode, apps outside bits 0..63 are always admitted (negative apps
 // convert to huge unsigned values), matching the Instance contract and
 // hasAllowed's accounting.
-func (c *Controller) entryAllowed(e *Entry) bool {
+func (c *Controller) appAllowed(app int) bool {
 	if c.curMaskOK {
-		return uint(e.Acc.App) >= 64 || c.curMask>>uint(e.Acc.App)&1 != 0
+		return uint(app) >= 64 || c.curMask>>uint(app)&1 != 0
 	}
-	return c.pol.PhaseAllows(c.curPhase, e.Acc.App)
+	return c.pol.PhaseAllows(c.curPhase, app)
 }
 
 // bestOFS implements the OFS criteria (§IV-C) over the LR lane: an LR is
@@ -749,18 +796,14 @@ func (c *Controller) bestOFS(now simtime.Time) *Entry {
 	}
 	if !c.rowHitFirst {
 		var best *Entry
+		var bestSeq uint64
 		bm := q.nonEmpty[laneLRRead]
 		for bm != 0 {
 			gb := bits.TrailingZeros64(bm)
 			bm &^= 1 << uint(gb)
-			var e *Entry
-			if c.bankFlushable(gb) {
-				e = q.banks[gb][laneLRRead].mainHead
-			} else {
-				e = q.banks[gb][laneLRRead].hitHead
-			}
-			if e != nil && (best == nil || e.seq < best.seq) {
-				best = e
+			bl := &q.banks[gb][laneLRRead]
+			if flushable := c.bankFlushable(gb); flushable || bl.hitHead != nil {
+				best, bestSeq = c.listBest(bl, !flushable, false, best, bestSeq)
 			}
 		}
 		return best
@@ -781,14 +824,12 @@ func (c *Controller) ofsClassBest(restricted bool) *Entry {
 	q := &c.rq
 	// Row hits first (all OFS-eligible; direction ties across the lane).
 	var best *Entry
+	var bestSeq uint64
 	bm := q.hitBanks[laneLRRead]
 	for bm != 0 {
 		gb := bits.TrailingZeros64(bm)
 		bm &^= 1 << uint(gb)
-		e := c.firstEligible(q.banks[gb][laneLRRead].hitHead, true, restricted, best)
-		if e != nil && (best == nil || e.seq < best.seq) {
-			best = e
-		}
+		best, bestSeq = c.listBest(&q.banks[gb][laneLRRead], true, restricted, best, bestSeq)
 	}
 	if best != nil {
 		return best
@@ -799,12 +840,8 @@ func (c *Controller) ofsClassBest(restricted bool) *Entry {
 	for bm != 0 {
 		gb := bits.TrailingZeros64(bm)
 		bm &^= 1 << uint(gb)
-		if !c.bankFlushable(gb) {
-			continue
-		}
-		e := c.firstEligible(q.banks[gb][laneLRRead].mainHead, false, restricted, best)
-		if e != nil && (best == nil || e.seq < best.seq) {
-			best = e
+		if c.bankFlushable(gb) {
+			best, bestSeq = c.listBest(&q.banks[gb][laneLRRead], false, restricted, best, bestSeq)
 		}
 	}
 	return best
@@ -897,11 +934,10 @@ func (c *Controller) updateScheduleAll() {
 	if !c.twoLevel {
 		return
 	}
-	occ := float64(c.rq.count) / float64(c.cfg.ReadQueueCap)
-	if !c.scheduleAll && occ > c.cfg.ScheduleAllHigh {
+	if n := c.rq.count; !c.scheduleAll && n >= c.saOn {
 		c.scheduleAll = true
 		c.stats.ScheduleAllOn++
-	} else if c.scheduleAll && occ < c.cfg.ScheduleAllLow {
+	} else if c.scheduleAll && n < c.saOff {
 		c.scheduleAll = false
 	}
 }

@@ -25,7 +25,7 @@ func acc(kind dram.Kind, bank int, row int64, done func(simtime.Time)) dram.Acce
 	if done != nil {
 		cb = event.Func(done)
 	}
-	return dram.Access{Kind: kind, Loc: addrmap.Loc{Bank: bank, Row: row}, Bytes: 64, Done: cb}
+	return dram.Access{Kind: kind, Loc: addrmap.Loc{Bank: int32(bank), Row: row}, Bytes: 64, Done: cb}
 }
 
 func TestDefaultConfigsMatchTableII(t *testing.T) {

@@ -44,7 +44,7 @@ func TestControllerConservation(t *testing.T) {
 			}
 			a := dram.Access{
 				Kind:  kind,
-				Loc:   addrmap.Loc{Bank: r.Intn(8), Row: int64(r.Intn(64)), Col: r.Intn(64)},
+				Loc:   addrmap.Loc{Bank: int32(r.Intn(8)), Row: int64(r.Intn(64)), Col: int32(r.Intn(64))},
 				Bytes: 64,
 				App:   r.Intn(4),
 			}

@@ -46,7 +46,7 @@ func newRig(t *testing.T, bench string, memLatency simtime.Time, lee bool) *rig 
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, lee)
+	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, lee, 16)
 	prof, err := workload.Lookup(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -153,20 +153,37 @@ func TestL2MSHRMerging(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2arr, _ := cache.New(64<<10, 64, 8, nil)
-	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false)
+	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false, 16)
 
+	// Block 42 misses at 0; at 3 ns block 99 misses and a second read
+	// of 42 merges into the first, so two blocks are in flight at once.
 	completions := 0
-	l2.Read(42, 0, 1, event.Func(func(simtime.Time) { completions++ }))
-	l2.Read(42, 0, 1, event.Func(func(simtime.Time) { completions++ })) // merges
+	var done42, done99 simtime.Time
+	l2.Read(42, 0, 1, event.Func(func(now simtime.Time) { completions++; done42 = now }))
+	const later = 3 * simtime.Nanosecond
+	eng.At(later, func() {
+		l2.Read(99, 0, 1, event.Func(func(now simtime.Time) { completions++; done99 = now }))
+		l2.Read(42, 0, 1, event.Func(func(simtime.Time) { completions++ })) // merges
+		if len(l2.mshrs) != 2 {
+			t.Errorf("%d MSHR records with two blocks in flight, want 2", len(l2.mshrs))
+		}
+	})
 	eng.Run()
-	if completions != 2 {
-		t.Fatalf("%d completions, want 2", completions)
+	if completions != 3 {
+		t.Fatalf("%d completions, want 3", completions)
 	}
-	if dc.Stats().ReadReqs != 1 {
-		t.Fatalf("MSHR did not merge: %d DRAM cache reads, want 1", dc.Stats().ReadReqs)
+	if dc.Stats().ReadReqs != 2 {
+		t.Fatalf("MSHR did not merge: %d DRAM cache reads, want 2", dc.Stats().ReadReqs)
 	}
-	if l2.ReadMisses != 2 {
-		t.Fatalf("read misses = %d, want 2", l2.ReadMisses)
+	if l2.ReadMisses != 3 {
+		t.Fatalf("read misses = %d, want 3", l2.ReadMisses)
+	}
+	// Each miss counts from its own start; the merge does not restart 42.
+	if want := done42 + (done99 - later); l2.MissLatency != want || l2.MissesServed != 2 {
+		t.Fatalf("miss latency %v over %d misses, want %v over 2", l2.MissLatency, l2.MissesServed, want)
+	}
+	if len(l2.mshrs) != 0 {
+		t.Fatalf("%d MSHR records left after the run, want 0", len(l2.mshrs))
 	}
 }
 
@@ -182,7 +199,7 @@ func TestL2HitLatency(t *testing.T) {
 		Cores:     1,
 	}, mem)
 	l2arr, _ := cache.New(64<<10, 64, 8, nil)
-	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false)
+	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, false, 16)
 	l2.Write(42, 0) // install
 	var done simtime.Time
 	l2.Read(42, 0, 1, event.Func(func(now simtime.Time) { done = now }))
@@ -204,7 +221,7 @@ func TestLeeEagerWriteback(t *testing.T) {
 		Cores:     1,
 	}, mem)
 	l2arr, _ := cache.New(64<<10, 64, 8, nil) // 128 sets
-	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, true)
+	l2 := NewL2(eng, l2arr, dc, 5*simtime.Nanosecond, true, 16)
 
 	// Dirty DRAM-cache-row-mates of block 0 (blocks 0..3 share a row in
 	// the SA layout) living in different L2 sets.

@@ -23,7 +23,10 @@ type L2 struct {
 	hitLat simtime.Time
 	lee    bool
 
-	mshr map[int64][]event.Callback
+	// mshrs holds the outstanding misses, one record per block, in no
+	// particular order; a lookup scans it. The cores' MSHRs bound it to
+	// cores × MSHRs records.
+	mshrs []mshr
 	// wpool recycles drained MSHR waiter slices so misses allocate no
 	// fresh slice headers in steady state.
 	wpool [][]event.Callback
@@ -36,16 +39,35 @@ type L2 struct {
 	MissesServed int64
 }
 
-// NewL2 builds the shared L2.
-func NewL2(eng *event.Engine, arr *cache.Cache, dc *dcache.DCache, hitLat simtime.Time, lee bool) *L2 {
+// mshr is one outstanding L2 miss: the block, when its DRAM-cache read
+// started, and the completions waiting on it.
+type mshr struct {
+	block   int64
+	start   simtime.Time
+	waiters []event.Callback
+}
+
+// NewL2 builds the shared L2, sized for mshrs outstanding misses (the
+// cores' MSHRs summed).
+func NewL2(eng *event.Engine, arr *cache.Cache, dc *dcache.DCache, hitLat simtime.Time, lee bool, mshrs int) *L2 {
 	return &L2{
 		eng:    eng,
 		arr:    arr,
 		dc:     dc,
 		hitLat: hitLat,
 		lee:    lee,
-		mshr:   make(map[int64][]event.Callback),
+		mshrs:  make([]mshr, 0, mshrs),
 	}
+}
+
+// findMSHR returns the index of block's outstanding miss, or -1.
+func (l *L2) findMSHR(block int64) int {
+	for i := range l.mshrs {
+		if l.mshrs[i].block == block {
+			return i
+		}
+	}
+	return -1
 }
 
 // getWaiters returns an empty waiter slice, reusing a drained one.
@@ -68,28 +90,32 @@ func (l *L2) Read(addr int64, coreID int, pc uint64, done event.Callback) {
 		return
 	}
 	l.ReadMisses++
-	if waiters, ok := l.mshr[addr]; ok {
-		l.mshr[addr] = append(waiters, done)
+	if i := l.findMSHR(addr); i >= 0 {
+		m := &l.mshrs[i]
+		m.waiters = append(m.waiters, done)
 		return
 	}
-	l.mshr[addr] = append(l.getWaiters(), done)
-	l.dc.Read(addr, coreID, pc, event.Callback{H: l, P: event.Payload{
-		I64:  addr,
-		Time: l.eng.Now(),
-		U64:  uint64(coreID),
-	}})
+	l.mshrs = append(l.mshrs, mshr{block: addr, start: l.eng.Now(), waiters: append(l.getWaiters(), done)})
+	l.dc.Read(addr, coreID, pc, event.Callback{H: l, P: event.Payload{I64: addr, U64: uint64(coreID)}})
 }
 
 // OnEvent implements event.Handler: the DRAM cache finished servicing a
-// miss (Payload: I64 = block address, Time = request start, U64 = the
-// first requester's core ID).
+// miss (Payload: I64 = block address, U64 = the first requester's core
+// ID).
 func (l *L2) OnEvent(now simtime.Time, p event.Payload) {
 	addr := p.I64
-	l.MissLatency += now - p.Time
+	i := l.findMSHR(addr)
+	m := l.mshrs[i]
+	// Retire the record before the waiters run: they may miss again,
+	// on this very block if a later install evicts it.
+	last := len(l.mshrs) - 1
+	l.mshrs[i] = l.mshrs[last]
+	l.mshrs[last] = mshr{}
+	l.mshrs = l.mshrs[:last]
+	l.MissLatency += now - m.start
 	l.MissesServed++
 	l.install(addr, false, int(p.U64))
-	waiters := l.mshr[addr]
-	delete(l.mshr, addr)
+	waiters := m.waiters
 	for _, w := range waiters {
 		w.Invoke(now)
 	}

@@ -133,7 +133,7 @@ func (c *Contents) Rollback() bool {
 type DCache struct {
 	*Contents
 	eng    *event.Engine
-	mapper addrmap.Mapper
+	mapper *addrmap.Mapper
 	chans  []*dram.Channel
 	ctrls  []*core.Controller
 	mem    *mainmem.Memory
@@ -169,7 +169,7 @@ func New(eng *event.Engine, cfg Config, mem *mainmem.Memory) (*DCache, error) {
 	d := &DCache{
 		Contents: contents,
 		eng:      eng,
-		mapper:   addrmap.Mapper{Geom: cfg.DRAM, XORRemap: cfg.XORRemap},
+		mapper:   addrmap.NewMapper(cfg.DRAM, cfg.XORRemap),
 		mem:      mem,
 	}
 	for i := 0; i < cfg.DRAM.Channels; i++ {

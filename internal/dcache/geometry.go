@@ -192,7 +192,7 @@ func (g *Geometry) rowOf(set int64) int64 {
 // TagLoc returns the DRAM location of the tag block for a set. For the
 // direct-mapped design this is the TAD slot itself (the probe reads the
 // whole TAD).
-func (g *Geometry) TagLoc(set int64, m addrmap.Mapper) addrmap.Loc {
+func (g *Geometry) TagLoc(set int64, m *addrmap.Mapper) addrmap.Loc {
 	row := g.rowOf(set)
 	blocksPerRow := int64(g.DRAM.BlocksPerRow())
 	var col int64
@@ -207,7 +207,7 @@ func (g *Geometry) TagLoc(set int64, m addrmap.Mapper) addrmap.Loc {
 // DataLoc returns the DRAM location of a data block (set, way). Only
 // meaningful for the set-associative organization; the direct-mapped
 // design reads data together with the tag.
-func (g *Geometry) DataLoc(set int64, way int, m addrmap.Mapper) addrmap.Loc {
+func (g *Geometry) DataLoc(set int64, way int, m *addrmap.Mapper) addrmap.Loc {
 	if g.Org != SetAssoc {
 		return g.TagLoc(set, m)
 	}

@@ -91,17 +91,17 @@ func TestSetMapping(t *testing.T) {
 
 func TestTagAndDataLocations(t *testing.T) {
 	g, _ := NewGeometry(SetAssoc, 16<<20, paperDRAM())
-	m := addrmap.Mapper{Geom: paperDRAM()}
+	m := addrmap.NewMapper(paperDRAM(), false)
 
 	for set := int64(0); set < 8; set++ {
 		tl := g.TagLoc(set, m)
-		if tl.Col != int(set%4) {
+		if int(tl.Col) != int(set%4) {
 			t.Fatalf("set %d tag block at col %d, want %d (tags live in cols 0-3)", set, tl.Col, set%4)
 		}
 		for way := 0; way < saWays; way++ {
 			dl := g.DataLoc(set, way, m)
 			wantCol := saTagCols + int(set%4)*saWays + way
-			if dl.Col != wantCol {
+			if int(dl.Col) != wantCol {
 				t.Fatalf("set %d way %d at col %d, want %d", set, way, dl.Col, wantCol)
 			}
 			// Tag and data of one set share a DRAM row.
@@ -115,7 +115,7 @@ func TestTagAndDataLocations(t *testing.T) {
 func TestDataLocsDistinct(t *testing.T) {
 	// No two (set, way) pairs may alias to the same DRAM location.
 	g, _ := NewGeometry(SetAssoc, 16<<20, paperDRAM())
-	m := addrmap.Mapper{Geom: paperDRAM()}
+	m := addrmap.NewMapper(paperDRAM(), false)
 	seen := map[addrmap.Loc]string{}
 	for set := int64(0); set < 64; set++ {
 		tl := g.TagLoc(set, m)
@@ -153,7 +153,7 @@ func TestTagRowSiblings(t *testing.T) {
 
 func TestDMTagLocWithinRow(t *testing.T) {
 	g, _ := NewGeometry(DirectMapped, 16<<20, paperDRAM())
-	m := addrmap.Mapper{Geom: paperDRAM()}
+	m := addrmap.NewMapper(paperDRAM(), false)
 	a := g.TagLoc(0, m)
 	b := g.TagLoc(dmTADsPerRow-1, m)
 	if m.RowID(a) != m.RowID(b) {

@@ -14,11 +14,11 @@ func geom() addrmap.Geometry {
 }
 
 func read(bank int, row int64, col int) *Access {
-	return &Access{Kind: ReadData, Loc: addrmap.Loc{Bank: bank, Row: row, Col: col}, Bytes: 64}
+	return &Access{Kind: ReadData, Loc: addrmap.Loc{Bank: int32(bank), Row: row, Col: int32(col)}, Bytes: 64}
 }
 
 func write(bank int, row int64, col int) *Access {
-	return &Access{Kind: WriteData, Loc: addrmap.Loc{Bank: bank, Row: row, Col: col}, Bytes: 64}
+	return &Access{Kind: WriteData, Loc: addrmap.Loc{Bank: int32(bank), Row: row, Col: int32(col)}, Bytes: 64}
 }
 
 func TestStackedDRAMTimings(t *testing.T) {

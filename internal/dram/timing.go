@@ -6,10 +6,16 @@
 // controller issues an access the channel computes the completion time
 // from the bank and bus state and charges every constraint on the critical
 // path (precharge + activate on a row conflict, tWTR/tRTW on a direction
-// switch, burst occupancy on the shared data bus). Accesses on one channel
-// are serviced one at a time, which is exactly the scheduling decision
-// point the paper's controllers reason about. See DESIGN.md §6 for the
-// justification of this simplification.
+// switch, burst occupancy on the shared data bus).
+//
+// Each channel has one access in flight, from its issue until its data
+// burst ends: the controller issues the next access only once the
+// previous burst has completed, and Issue panics if called earlier. So
+// the next access's precharge, activate and CAS latency never overlap
+// the current burst, a stream of row hits takes tCAS + tBURST per
+// access, and Issue's shift of a data burst past a busy bus cannot fire
+// under today's controller. Pipelining accesses on a channel is an open
+// item in ROADMAP.md.
 package dram
 
 import (

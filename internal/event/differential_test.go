@@ -2,14 +2,15 @@ package event
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dcasim/internal/simtime"
 )
 
 // engineAPI is the surface the differential and fuzz harnesses drive on
-// both the production Engine (timing wheel) and the refEngine (retired
-// 4-ary heap oracle).
+// both the production Engine (binary heap) and the refEngine (sorted
+// slice).
 type engineAPI interface {
 	Now() simtime.Time
 	Steps() uint64
@@ -43,14 +44,14 @@ func splitmix64(x uint64) uint64 {
 }
 
 // chaosDeltas is the schedule-delta menu: the Table II DRAM constants
-// (in ps), the 4 GHz CPU cycle, the off-chip latency, exact
-// wheel-bucket and wheel-level boundaries, zero (same-time), and
-// far-future values that overflow into the spill.
+// (in ps), the 4 GHz CPU cycle, the off-chip latency, zero (same-time),
+// values next to powers of two, and far-future values up to 2^45 ps.
+// FuzzEngineOps indexes it, so its order is part of the fuzz corpus.
 var chaosDeltas = []simtime.Time{
 	0, 1, 250, 1670, 3330, 5000, 7500, 8000, 15000, 30000, 50000,
-	255, 256, 257, 65535, 65536, 65537, // level-0 bucket and level-0→1 boundaries
-	1 << 24, 1<<24 + 1, 1 << 32, 1<<32 - 1, // level-1→2, level-2→3 boundaries
-	1 << 40, 1<<40 + 7, 1 << 45, // beyond the outermost level: spill
+	255, 256, 257, 65535, 65536, 65537,
+	1 << 24, 1<<24 + 1, 1 << 32, 1<<32 - 1,
+	1 << 40, 1<<40 + 7, 1 << 45,
 }
 
 // chaosHandler records every dispatch and deterministically schedules
@@ -73,7 +74,7 @@ func (h *chaosHandler) OnEvent(now simtime.Time, p Payload) {
 		for i := uint64(0); i < 3; i++ {
 			h.e.Schedule(now, h, Payload{U64: x + i})
 		}
-	case 2: // a pair straddling a bucket boundary
+	case 2: // a small uniform delay
 		h.e.ScheduleAfter(simtime.Time(x%512), h, Payload{U64: x ^ 1})
 	}
 }
@@ -120,83 +121,65 @@ func runScript(e engineAPI, h *chaosHandler, seed int64, t *testing.T) []fired {
 	return h.log
 }
 
-// TestDifferentialVsHeapOracle proves pop-order identity: the timing
-// wheel dispatches the exact same (time, payload) sequence as the
-// retired 4-ary heap for randomized schedules covering same-time
-// bursts, nested scheduling, bucket boundaries, huge RunUntil jumps,
-// and far-future spill traffic.
+// TestDifferentialVsHeapOracle proves pop-order identity: the Engine's
+// heap dispatches the exact same (time, payload) sequence as the
+// sorted-slice reference for randomized schedules covering same-time
+// bursts, nested scheduling, huge RunUntil jumps, and far-future
+// traffic.
 func TestDifferentialVsHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		var wheelEng Engine
+		var eng Engine
 		refEng := &refEngine{}
-		wh := &chaosHandler{}
+		eh := &chaosHandler{}
 		rh := &chaosHandler{}
-		wlog := runScript(&wheelEng, wh, seed, t)
+		elog := runScript(&eng, eh, seed, t)
 		rlog := runScript(refEng, rh, seed, t)
-		if len(wlog) != len(rlog) {
-			t.Fatalf("seed %d: wheel fired %d events, heap oracle %d", seed, len(wlog), len(rlog))
+		if len(elog) != len(rlog) {
+			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(elog), len(rlog))
 		}
-		for i := range wlog {
-			if wlog[i] != rlog[i] {
-				t.Fatalf("seed %d: dispatch %d diverged: wheel %+v, heap oracle %+v", seed, i, wlog[i], rlog[i])
+		for i := range elog {
+			if elog[i] != rlog[i] {
+				t.Fatalf("seed %d: dispatch %d diverged: engine %+v, reference %+v", seed, i, elog[i], rlog[i])
 			}
 		}
-		if wheelEng.Now() != refEng.Now() || wheelEng.Steps() != refEng.Steps() || wheelEng.Pending() != refEng.Pending() {
-			t.Fatalf("seed %d: final state diverged: wheel (now %v, steps %d, pending %d) vs heap (now %v, steps %d, pending %d)",
-				seed, wheelEng.Now(), wheelEng.Steps(), wheelEng.Pending(), refEng.Now(), refEng.Steps(), refEng.Pending())
+		if eng.Now() != refEng.Now() || eng.Steps() != refEng.Steps() || eng.Pending() != refEng.Pending() {
+			t.Fatalf("seed %d: final state diverged: engine (now %v, steps %d, pending %d) vs reference (now %v, steps %d, pending %d)",
+				seed, eng.Now(), eng.Steps(), eng.Pending(), refEng.Now(), refEng.Steps(), refEng.Pending())
 		}
 	}
 }
 
-// TestQueueDifferential drives the two queue implementations directly
-// through the shared interface with identical pools: interleaved pushes
-// and pops (including heavy same-timestamp collisions) must yield
-// identical index sequences, and peek must always agree.
+// TestQueueDifferential drives the heap directly against a sorted
+// slice of the same keys: interleaved pushes and pops, with heavy
+// same-timestamp collisions, must pop identical entries, and the heap
+// minimum must always be the slice's front.
 func TestQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		var pool []node
+		var h eventHeap
+		var ref []entry
 		var seq uint64
-		queues := []queue{&wheel{}, &refHeap{}}
-		var popped [2][]int32
-		for op := 0; op < 5000; op++ {
-			if rnd.Intn(3) > 0 || queues[0].size() == 0 {
+		for op := 0; op < 5000 || len(ref) > 0; op++ {
+			if op < 5000 && (rnd.Intn(3) > 0 || len(ref) == 0) {
 				seq++
-				at := simtime.Time(rnd.Int63n(50)) * 256 * simtime.Time(rnd.Intn(4)+1)
-				pool = append(pool, node{at: at, seq: seq})
-				idx := int32(len(pool) - 1)
-				for _, q := range queues {
-					q.push(pool, idx)
-				}
+				x := entry{at: simtime.Time(rnd.Int63n(50)) * 256 * simtime.Time(rnd.Intn(4)+1), seq: seq, idx: int32(op)}
+				h.push(x)
+				i := sort.Search(len(ref), func(i int) bool { return refBefore(x, ref[i]) })
+				ref = append(ref, entry{})
+				copy(ref[i+1:], ref[i:])
+				ref[i] = x
 			} else {
-				for qi, q := range queues {
-					idx, ok := q.pop(pool)
-					if !ok {
-						t.Fatalf("seed %d op %d: queue %d empty at size %d", seed, op, qi, q.size())
-					}
-					popped[qi] = append(popped[qi], idx)
+				got, want := h.pop(), ref[0]
+				ref = ref[1:]
+				if got != want {
+					t.Fatalf("seed %d op %d: heap popped %+v, reference %+v", seed, op, got, want)
 				}
 			}
-			wt, wok := queues[0].peek(pool)
-			ht, hok := queues[1].peek(pool)
-			if wt != ht || wok != hok {
-				t.Fatalf("seed %d op %d: peek diverged: wheel (%v,%v) heap (%v,%v)", seed, op, wt, wok, ht, hok)
+			if len(h.q) != len(ref) {
+				t.Fatalf("seed %d op %d: heap holds %d entries, reference %d", seed, op, len(h.q), len(ref))
 			}
-			if queues[0].size() != queues[1].size() {
-				t.Fatalf("seed %d op %d: size diverged: %d vs %d", seed, op, queues[0].size(), queues[1].size())
-			}
-		}
-		for queues[0].size() > 0 {
-			for qi, q := range queues {
-				idx, _ := q.pop(pool)
-				popped[qi] = append(popped[qi], idx)
-			}
-		}
-		for i := range popped[0] {
-			if popped[0][i] != popped[1][i] {
-				a, b := &pool[popped[0][i]], &pool[popped[1][i]]
-				t.Fatalf("seed %d: pop %d diverged: wheel idx %d (at %v seq %d), heap idx %d (at %v seq %d)",
-					seed, i, popped[0][i], a.at, a.seq, popped[1][i], b.at, b.seq)
+			if len(ref) > 0 && h.q[0] != ref[0] {
+				t.Fatalf("seed %d op %d: heap minimum %+v, reference %+v", seed, op, h.q[0], ref[0])
 			}
 		}
 	}

@@ -1,31 +1,24 @@
 // Package event implements the discrete-event simulation kernel.
 //
-// The kernel is a hierarchical timing wheel (Varghese & Lauck '87) over
-// a pool of event records, specialised for the access pattern of a DRAM
-// timing simulation: almost every scheduled delta is one of a handful
-// of fixed timing constants (tCAS, tRCD, tRP, tWR, the CPU cycle…), so
-// nearly all events land in the wheel's innermost level and schedule
-// and pop in O(1) amortized — versus the O(log n) sift loops of the
-// retired 4-ary heap, which survives only as a test oracle (see
-// wheel.go for the structure and the determinism argument, and
-// oracle_test.go for the differential proof).
-//
-// Events scheduled for the same timestamp fire in the order they were
-// scheduled — pop order is the strict total order (time, sequence) —
-// which makes whole-simulation behaviour exactly reproducible run to
-// run. The kernel is single-threaded by design: determinism of an
-// architectural simulation is worth far more than intra-run
-// parallelism, and the harness instead parallelises across independent
-// simulations.
+// Pending events sit in a binary min-heap ordered by (time, sequence):
+// events scheduled for the same timestamp fire in the order they were
+// scheduled, which makes whole-simulation behaviour exactly
+// reproducible run to run. A run keeps only a few events pending (about
+// 5 on average and 31 at most in the bench-scale runs measured), so the
+// heap's sifts are short. The kernel is single-threaded by design:
+// determinism of an architectural simulation is worth far more than
+// intra-run parallelism, and the harness instead parallelises across
+// independent simulations.
 //
 // Scheduling is allocation-free in steady state. Instead of a fresh
 // closure per event, an event record pairs a Handler (typically the
 // simulated component itself, a long-lived pointer) with a small inline
 // Payload the handler uses to recover the event's context. Records live
-// in a pool indexed by the wheel and are recycled through a free list,
-// and every wheel bucket, the firing batch, and the far-future spill
-// are reused int32 slices — once they reach their high-water marks the
-// kernel performs no per-event heap allocation at all.
+// in a pool recycled through a free list, and each heap entry carries
+// its record's (time, sequence) key inline, so a sift never loads the
+// pool. The pool, the free list and the heap are reused slices: once
+// they reach their high-water marks the kernel performs no per-event
+// heap allocation at all.
 package event
 
 import (
@@ -47,10 +40,9 @@ type Handler interface {
 // channel, or func) — boxing a non-pointer value into it would allocate,
 // defeating the kernel's zero-allocation contract.
 type Payload struct {
-	Time simtime.Time
-	I64  int64
-	U64  uint64
-	Ptr  any
+	I64 int64
+	U64 uint64
+	Ptr any
 }
 
 // Callback bundles a Handler with its Payload so components can hand a
@@ -93,33 +85,90 @@ type thunkHandler struct{}
 
 func (thunkHandler) OnEvent(_ simtime.Time, p Payload) { p.Ptr.(func())() }
 
-// node is one pooled event record. next threads the record into its
-// wheel bucket's intrusive FIFO list (meaningful only while the record
-// is linked into a bucket; see wheel.go).
+// node is one pooled event record: what fires, without its key.
 type node struct {
-	at   simtime.Time
-	seq  uint64
-	next int32
-	h    Handler
-	p    Payload
+	h Handler
+	p Payload
 }
 
-// queue is the scheduling structure contract shared by the production
-// timing wheel and the retired 4-ary heap, which lives on as a
-// test-only reference implementation (oracle_test.go): push/pop in
-// strict (time, sequence) order over records held in an external pool.
-// The Engine calls the wheel concretely — the interface exists so the
-// differential and fuzz tests can drive both implementations through
-// one harness, the same retired-oracle pattern the controller rework
-// used for its linear-scan scheduler.
-type queue interface {
-	push(pool []node, idx int32)
-	pop(pool []node) (int32, bool)
-	peek(pool []node) (simtime.Time, bool)
-	size() int
+// entry is one pending event in the heap: its record's (time, sequence)
+// key, inline so sifts compare without loading the pool, and the
+// record's pool index. int32 indices are ample: two billion
+// simultaneously pending events would exhaust memory long before the
+// index space.
+type entry struct {
+	at  simtime.Time
+	seq uint64
+	idx int32
 }
 
-var _ queue = (*wheel)(nil)
+// before reports whether a fires before b: the strict total order
+// (time, sequence).
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a binary min-heap of entries under before.
+type eventHeap struct {
+	q []entry
+}
+
+// push adds x, sifting it up from the last leaf.
+//
+//dcalint:noalloc
+func (h *eventHeap) push(x entry) {
+	h.q = append(h.q, x)
+	q := h.q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = x
+}
+
+// pop removes and returns the earliest entry; the heap must not be
+// empty. The last leaf sifts down from the root.
+//
+//dcalint:noalloc
+func (h *eventHeap) pop() entry {
+	q := h.q
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	h.q = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
+	return top
+}
+
+// initialPending sizes the pool, the free list and the heap on an
+// engine's first Schedule. It covers the most events a simulation keeps
+// pending, so a run's kernel allocates once instead of growing each
+// slice step by step.
+const initialPending = 64
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
@@ -130,14 +179,11 @@ type Engine struct {
 	// hook, when set, observes every Schedule (test instrumentation).
 	hook func(now, at simtime.Time)
 
-	// pool holds event records; wh orders indices into it by
-	// (time, sequence); free recycles retired indices. int32 indices
-	// halve the wheel's cache footprint versus pointers and are ample:
-	// two billion simultaneously pending events would exhaust memory
-	// long before the index space.
+	// pool holds event records; free recycles retired indices into it;
+	// heap orders the pending ones by (time, sequence).
 	pool []node
 	free []int32
-	wh   wheel
+	heap eventHeap
 }
 
 // Now returns the current simulated time.
@@ -147,14 +193,19 @@ func (e *Engine) Now() simtime.Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.wh.size() }
+func (e *Engine) Pending() int { return len(e.heap.q) }
 
 // PeekTime returns the timestamp of the earliest pending event, or
 // false if the queue is empty. It never fires events or advances the
-// clock (it may rotate the wheel internally, which is unobservable).
+// clock.
 //
 //dcalint:noalloc
-func (e *Engine) PeekTime() (simtime.Time, bool) { return e.wh.peek(e.pool) }
+func (e *Engine) PeekTime() (simtime.Time, bool) {
+	if len(e.heap.q) == 0 {
+		return 0, false
+	}
+	return e.heap.q[0].at, true
+}
 
 // SetScheduleHook installs fn to observe (now, t) at every Schedule
 // call, or removes the hook when fn is nil. This is test
@@ -176,8 +227,8 @@ func (e *Engine) Schedule(t simtime.Time, h Handler, p Payload) {
 	}
 	e.seq++
 	idx := e.alloc()
-	e.pool[idx] = node{at: t, seq: e.seq, h: h, p: p}
-	e.wh.push(e.pool, idx)
+	e.pool[idx] = node{h: h, p: p}
+	e.heap.push(entry{at: t, seq: e.seq, idx: idx})
 }
 
 // ScheduleAfter queues h to fire d after the current time.
@@ -214,22 +265,24 @@ func (e *Engine) At(t simtime.Time, fn func()) {
 func (e *Engine) After(d simtime.Time, fn func()) { e.At(e.now+d, fn) }
 
 // Step executes the earliest pending event. It reports whether an event
-// was executed.
+// was executed. Step is never inlined, so CPU profiles always show it
+// as the frame under which every handler runs.
 //
+//go:noinline
 //dcalint:noalloc
 func (e *Engine) Step() bool {
-	idx, ok := e.wh.pop(e.pool)
-	if !ok {
+	if len(e.heap.q) == 0 {
 		return false
 	}
-	n := e.pool[idx]
+	top := e.heap.pop()
+	n := e.pool[top.idx]
 	// Release the record before dispatch: the handler may schedule new
 	// events, and reusing this slot immediately keeps the pool minimal.
-	e.pool[idx] = node{}
-	e.free = append(e.free, idx)
-	e.now = n.at
+	e.pool[top.idx] = node{}
+	e.free = append(e.free, top.idx)
+	e.now = top.at
 	e.steps++
-	n.h.OnEvent(n.at, n.p)
+	n.h.OnEvent(top.at, n.p)
 	return true
 }
 
@@ -273,6 +326,17 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return idx
 	}
+	if e.pool == nil {
+		e.reserve()
+	}
 	e.pool = append(e.pool, node{})
 	return int32(len(e.pool) - 1)
+}
+
+// reserve sizes the pool, the free list and the heap for
+// initialPending events, once per engine.
+func (e *Engine) reserve() {
+	e.pool = make([]node, 0, initialPending)
+	e.free = make([]int32, 0, initialPending)
+	e.heap.q = make([]entry, 0, initialPending)
 }

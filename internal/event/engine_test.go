@@ -135,11 +135,11 @@ func TestPeekTime(t *testing.T) {
 }
 
 func TestPeekTimeAcrossLevels(t *testing.T) {
-	// Earliest event visible through PeekTime no matter which wheel
-	// level — or the far-future spill — holds it.
+	// The earliest event shows through PeekTime however far apart the
+	// pending timestamps lie.
 	for _, at := range []simtime.Time{1, 1 << 10, 1 << 20, 1 << 30, 1 << 41} {
 		var e Engine
-		e.At(1<<42, func() {}) // spill resident
+		e.At(1<<42, func() {}) // far future
 		e.At(at, func() {})
 		if got, ok := e.PeekTime(); !ok || got != at {
 			t.Fatalf("PeekTime = (%v, %v), want (%v, true)", got, ok, at)

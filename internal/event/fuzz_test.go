@@ -6,15 +6,16 @@ import (
 	"dcasim/internal/simtime"
 )
 
-// FuzzEngineOps fuzzes the kernel against the retired 4-ary heap
-// oracle: an arbitrary byte string is interpreted as an op program —
-// schedules at DRAM-like, boundary-straddling, and far-future deltas,
+// FuzzEngineOps fuzzes the kernel against its sorted-slice reference:
+// an arbitrary byte string is interpreted as an op program — schedules
+// at DRAM-like, power-of-two-adjacent, and far-future deltas,
 // same-timestamp bursts, steps, RunUntil jumps, peeks, and
 // deliberately-past schedules — applied to both engines in lockstep.
 // Any divergence in dispatch order, clocks, pending counts, peeks, or
 // panic behaviour fails. The seed corpus in
-// testdata/fuzz/FuzzEngineOps covers each op and every wheel level;
-// `make fuzz-short` runs this alongside the decoder and cache fuzzers.
+// testdata/fuzz/FuzzEngineOps covers each op and deltas from 1 ps to
+// 2^47 ps; `make fuzz-short` runs this alongside the decoder and cache
+// fuzzers.
 func FuzzEngineOps(f *testing.F) {
 	// One seed per op family plus a mixed program; the checked-in
 	// corpus extends these with boundary-heavy variants.
@@ -23,12 +24,12 @@ func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 7, 0, 0, 6, 0, 0, 4, 0, 0x80})
 	f.Add([]byte{2, 8, 40, 2, 8, 12, 4, 0xff, 0xff, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		var wheelEng Engine
+		var eng Engine
 		refEng := &refEngine{}
-		wh := &chaosHandler{e: &wheelEng}
+		eh := &chaosHandler{e: &eng}
 		rh := &chaosHandler{e: refEng}
-		engines := [2]engineAPI{&wheelEng, refEng}
-		handlers := [2]*chaosHandler{wh, rh}
+		engines := [2]engineAPI{&eng, refEng}
+		handlers := [2]*chaosHandler{eh, rh}
 
 		var tag uint64
 		events := 0
@@ -48,7 +49,7 @@ func FuzzEngineOps(f *testing.F) {
 					e.ScheduleAfter(d, handlers[i], Payload{U64: tag})
 				}
 				events++
-			case 2: // exponential delta: reaches every level and the spill
+			case 2: // exponential delta, up to 2^47 ps
 				d := simtime.Time(a+1) << (b % 48)
 				for i, e := range engines {
 					e.ScheduleAfter(d, handlers[i], Payload{U64: tag})
@@ -77,7 +78,7 @@ func FuzzEngineOps(f *testing.F) {
 				wt, wok := engines[0].PeekTime()
 				ht, hok := engines[1].PeekTime()
 				if wt != ht || wok != hok {
-					t.Fatalf("PeekTime diverged: wheel (%v,%v) heap (%v,%v)", wt, wok, ht, hok)
+					t.Fatalf("PeekTime diverged: engine (%v,%v) reference (%v,%v)", wt, wok, ht, hok)
 				}
 			case 7: // past-time schedule: both must panic, neither mutates
 				d := simtime.Time(a+1) + simtime.Time(b)<<4
@@ -96,31 +97,31 @@ func FuzzEngineOps(f *testing.F) {
 				}
 			}
 			if engines[0].Pending() != engines[1].Pending() {
-				t.Fatalf("pending diverged: wheel %d, heap %d", engines[0].Pending(), engines[1].Pending())
+				t.Fatalf("pending diverged: engine %d, reference %d", engines[0].Pending(), engines[1].Pending())
 			}
 			if engines[0].Now() != engines[1].Now() {
-				t.Fatalf("clock diverged: wheel %v, heap %v", engines[0].Now(), engines[1].Now())
+				t.Fatalf("clock diverged: engine %v, reference %v", engines[0].Now(), engines[1].Now())
 			}
 		}
 		// Drain both (nested chaos scheduling is subcritical, but cap it).
 		for i := 0; i < 100_000 && engines[0].Step(); i++ {
 			if !engines[1].Step() {
-				t.Fatal("heap oracle ran dry before the wheel")
+				t.Fatal("reference ran dry before the engine")
 			}
 		}
 		if engines[0].Pending() != engines[1].Pending() {
-			t.Fatalf("post-drain pending diverged: wheel %d, heap %d", engines[0].Pending(), engines[1].Pending())
+			t.Fatalf("post-drain pending diverged: engine %d, reference %d", engines[0].Pending(), engines[1].Pending())
 		}
-		if len(wh.log) != len(rh.log) {
-			t.Fatalf("wheel fired %d events, heap oracle fired %d", len(wh.log), len(rh.log))
+		if len(eh.log) != len(rh.log) {
+			t.Fatalf("engine fired %d events, reference fired %d", len(eh.log), len(rh.log))
 		}
-		for i := range wh.log {
-			if wh.log[i] != rh.log[i] {
-				t.Fatalf("dispatch %d diverged: wheel %+v, heap oracle %+v", i, wh.log[i], rh.log[i])
+		for i := range eh.log {
+			if eh.log[i] != rh.log[i] {
+				t.Fatalf("dispatch %d diverged: engine %+v, reference %+v", i, eh.log[i], rh.log[i])
 			}
 		}
 		if engines[0].Steps() != engines[1].Steps() {
-			t.Fatalf("steps diverged: wheel %d, heap %d", engines[0].Steps(), engines[1].Steps())
+			t.Fatalf("steps diverged: engine %d, reference %d", engines[0].Steps(), engines[1].Steps())
 		}
 	})
 }

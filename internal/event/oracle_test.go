@@ -2,123 +2,57 @@ package event
 
 import (
 	"fmt"
+	"sort"
 
 	"dcasim/internal/simtime"
 )
 
-// This file keeps the retired 4-ary min-heap alive as a test-only
-// reference implementation of the queue interface — the same
-// retired-oracle pattern the controller rework used for its linear-scan
-// scheduler. The heap is a direct transplant of the pre-wheel
-// production code: pop order is (time, sequence) by pairwise
-// comparison, with none of the wheel's bucketing, so any divergence
-// between the two is a wheel bug by construction.
-
-// refHeap is the retired 4-ary min-heap over pool indices.
-type refHeap struct {
-	heap []int32
-}
-
-var _ queue = (*refHeap)(nil)
-
-func (h *refHeap) size() int { return len(h.heap) }
-
-// less orders pool records by (time, sequence): strict total order, so
-// heap pop order is independent of the heap's internal layout.
-func (h *refHeap) less(pool []node, a, b int32) bool {
-	na, nb := &pool[a], &pool[b]
-	if na.at != nb.at {
-		return na.at < nb.at
-	}
-	return na.seq < nb.seq
-}
-
-// The heap is 4-ary: children of slot i live at 4i+1..4i+4.
-func (h *refHeap) push(pool []node, idx int32) {
-	h.heap = append(h.heap, idx)
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(pool, h.heap[i], h.heap[parent]) {
-			break
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-}
-
-func (h *refHeap) pop(pool []node) (int32, bool) {
-	if len(h.heap) == 0 {
-		return 0, false
-	}
-	hp := h.heap
-	top := hp[0]
-	n := len(hp) - 1
-	hp[0] = hp[n]
-	h.heap = hp[:n]
-	hp = h.heap
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		smallest := i
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
-			if h.less(pool, hp[c], hp[smallest]) {
-				smallest = c
-			}
-		}
-		if smallest == i {
-			break
-		}
-		hp[i], hp[smallest] = hp[smallest], hp[i]
-		i = smallest
-	}
-	return top, true
-}
-
-func (h *refHeap) peek(pool []node) (simtime.Time, bool) {
-	if len(h.heap) == 0 {
-		return 0, false
-	}
-	return pool[h.heap[0]].at, true
-}
-
-// refEngine replays the Engine's exact record-pool semantics over the
-// retired heap, exposing the same method set the differential and fuzz
-// harnesses exercise. Keeping it behind the shared queue interface
-// (rather than forking the whole Engine) pins the one thing under
-// test: pop order.
+// refEngine is the kernel's test reference: the Engine's method set over
+// a slice of pending records kept sorted by (time, sequence). Schedule
+// inserts after every record that fires first and Step takes the front,
+// so pop order holds by construction, with no heap to get wrong.
 type refEngine struct {
-	now   simtime.Time
-	seq   uint64
-	steps uint64
-	pool  []node
-	free  []int32
-	q     refHeap
+	now     simtime.Time
+	seq     uint64
+	steps   uint64
+	pending []refRecord
+}
+
+type refRecord struct {
+	key entry
+	h   Handler
+	p   Payload
+}
+
+// refBefore is the (time, sequence) order written plainly, independent
+// of the heap's branchless comparison.
+func refBefore(a, b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 func (e *refEngine) Now() simtime.Time { return e.now }
 
 func (e *refEngine) Steps() uint64 { return e.steps }
 
-func (e *refEngine) Pending() int { return e.q.size() }
+func (e *refEngine) Pending() int { return len(e.pending) }
 
-func (e *refEngine) PeekTime() (simtime.Time, bool) { return e.q.peek(e.pool) }
+func (e *refEngine) PeekTime() (simtime.Time, bool) {
+	if len(e.pending) == 0 {
+		return 0, false
+	}
+	return e.pending[0].key.at, true
+}
 
 func (e *refEngine) Schedule(t simtime.Time, h Handler, p Payload) {
 	if t < e.now {
 		panic(fmt.Sprintf("event: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	idx := e.alloc()
-	e.pool[idx] = node{at: t, seq: e.seq, h: h, p: p}
-	e.q.push(e.pool, idx)
+	r := refRecord{key: entry{at: t, seq: e.seq}, h: h, p: p}
+	i := sort.Search(len(e.pending), func(i int) bool { return refBefore(r.key, e.pending[i].key) })
+	e.pending = append(e.pending, refRecord{})
+	copy(e.pending[i+1:], e.pending[i:])
+	e.pending[i] = r
 }
 
 func (e *refEngine) ScheduleAfter(d simtime.Time, h Handler, p Payload) {
@@ -126,43 +60,22 @@ func (e *refEngine) ScheduleAfter(d simtime.Time, h Handler, p Payload) {
 }
 
 func (e *refEngine) Step() bool {
-	idx, ok := e.q.pop(e.pool)
-	if !ok {
+	if len(e.pending) == 0 {
 		return false
 	}
-	n := e.pool[idx]
-	e.pool[idx] = node{}
-	e.free = append(e.free, idx)
-	e.now = n.at
+	r := e.pending[0]
+	e.pending = e.pending[1:]
+	e.now = r.key.at
 	e.steps++
-	n.h.OnEvent(n.at, n.p)
+	r.h.OnEvent(r.key.at, r.p)
 	return true
 }
 
-func (e *refEngine) Run() {
-	for e.Step() {
-	}
-}
-
 func (e *refEngine) RunUntil(t simtime.Time) {
-	for {
-		at, ok := e.PeekTime()
-		if !ok || at > t {
-			break
-		}
+	for len(e.pending) > 0 && e.pending[0].key.at <= t {
 		e.Step()
 	}
 	if t > e.now {
 		e.now = t
 	}
-}
-
-func (e *refEngine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
-	}
-	e.pool = append(e.pool, node{})
-	return int32(len(e.pool) - 1)
 }

@@ -21,18 +21,18 @@ type sinkHandler struct{}
 func (*sinkHandler) OnEvent(simtime.Time, Payload) {}
 
 // TestZeroAllocScheduling is the kernel's allocation regression test:
-// once the pool, the firing batch and the spill have reached their
+// once the pool, the free list and the heap have reached their
 // high-water marks, a schedule/fire cycle must not allocate at all. Each
 // input is a menu of delays, cycled through in bursts of 64 with a drain
-// after each burst: a ramp within a few level-0 buckets, and the menus
-// of the root package's BenchmarkEventUniform, BenchmarkEventDRAMClustered
-// and BenchmarkEventSpill, one per wheel regime.
+// after each burst: a ramp of 0–63 ps, and the menus of the root
+// package's BenchmarkEventUniform, BenchmarkEventDRAMClustered and
+// BenchmarkEventSpill.
 func TestZeroAllocScheduling(t *testing.T) {
 	ramp := make([]simtime.Time, 64)
 	for i := range ramp {
 		ramp[i] = simtime.Time(i)
 	}
-	// Uniform over the inner two wheel levels (up to ~1 µs).
+	// Uniform up to ~1 µs.
 	uniform := make([]simtime.Time, 1024)
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := range uniform {

@@ -11,19 +11,18 @@ import (
 
 // TestEventDeltaCharacterization instruments one full simulation run
 // (the BenchmarkSimOneRun mix) and histograms the schedule deltas
-// (t - now) the models produce. It pins the empirical facts the timing
-// wheel's level sizing rests on:
+// (t - now) the models produce. It pins the shape of the kernel's
+// input, which the event benchmarks in the root package
+// (BenchmarkEventDRAMClustered in particular) reproduce:
 //
 //   - schedule deltas cluster on a handful of fixed values — DRAM
-//     timing constants, CPU-cycle multiples, the off-chip latency —
-//     so a calendar bucket rarely holds more than a few events;
-//   - ≥ 90% of deltas fit the innermost wheel level (≤ 65.5 ns), so
-//     the O(1) no-cascade path dominates;
-//   - nothing ever reaches the far-future spill (> ~1.1 s).
+//     timing constants, CPU-cycle multiples, the off-chip latency;
+//   - ≥ 90% of deltas are at most 65.5 ns, a few DRAM accesses ahead;
+//   - no delta reaches 2^40 ps (~1.1 s).
 //
 // If a future timing-model change invalidates these (say, a refresh
-// model scheduling multi-ms deltas en masse), this test is the canary
-// saying the wheel's level/bucket sizing needs revisiting.
+// model scheduling multi-ms deltas en masse), this test says that the
+// event benchmarks no longer measure what a run does.
 func TestEventDeltaCharacterization(t *testing.T) {
 	hist := map[simtime.Time]int64{}
 	testEngineHook = func(e *event.Engine) {
@@ -59,13 +58,11 @@ func TestEventDeltaCharacterization(t *testing.T) {
 	})
 
 	// Pin 1: >= 90% of schedules are either near-immediate core/pipeline
-	// events (delta under 8 level-0 buckets, i.e. < 2.048 ns — retire
-	// spacing, back-to-back issue) or sit on one of the top 8 fixed
+	// events (delta under 2.048 ns — retire spacing, back-to-back
+	// issue) or sit on one of the top 8 fixed
 	// DRAM-path constants (observed: the row access + burst sum at
 	// 11.33 ns dominates with ~54%, the turnaround path at 27.33 ns adds
-	// ~15%, off-chip at 50 ns ~4%). This bimodal clustering — tiny
-	// deltas plus a handful of repeated constants — is exactly the shape
-	// a calendar wheel serves in O(1).
+	// ~15%, off-chip at 50 ns ~4%).
 	const nearImmediate = 8 * 256 * simtime.Picosecond
 	var clustered int64
 	k := 0
@@ -82,25 +79,23 @@ func TestEventDeltaCharacterization(t *testing.T) {
 			100*frac, total)
 	}
 
-	// Pin 2: >= 90% of deltas fit the innermost wheel level (256
-	// buckets x 256 ps = 65.536 ns), the O(1) no-cascade fast path.
-	const level0Range = 65536 * simtime.Picosecond
+	// Pin 2: >= 90% of deltas are under 65.536 ns.
+	const shortRange = 65536 * simtime.Picosecond
 	var inner int64
 	for d, n := range hist {
-		if d < level0Range {
+		if d < shortRange {
 			inner += n
 		}
 	}
 	if frac := float64(inner) / float64(total); frac < 0.90 {
-		t.Errorf("only %.1f%% of schedule deltas fit the innermost wheel level (< %v), want >= 90%%", 100*frac, level0Range)
+		t.Errorf("only %.1f%% of schedule deltas are under %v, want >= 90%%", 100*frac, shortRange)
 	}
 
-	// Pin 3: the far-future spill (beyond the outermost level, ~1.1 s)
-	// is never touched by a real workload.
-	const wheelRange = simtime.Time(1) << 40
+	// Pin 3: no real workload schedules 2^40 ps (~1.1 s) ahead.
+	const farFuture = simtime.Time(1) << 40
 	for d, n := range hist {
-		if d >= wheelRange {
-			t.Errorf("%d schedules at delta %v exceed the wheel range %v: the spill is supposed to be unreachable in real workloads", n, d, wheelRange)
+		if d >= farFuture {
+			t.Errorf("%d schedules at delta %v reach %v: no model is supposed to schedule that far ahead", n, d, farFuture)
 		}
 	}
 

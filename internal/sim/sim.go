@@ -312,7 +312,7 @@ func timed(cfg config.Config, contents *dcache.Contents, gens []*workload.Gen, l
 	if err != nil {
 		return Result{}, err
 	}
-	l2 := cpu.NewL2(eng, l2arr, dc, cfg.L2HitLat, cfg.LeeWriteback)
+	l2 := cpu.NewL2(eng, l2arr, dc, cfg.L2HitLat, cfg.LeeWriteback, len(gens)*cfg.CPU.MSHRs)
 	cores := make([]*cpu.Core, len(gens))
 	for i, gen := range gens {
 		cores[i] = cpu.NewCore(eng, i, cfg.CPU, gen, l1s[i], l2)

@@ -9,7 +9,7 @@
 // The generators do not claim instruction-level fidelity to SPEC; they
 // reproduce the traffic properties DCA's benefit depends on — the ratio
 // of latency-critical reads to writebacks/refills, row-buffer locality,
-// and bank-conflict pressure. See DESIGN.md §3.
+// and bank-conflict pressure.
 package workload
 
 import (
