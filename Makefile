@@ -23,7 +23,8 @@
 #                      the persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
 #                     markdown link and anchor integrity over README /
-#                     ARCHITECTURE / ROADMAP / examples
+#                     ARCHITECTURE / ROADMAP / examples, and repository
+#                     paths named in code spans (ROADMAP exempt)
 #   make bench-short - one pass over the substrate microbenchmarks, one
 #                      small figure benchmark and the config, result-cache,
 #                      SRAM-cache, DRAM-cache-contents, controller-pick
@@ -128,7 +129,9 @@ sweep-smoke:
 	done
 
 # Documentation gate: relative markdown links (files and #anchors) must
-# resolve across README / ARCHITECTURE / ROADMAP / examples.
+# resolve across README / ARCHITECTURE / ROADMAP / examples, and a code
+# span naming a path under internal/, cmd/, examples/, testdata/ or
+# bench/ must name one that exists (ROADMAP keeps deleted paths).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dcasim/internal/addrmap"
-	"dcasim/internal/core"
 	"dcasim/internal/dram"
 	"dcasim/internal/event"
 	"dcasim/internal/exp"
@@ -83,47 +82,6 @@ func BenchmarkFigures(b *testing.B) {
 // A/B of a -j change.
 func BenchmarkFig8J1(b *testing.B) { benchFigure(b, "fig8", 1) }
 func BenchmarkFig8J8(b *testing.B) { benchFigure(b, "fig8", 8) }
-
-// --- Ablations of the DCA controller's parameters ---
-
-// BenchmarkAblationFlushFactor sweeps the OFS flushing factor (§IV-C).
-func BenchmarkAblationFlushFactor(b *testing.B) {
-	for _, ff := range []uint8{0, 2, 4, 6} {
-		b.Run(fmt.Sprintf("FF-%d", ff), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := TestConfig()
-				cfg.Benchmarks = []string{"milc", "leslie3d", "omnetpp", "gcc"}
-				cfg.Design = DCA
-				ctrl := core.DefaultConfig(core.DCA)
-				ctrl.FlushFactor = ff
-				cfg.Ctrl = &ctrl
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationScheduleAll sweeps the DCA read-queue hysteresis.
-func BenchmarkAblationScheduleAll(b *testing.B) {
-	for _, hi := range []float64{0.65, 0.85, 0.95} {
-		b.Run(fmt.Sprintf("high-%.0f%%", 100*hi), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := TestConfig()
-				cfg.Benchmarks = []string{"lbm", "mcf", "leslie3d", "omnetpp"}
-				cfg.Design = DCA
-				ctrl := core.DefaultConfig(core.DCA)
-				ctrl.ScheduleAllHigh = hi
-				ctrl.ScheduleAllLow = hi - 0.10
-				cfg.Ctrl = &ctrl
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // --- Microbenchmarks of the simulation substrate ---
 

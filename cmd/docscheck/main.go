@@ -4,6 +4,9 @@
 // examples/ tree must resolve to an existing file, and every fragment
 // (#section) must name a real heading in its target document (GitHub
 // anchor rules: lowercased, punctuation stripped, spaces to hyphens).
+// Outside ROADMAP.md, which records deleted paths on purpose, an inline
+// code span that starts with a repository directory (internal/, cmd/,
+// examples/, testdata/ or bench/) must name a path that exists.
 //
 // External links (http/https/mailto) are not fetched: the gate must be
 // deterministic and offline. Run from the repository root; exits
@@ -15,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -32,12 +36,21 @@ func main() {
 		os.Exit(1)
 	}
 	for _, f := range files {
-		probs, err := checkLinks(f)
+		data, err := os.ReadFile(f)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+			os.Exit(1)
+		}
+		text := stripCodeBlocks(string(data))
+		probs, err := checkLinks(f, text)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(1)
 		}
 		problems = append(problems, probs...)
+		if f != "ROADMAP.md" {
+			problems = append(problems, checkPaths(f, text)...)
+		}
 	}
 
 	if len(problems) > 0 {
@@ -47,7 +60,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck OK: %d markdown files, links verified\n", len(files))
+	fmt.Printf("docscheck OK: %d markdown files, links and paths verified\n", len(files))
 }
 
 // collectMarkdown expands the root list into the sorted set of .md
@@ -85,15 +98,12 @@ func collectMarkdown(roots []string) ([]string, error) {
 // (![alt](target)) match too via the link part, which is what we want.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
-// checkLinks verifies every relative link in file: the target path
-// exists, and its fragment (if any) names a heading in the target.
-func checkLinks(file string) ([]string, error) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
+// checkLinks verifies every relative link in text, file's contents with
+// code blocks blanked: the target path exists, and its fragment (if
+// any) names a heading in the target.
+func checkLinks(file, text string) ([]string, error) {
 	var problems []string
-	for _, m := range linkRe.FindAllStringSubmatch(stripCodeBlocks(string(data)), -1) {
+	for _, m := range linkRe.FindAllStringSubmatch(text, -1) {
 		target := m[1]
 		if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 			continue
@@ -118,6 +128,32 @@ func checkLinks(file string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// repoDirs are the repository directories whose paths checkPaths
+// verifies.
+var repoDirs = []string{"internal/", "cmd/", "examples/", "testdata/", "bench/"}
+
+// codeSpanRe matches an inline code span within one line.
+var codeSpanRe = regexp.MustCompile("`([^`\n]+)`")
+
+// checkPaths reports every inline code span in text, file's contents
+// with code blocks blanked, that starts with one of repoDirs and names
+// no existing path (or, with a wildcard, matches none), relative to the
+// repository root. Only the span's first word counts, so
+// `cmd/experiments -only fig9` names cmd/experiments.
+func checkPaths(file, text string) []string {
+	var problems []string
+	for _, m := range codeSpanRe.FindAllStringSubmatch(text, -1) {
+		words := strings.Fields(m[1])
+		if len(words) == 0 || !slices.ContainsFunc(repoDirs, func(d string) bool { return strings.HasPrefix(words[0], d) }) {
+			continue
+		}
+		if matches, err := filepath.Glob(filepath.FromSlash(words[0])); err != nil || len(matches) == 0 {
+			problems = append(problems, fmt.Sprintf("%s: code span names missing path %q", file, words[0]))
+		}
+	}
+	return problems
 }
 
 // stripCodeBlocks blanks fenced code blocks so example snippets cannot

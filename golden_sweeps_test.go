@@ -13,7 +13,7 @@ import (
 // sample on one row: without a tag cache there are no lookups, so that
 // cell must render "-".
 const tagCacheDashSpec = `{
-  "schema": 2,
+  "schema": 3,
   "name": "tag-cache-dash",
   "scale": "test",
   "base": {"Benchmarks": ["mcf", "lbm", "libquantum", "omnetpp"], "Org": "set-assoc"},

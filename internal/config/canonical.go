@@ -14,9 +14,11 @@ import (
 
 // Canonical returns the canonical JSON encoding of the configuration:
 // struct-declaration field order, string enum names, times in integer
-// picoseconds, no insignificant whitespace. Two configs are behaviourally
-// identical under this schema iff their canonical encodings are equal,
-// which is what makes Hash usable as a cache key.
+// picoseconds, no insignificant whitespace. Two configs whose encodings
+// are equal simulate identically, which is what makes Hash usable as a
+// cache key. The converse does not hold: a field that has no effect on
+// a run, such as FlushFactor under CD, still changes the encoding, which
+// costs a cache miss but never a wrong result.
 //
 // The bytes are exactly those encoding/json's Marshal writes for a
 // Config (TestCanonicalMatchesMarshal and FuzzCanonical hold the encoder
@@ -68,19 +70,19 @@ func (c Config) Hash() string {
 func (c *Config) appendCanonical(b []byte, err *error) []byte {
 	e := encoder{b: b, err: err}
 	e = e.raw(`{"Benchmarks":`).strings(c.Benchmarks)
-	e = e.raw(`,"Design":`).design("Design", c.Design)
+	e = e.raw(`,"Design":`).design(c.Design)
 	e = e.raw(`,"Org":`).org(c.Org)
 	e = e.raw(`,"XORRemap":`).bool(c.XORRemap)
 	e = e.raw(`,"UseMAPI":`).bool(c.UseMAPI)
 	e = e.raw(`,"LeeWriteback":`).bool(c.LeeWriteback)
 	e = e.raw(`,"TagCacheKB":`).int(int64(c.TagCacheKB))
 	e = e.raw(`,"BEARProbe":`).bool(c.BEARProbe)
-	e = e.raw(`,"Algorithm":`).algorithm("Algorithm", c.Algorithm)
+	e = e.raw(`,"Algorithm":`).algorithm(c.Algorithm)
+	e = e.raw(`,"FlushFactor":`).uint(uint64(c.FlushFactor))
 	e = e.raw(`,"CacheSizeBytes":`).int(c.CacheSizeBytes)
 	e = e.raw(`,"Channels":`).int(int64(c.Channels))
 	e = e.raw(`,"Ranks":`).int(int64(c.Ranks))
 	e = e.raw(`,"Banks":`).int(int64(c.Banks))
-	e = e.raw(`,"RowBytes":`).int(int64(c.RowBytes))
 	t := &c.Timing
 	e = e.raw(`,"Timing":{"TRCD":`).int(int64(t.TRCD))
 	e = e.raw(`,"TCAS":`).int(int64(t.TCAS))
@@ -91,8 +93,7 @@ func (c *Config) appendCanonical(b []byte, err *error) []byte {
 	e = e.raw(`,"TRTW":`).int(int64(t.TRTW))
 	e = e.raw(`,"TWR":`).int(int64(t.TWR))
 	e = e.raw(`,"TBurst":`).int(int64(t.TBurst))
-	e = e.raw(`},"Ctrl":`).ctrl(c.Ctrl)
-	e = e.raw(`,"MainMem":{"Latency":`).int(int64(c.MainMem.Latency))
+	e = e.raw(`},"MainMem":{"Latency":`).int(int64(c.MainMem.Latency))
 	e = e.raw(`,"BlockTime":`).int(int64(c.MainMem.BlockTime))
 	e = e.raw(`},"CPU":{"FreqGHz":`).float("CPU.FreqGHz", c.CPU.FreqGHz)
 	e = e.raw(`,"Width":`).int(int64(c.CPU.Width))
@@ -238,19 +239,19 @@ func (e encoder) strings(ss []string) encoder {
 }
 
 // design writes the design's name.
-func (e encoder) design(path string, d core.Design) encoder {
+func (e encoder) design(d core.Design) encoder {
 	name := d.String()
 	if _, err := core.ParseDesign(name); err != nil {
-		return e.fail(path, fmt.Errorf("unknown design %d", int(d)))
+		return e.fail("Design", fmt.Errorf("unknown design %d", int(d)))
 	}
 	return e.string(name)
 }
 
 // algorithm writes the canonical name of a, the zero value as BLISS.
-func (e encoder) algorithm(path string, a core.Algorithm) encoder {
+func (e encoder) algorithm(a core.Algorithm) encoder {
 	name, err := core.ParseAlgorithm(string(a.Canonical()))
 	if err != nil {
-		return e.fail(path, err)
+		return e.fail("Algorithm", err)
 	}
 	return e.string(string(name))
 }
@@ -262,21 +263,4 @@ func (e encoder) org(o dcache.Org) encoder {
 	default:
 		return e.fail("Org", fmt.Errorf("unknown organization %d", int(o)))
 	}
-}
-
-// ctrl writes the controller override, null when unset.
-func (e encoder) ctrl(cc *core.Config) encoder {
-	if cc == nil {
-		return e.raw("null")
-	}
-	e = e.raw(`{"Design":`).design("Ctrl.Design", cc.Design)
-	e = e.raw(`,"Algorithm":`).algorithm("Ctrl.Algorithm", cc.Algorithm)
-	e = e.raw(`,"ReadQueueCap":`).int(int64(cc.ReadQueueCap))
-	e = e.raw(`,"WriteQueueCap":`).int(int64(cc.WriteQueueCap))
-	e = e.raw(`,"WriteFlushLow":`).float("Ctrl.WriteFlushLow", cc.WriteFlushLow)
-	e = e.raw(`,"WriteFlushHigh":`).float("Ctrl.WriteFlushHigh", cc.WriteFlushHigh)
-	e = e.raw(`,"ScheduleAllHigh":`).float("Ctrl.ScheduleAllHigh", cc.ScheduleAllHigh)
-	e = e.raw(`,"ScheduleAllLow":`).float("Ctrl.ScheduleAllLow", cc.ScheduleAllLow)
-	e = e.raw(`,"FlushFactor":`).uint(uint64(cc.FlushFactor))
-	return e.raw("}")
 }

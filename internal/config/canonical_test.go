@@ -61,9 +61,6 @@ func fill(t *testing.T, v reflect.Value, n *int, odd bool) {
 		for i := 0; i < v.NumField(); i++ {
 			fill(t, v.Field(i), n, odd)
 		}
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
-		fill(t, v.Elem(), n, odd)
 	case reflect.Slice:
 		s := reflect.MakeSlice(v.Type(), 2, 2)
 		fill(t, s.Index(0), n, odd)
@@ -85,7 +82,7 @@ func fill(t *testing.T, v reflect.Value, n *int, odd bool) {
 }
 
 // TestCanonicalMatchesMarshal: with every leaf field of Config set to a
-// distinct value (Ctrl included), Canonical writes exactly the oracle's
+// distinct value, Canonical writes exactly the oracle's
 // bytes, so a field added to Config or to a struct inside it, and not
 // to the encoder, fails here. An empty Config agrees too.
 func TestCanonicalMatchesMarshal(t *testing.T) {
@@ -93,9 +90,6 @@ func TestCanonicalMatchesMarshal(t *testing.T) {
 		var c config.Config
 		n := 0
 		fill(t, reflect.ValueOf(&c).Elem(), &n, odd)
-		if c.Ctrl == nil {
-			t.Fatal("the walk left Ctrl unset")
-		}
 		checkCanonical(t, c)
 	}
 	checkCanonical(t, config.Config{})
@@ -108,7 +102,7 @@ type badConfig struct {
 
 // unencodable lists configs the json.Marshal oracle cannot encode, by
 // the field at fault: a Design or Algorithm outside the paper's, an unknown
-// Org, and a NaN or infinite float at the top level or in Ctrl.
+// Org, and a NaN or infinite float.
 func unencodable() []badConfig {
 	base := config.Test()
 	base.Benchmarks = []string{"mcf"}
@@ -118,24 +112,12 @@ func unencodable() []badConfig {
 		set(&c)
 		cases = append(cases, badConfig{field, c})
 	}
-	ctrl := func(f func(*core.Config)) func(*config.Config) {
-		return func(c *config.Config) {
-			cc := c.CtrlConfig()
-			f(&cc)
-			c.Ctrl = &cc
-		}
-	}
 	add("Design", func(c *config.Config) { c.Design = core.Design(99) })
 	add("Org", func(c *config.Config) { c.Org = dcache.Org(7) })
 	add("Algorithm", func(c *config.Config) { c.Algorithm = "bogus" })
 	add("WSScale", func(c *config.Config) { c.WSScale = math.NaN() })
 	add("WSScale", func(c *config.Config) { c.WSScale = math.Inf(1) })
 	add("CPU.FreqGHz", func(c *config.Config) { c.CPU.FreqGHz = math.Inf(1) })
-	add("Ctrl.Design", ctrl(func(cc *core.Config) { cc.Design = core.Design(99) }))
-	add("Ctrl.WriteFlushLow", ctrl(func(cc *core.Config) { cc.WriteFlushLow = math.NaN() }))
-	add("Ctrl.WriteFlushHigh", ctrl(func(cc *core.Config) { cc.WriteFlushHigh = math.NaN() }))
-	add("Ctrl.ScheduleAllHigh", ctrl(func(cc *core.Config) { cc.ScheduleAllHigh = math.NaN() }))
-	add("Ctrl.ScheduleAllLow", ctrl(func(cc *core.Config) { cc.ScheduleAllLow = math.Inf(-1) }))
 	return cases
 }
 
@@ -165,12 +147,11 @@ func TestUnencodableConfigs(t *testing.T) {
 }
 
 // TestValidateRejectsUnencodable: Validate rejects every config the
-// hash cannot encode, naming the field (as core.Config calls it under
-// Ctrl; core names an unknown design or algorithm), so a
-// validated config always hashes.
+// hash cannot encode, naming the field (in any case: core names an
+// unknown design or algorithm), so a validated config always hashes.
 func TestValidateRejectsUnencodable(t *testing.T) {
 	for _, tc := range unencodable() {
-		name := strings.ToLower(strings.TrimPrefix(tc.field, "Ctrl."))
+		name := strings.ToLower(tc.field)
 		if err := tc.cfg.Validate(); err == nil || !strings.Contains(strings.ToLower(err.Error()), name) {
 			t.Errorf("%s: Validate error %v, want one naming the field", tc.field, err)
 		}
@@ -238,9 +219,9 @@ func canonicalBases(f *testing.F) []config.Config {
 // bytes are equal when the oracle succeeds, and both fail together. The
 // input which picks a base config (canonicalBases), and each bit of mode
 // overwrites some of its fields with the other inputs: arbitrary
-// strings appended to Benchmarks, a set Ctrl, floats in WSScale,
-// CPU.FreqGHz and a Ctrl threshold, enums in and out of range (names
-// outside the paper's grid too), and Ctrl cleared.
+// strings appended to Benchmarks, a FlushFactor, floats in WSScale and
+// CPU.FreqGHz, and enums in and out of range (names outside the paper's
+// grid too).
 func FuzzCanonical(f *testing.F) {
 	bases := canonicalBases(f)
 	for i := range bases {
@@ -261,6 +242,8 @@ func FuzzCanonical(f *testing.F) {
 		f.Add(uint8(2), uint8(0x60), "", "", "", 0.0, e.design, e.org, e.alg)
 		f.Add(uint8(2), uint8(0x68), "", "", "", 0.5, e.design, e.org, e.alg)
 	}
+	// FlushFactor is a uint8 with no range check in the encoder.
+	f.Add(uint8(2), uint8(0x08), "", "", "", 0.0, 255, 0, "")
 	f.Fuzz(func(t *testing.T, which, mode uint8, bench, bench2, bench3 string, val float64, design, org int, alg string) {
 		c := bases[int(which)%len(bases)]
 		if mode&0x01 != 0 {
@@ -270,23 +253,13 @@ func FuzzCanonical(f *testing.F) {
 			c.Benchmarks = append(slices.Clip(c.Benchmarks), bench2, bench3)
 		}
 		if mode&0x08 != 0 {
-			cc := c.CtrlConfig()
-			cc.WriteFlushLow = val
-			c.Ctrl = &cc
-		}
-		if mode&0x10 != 0 {
-			c.Ctrl = nil
+			c.FlushFactor = uint8(design)
 		}
 		if mode&0x20 != 0 {
 			c.Design, c.Org = core.Design(design), dcache.Org(org)
 		}
 		if mode&0x40 != 0 {
 			c.Algorithm = core.Algorithm(alg)
-			if c.Ctrl != nil {
-				cc := *c.Ctrl
-				cc.Algorithm = core.Algorithm(alg)
-				c.Ctrl = &cc
-			}
 		}
 		if mode&0x80 != 0 {
 			c.WSScale, c.CPU.FreqGHz = val, -val

@@ -34,16 +34,17 @@ type Config struct {
 	BEARProbe    bool // BEAR writeback-probe elision (extension)
 	// Algorithm overrides the base scheduling algorithm (default BLISS).
 	Algorithm core.Algorithm
+	// FlushFactor is DCA's OFS RRPC threshold (§IV-C; the paper uses
+	// FF-4). The other controller parameters are the design's Table II
+	// values (core.DefaultConfig).
+	FlushFactor uint8
 
-	// Die-stacked DRAM shape (Table II).
+	// Die-stacked DRAM shape (Table II), in rows of dcache.RowBytes.
 	CacheSizeBytes int64
 	Channels       int
 	Ranks          int
 	Banks          int
-	RowBytes       int
 	Timing         dram.Timing
-	// Ctrl overrides the per-design queue parameters when non-nil.
-	Ctrl *core.Config
 
 	// Below the DRAM cache.
 	MainMem mainmem.Config
@@ -71,13 +72,13 @@ func Paper() Config {
 	return Config{
 		Design:         core.DCA,
 		Algorithm:      core.AlgBLISS,
+		FlushFactor:    4,
 		Org:            dcache.SetAssoc,
 		UseMAPI:        true,
 		CacheSizeBytes: 256 << 20,
 		Channels:       4,
 		Ranks:          1,
 		Banks:          16,
-		RowBytes:       4096,
 		Timing:         dram.StackedDRAM(),
 		MainMem:        mainmem.DefaultConfig(),
 		CPU:            cpu.DefaultParams(),
@@ -119,25 +120,24 @@ func Test() Config {
 	return c
 }
 
-// DRAMGeometry returns the addrmap geometry implied by the config.
+// DRAMGeometry returns the addrmap geometry implied by the config, with
+// the 4 KB rows the DRAM-cache layout packs its sets and TADs into.
 func (c Config) DRAMGeometry() addrmap.Geometry {
 	return addrmap.Geometry{
 		Channels:  c.Channels,
 		Ranks:     c.Ranks,
 		Banks:     c.Banks,
-		RowBytes:  c.RowBytes,
+		RowBytes:  dcache.RowBytes,
 		BlockSize: dcache.BlockBytes,
 	}
 }
 
-// CtrlConfig returns the controller parameters: the explicit override or
-// the per-design Table II defaults with the config's base algorithm.
+// CtrlConfig returns the controller parameters: the design's Table II
+// defaults with the config's base algorithm and flushing factor.
 func (c Config) CtrlConfig() core.Config {
-	if c.Ctrl != nil {
-		return *c.Ctrl
-	}
 	cc := core.DefaultConfig(c.Design)
 	cc.Algorithm = c.Algorithm
+	cc.FlushFactor = c.FlushFactor
 	return cc
 }
 
@@ -154,20 +154,11 @@ func (c Config) Validate() error {
 	if err := c.DRAMGeometry().Validate(); err != nil {
 		return err
 	}
+	if c.Banks > core.MaxBanks/c.Ranks {
+		return fmt.Errorf("config: Ranks %d × Banks %d exceeds the %d banks per channel a controller serves", c.Ranks, c.Banks, core.MaxBanks)
+	}
 	if err := c.CtrlConfig().Validate(); err != nil {
 		return err
-	}
-	// With an explicit Ctrl the controller consumes Ctrl.Design and
-	// Ctrl.Algorithm, so a diverging top-level value would be silently
-	// inert — yet still change the config hash, mislabeling cached
-	// results. Reject the divergence instead.
-	if c.Ctrl != nil {
-		if c.Ctrl.Design != c.Design {
-			return fmt.Errorf("config: Design %v diverges from Ctrl.Design %v (the controller uses Ctrl.Design)", c.Design, c.Ctrl.Design)
-		}
-		if c.Ctrl.Algorithm.Canonical() != c.Algorithm.Canonical() {
-			return fmt.Errorf("config: Algorithm %v diverges from Ctrl.Algorithm %v (the controller uses Ctrl.Algorithm)", c.Algorithm, c.Ctrl.Algorithm)
-		}
 	}
 	switch c.Org {
 	case dcache.SetAssoc, dcache.DirectMapped:
@@ -177,7 +168,7 @@ func (c Config) Validate() error {
 	// The DRAM cache's layout rules, applied here so a bad size fails
 	// before hashing and dispatch rather than inside a warm-up.
 	if _, err := dcache.NewGeometry(c.Org, c.CacheSizeBytes, c.DRAMGeometry()); err != nil {
-		return fmt.Errorf("config: CacheSizeBytes %d over RowBytes %d: %w", c.CacheSizeBytes, c.RowBytes, err)
+		return fmt.Errorf("config: CacheSizeBytes %d: %w", c.CacheSizeBytes, err)
 	}
 	switch {
 	// A NaN or infinite float has no canonical encoding, so the config

@@ -28,7 +28,7 @@ func TestPresetsValidate(t *testing.T) {
 
 func TestPaperMatchesTableII(t *testing.T) {
 	c := Paper()
-	if c.CacheSizeBytes != 256<<20 || c.Channels != 4 || c.Banks != 16 || c.RowBytes != 4096 {
+	if c.CacheSizeBytes != 256<<20 || c.Channels != 4 || c.Banks != 16 {
 		t.Fatalf("stacked DRAM shape wrong: %+v", c)
 	}
 	if c.L2Bytes != 8<<20 || c.L1Bytes != 32<<10 {
@@ -52,11 +52,9 @@ func TestCtrlConfigPerDesign(t *testing.T) {
 	if cc.ReadQueueCap != 32 || cc.WriteQueueCap != 96 {
 		t.Fatalf("ROD queues %d/%d", cc.ReadQueueCap, cc.WriteQueueCap)
 	}
-	override := core.DefaultConfig(core.DCA)
-	override.FlushFactor = 2
-	c.Ctrl = &override
+	c.FlushFactor = 2
 	if c.CtrlConfig().FlushFactor != 2 {
-		t.Fatal("override ignored")
+		t.Fatal("FlushFactor ignored")
 	}
 }
 
@@ -122,12 +120,12 @@ func TestValidateRejectsBrokenCPU(t *testing.T) {
 }
 
 // TestValidateRejectsRuntimeFailures: configs that passed Validate and
-// then panicked in the event engine (a negative latency), simulated
-// nonsense (a negative DRAM timing, a zero burst, a DRAM row the
-// DRAM-cache layout does not fit) or failed only inside a run (an SRAM
-// cache with no whole set, or with more ways than an LRU order word
-// holds) are rejected with an error naming the field. Zero turnarounds
-// stay legal.
+// then panicked in the event engine (a negative latency) or building a
+// controller (more banks per channel than it indexes), simulated
+// nonsense (a negative DRAM timing, a zero burst) or failed only inside
+// a run (an SRAM cache with no whole set, or with more ways than an LRU
+// order word holds), and a flushing factor past the RRPC's range, are
+// rejected with an error naming the field. Zero turnarounds stay legal.
 func TestValidateRejectsRuntimeFailures(t *testing.T) {
 	cases := []struct {
 		field  string
@@ -147,7 +145,8 @@ func TestValidateRejectsRuntimeFailures(t *testing.T) {
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = -4096 }},
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 0 }},
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 4096 + 64 }}, // not a whole row
-		{"RowBytes", func(c *Config) { c.RowBytes = 2048 }},                  // a set's tag and data would split
+		{"FlushFactor", func(c *Config) { c.FlushFactor = 8 }},               // past the 3-bit RRPC range
+		{"Banks", func(c *Config) { c.Ranks, c.Banks = 4, 32 }},              // 128 banks per channel
 	}
 	for _, tc := range cases {
 		c := withMix(Test())

@@ -16,15 +16,14 @@ import (
 // config that validates hashes (Hash keys the result cache). Nothing may
 // panic.
 func FuzzConfigLoad(f *testing.F) {
-	ctrl := withMix(Test())
-	cc := ctrl.CtrlConfig()
-	ctrl.Ctrl = &cc
+	ff := withMix(Test())
+	ff.FlushFactor = 2
 	// Non-default enums and switches, so the file spells their names.
 	alt := withMix(Test())
 	alt.Design, alt.Org, alt.Algorithm = core.CD, dcache.DirectMapped, core.AlgFRFCFS
 	alt.XORRemap, alt.LeeWriteback = true, true
 	saved := filepath.Join(f.TempDir(), "config.json")
-	for _, c := range []Config{withMix(Test()), ctrl, alt} {
+	for _, c := range []Config{withMix(Test()), ff, alt} {
 		if err := Save(saved, c); err != nil {
 			f.Fatal(err)
 		}
@@ -36,7 +35,7 @@ func FuzzConfigLoad(f *testing.F) {
 		f.Add(valid[:len(valid)/2])
 		f.Add(bytes.Replace(valid, []byte(`"Width": 8`), []byte(`"Width": 0`), 1))
 	}
-	f.Add([]byte(`{"schema":2,"config":{}}`))
+	f.Add([]byte(`{"schema":3,"config":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "config.json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

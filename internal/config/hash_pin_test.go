@@ -3,13 +3,13 @@ package config
 import "testing"
 
 // presetHashes are the content addresses of the three preset
-// configurations under schema 2. These hashes key the persistent result
+// configurations under schema 3. These hashes key the persistent result
 // cache: a change here invalidates every cached result, so it must only
 // ever happen together with a deliberate SchemaVersion bump (see json.go).
 var presetHashes = map[string]string{
-	"paper": "90ddcaf959157722d0654d306e992f02edc83bf64890053e78af9d702fc4e936",
-	"bench": "924e6741c71d8a50c88ea38f92f7df812ad5634e23949881e5f3a7030be65dfa",
-	"test":  "550bb584c243776bc1285e225295389b136cceeb26101a9f89f1091b551c62c8",
+	"paper": "ac5f9c3c99be4e2d200283ef748ced374463e1fc058fa07322fe631d6c3fe31e",
+	"bench": "1d559e0f1b539d3c1f1ada004b7ab2854e8963ce9212f7c0340f306a2875256b",
+	"test":  "4de9c12e73a53fc6f171f0efb6a282d14b8be25d288bfa9509363d702c883a37",
 }
 
 // TestPresetHashStability pins the hashes of the presets as built by

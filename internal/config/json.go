@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // SchemaVersion identifies the serialized Config layout. It is folded
@@ -19,7 +18,7 @@ import (
 // for no behavioural reason. A new field also needs its line in the
 // canonical encoder (canonical.go); TestCanonicalMatchesMarshal fails
 // until it has one.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // envelope is the on-disk form of Save/Load: the schema version guards
 // against silently decoding a file written by an incompatible layout.
@@ -92,17 +91,9 @@ func ParsePreset(s string) (Config, error) {
 // (case-insensitively), objects merge into structs (so
 // {"Timing":{"TWTR":2500}} changes one timing parameter and keeps the
 // rest), and arrays and scalars replace. Unknown fields anywhere in a
-// patch are errors, and so is a null anywhere but as the value of Ctrl:
-// decoding null into a field would silently keep or zero it. A key
-// repeated within one patch takes its last value. The result shares no
-// memory with c.
-//
-// A patch touching Ctrl while Ctrl is nil first materializes the
-// effective controller parameters (CtrlConfig(), i.e. the Table II
-// defaults for the design selected by the same patch): a single-knob
-// override like {"Ctrl":{"FlushFactor":2}} edits the machine the run
-// would actually use instead of producing a zeroed controller config.
-// An explicit "Ctrl": null restores the defaults.
+// patch are errors, and so is a null anywhere: decoding null into a
+// field would silently keep or zero it. A key repeated within one patch
+// takes its last value. The result shares no memory with c.
 func (c Config) Patch(patches ...json.RawMessage) (Config, error) {
 	var buf [4]ParsedPatch
 	parsed := buf[:0]
@@ -120,45 +111,35 @@ func (c Config) Patch(patches ...json.RawMessage) (Config, error) {
 // number of configs, concurrently too. The zero value is the empty
 // patch.
 type ParsedPatch struct {
-	fields []byte   // the patch without its Ctrl keys, re-encoded; nil if none
-	ctrls  [][]byte // the values of its Ctrl keys in decoding order, re-encoded; nil for a null
+	fields []byte // the patch re-encoded; nil if it names no field
 }
 
 // ParsePatch parses one patch for Apply: numbers stay exact, a repeated
-// key keeps its last value, and a null is an error except as the value
-// of Ctrl. An empty patch parses to the empty ParsedPatch.
+// key keeps its last value, and a null is an error. An empty patch
+// parses to the empty ParsedPatch.
 func ParsePatch(p json.RawMessage) (ParsedPatch, error) {
 	if len(p) == 0 {
 		return ParsedPatch{}, nil
 	}
-	pm, ctrls, err := decodePatch(p)
-	if err != nil {
-		return ParsedPatch{}, err
+	var pm map[string]interface{}
+	dec := json.NewDecoder(bytes.NewReader(p))
+	dec.UseNumber() // keep int64 fields (times, budgets, seeds) exact
+	if err := dec.Decode(&pm); err != nil {
+		return ParsedPatch{}, fmt.Errorf("config: decode patch %s: %w", p, err)
 	}
-	var pp ParsedPatch
-	if len(pm) > 0 {
-		if pp.fields, err = encodePatch(pm); err != nil {
+	if len(pm) == 0 {
+		return ParsedPatch{}, nil
+	}
+	for _, k := range sortedKeys(pm) {
+		if err := checkNulls(k, pm[k]); err != nil {
 			return ParsedPatch{}, err
 		}
 	}
-	for _, v := range ctrls {
-		var enc []byte
-		if v != nil {
-			if enc, err = encodePatch(v); err != nil {
-				return ParsedPatch{}, err
-			}
-		}
-		pp.ctrls = append(pp.ctrls, enc)
-	}
-	return pp, nil
-}
-
-func encodePatch(v interface{}) ([]byte, error) {
-	enc, err := json.Marshal(v)
+	enc, err := json.Marshal(pm)
 	if err != nil {
-		return nil, fmt.Errorf("config: encode patch: %w", err)
+		return ParsedPatch{}, fmt.Errorf("config: encode patch: %w", err)
 	}
-	return enc, nil
+	return ParsedPatch{fields: enc}, nil
 }
 
 // Apply overlays parsed patches onto c in order, by the rules Patch
@@ -166,60 +147,17 @@ func encodePatch(v interface{}) ([]byte, error) {
 func (c Config) Apply(patches ...ParsedPatch) (Config, error) {
 	out := c
 	out.Benchmarks = slices.Clone(c.Benchmarks)
-	if c.Ctrl != nil {
-		cc := *c.Ctrl
-		out.Ctrl = &cc
-	}
 	for _, pp := range patches {
-		if pp.fields != nil {
-			if err := decodeInto(&out, pp.fields); err != nil {
-				return Config{}, err
-			}
+		if pp.fields == nil {
+			continue
 		}
-		for _, enc := range pp.ctrls {
-			if enc == nil {
-				out.Ctrl = nil
-				continue
-			}
-			if out.Ctrl == nil {
-				cc := out.CtrlConfig()
-				out.Ctrl = &cc
-			}
-			if err := decodeInto(out.Ctrl, enc); err != nil {
-				return Config{}, fmt.Errorf("%w (in Ctrl)", err)
-			}
+		dec := json.NewDecoder(bytes.NewReader(pp.fields))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&out); err != nil {
+			return Config{}, fmt.Errorf("config: apply patch: %w", err)
 		}
 	}
 	return out, nil
-}
-
-// decodePatch normalizes one patch object: numbers stay exact, a
-// repeated key keeps its last value, and a null is an error except as
-// the value of Ctrl. It returns the patch without its Ctrl keys, and
-// the values of those keys (any spelling) in the order decoding would
-// meet them.
-func decodePatch(p json.RawMessage) (map[string]interface{}, []interface{}, error) {
-	var pm map[string]interface{}
-	dec := json.NewDecoder(bytes.NewReader(p))
-	dec.UseNumber() // keep int64 fields (times, budgets, seeds) exact
-	if err := dec.Decode(&pm); err != nil {
-		return nil, nil, fmt.Errorf("config: decode patch %s: %w", p, err)
-	}
-	var ctrls []interface{}
-	for _, k := range sortedKeys(pm) {
-		v := pm[k]
-		if strings.EqualFold(k, "Ctrl") {
-			ctrls = append(ctrls, v)
-			delete(pm, k)
-			if v == nil {
-				continue
-			}
-		}
-		if err := checkNulls(k, v); err != nil {
-			return nil, nil, err
-		}
-	}
-	return pm, ctrls, nil
 }
 
 // checkNulls reports the first null at or below path, visiting object
@@ -227,7 +165,7 @@ func decodePatch(p json.RawMessage) (map[string]interface{}, []interface{}, erro
 func checkNulls(path string, v interface{}) error {
 	switch v := v.(type) {
 	case nil:
-		return fmt.Errorf("config: patch sets %s to null; only Ctrl accepts null", path)
+		return fmt.Errorf("config: patch sets %s to null", path)
 	case map[string]interface{}:
 		for _, k := range sortedKeys(v) {
 			if err := checkNulls(path+"."+k, v[k]); err != nil {
@@ -251,15 +189,4 @@ func sortedKeys(m map[string]interface{}) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// decodeInto strictly decodes an encoded patch value into dst, which
-// keeps every field the value does not name.
-func decodeInto(dst interface{}, enc []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(enc))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("config: apply patch: %w", err)
-	}
-	return nil
 }

@@ -15,8 +15,8 @@ import (
 	"dcasim/internal/simtime"
 )
 
-// presets returns every preset plus a variant exercising the optional
-// fields (controller override, tag cache, algorithm, benchmarks).
+// presets returns every preset plus a variant that moves the enums,
+// switches, flushing factor and benchmarks off their defaults.
 func presets() map[string]Config {
 	full := Bench()
 	full.Benchmarks = []string{"mcf", "lbm", "libquantum", "omnetpp"}
@@ -25,10 +25,7 @@ func presets() map[string]Config {
 	full.XORRemap = true
 	full.LeeWriteback = true
 	full.Algorithm = core.AlgFRFCFS
-	ctrl := core.DefaultConfig(core.ROD)
-	ctrl.Algorithm = core.AlgFRFCFS // must match the top level (Validate)
-	ctrl.FlushFactor = 2
-	full.Ctrl = &ctrl
+	full.FlushFactor = 2
 	return map[string]Config{
 		"paper": Paper(),
 		"bench": Bench(),
@@ -38,7 +35,7 @@ func presets() map[string]Config {
 }
 
 // TestJSONRoundTrip: canonical encode → decode must reproduce every
-// preset exactly, including nested pointers and enum fields.
+// preset exactly, including nested structs and enum fields.
 func TestJSONRoundTrip(t *testing.T) {
 	for name, cfg := range presets() {
 		enc, err := cfg.Canonical()
@@ -127,17 +124,22 @@ func TestLoadRejectsUnknownFieldsAndSchema(t *testing.T) {
 		}
 		return path
 	}
-	if _, err := Load(write("unknown.json", `{"schema":2,"config":{"Desing":"DCA"}}`)); err == nil || !strings.Contains(err.Error(), "Desing") {
+	if _, err := Load(write("unknown.json", `{"schema":3,"config":{"Desing":"DCA"}}`)); err == nil || !strings.Contains(err.Error(), "Desing") {
 		t.Errorf("Load accepted an unknown config field, or failed on something else: %v", err)
 	}
 	if _, err := Load(write("schema.json", `{"schema":999,"config":{}}`)); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("Load accepted a future schema: %v", err)
 	}
 	// Schema-2 files could name the AlgParams tunable maps and the ATLAS
-	// policy; both are gone, and a file naming either fails, naming it.
+	// policy, the Ctrl controller override and RowBytes. All are gone: a
+	// file naming one fails, naming it, and any schema-2 file fails on
+	// its version.
 	for _, tc := range []struct{ file, content, name string }{
 		{"algparams.json", `{"schema":2,"config":{"Algorithm":"BLISS","AlgParams":{"Threshold":2}}}`, "AlgParams"},
 		{"atlas.json", `{"schema":2,"config":{"Algorithm":"ATLAS"}}`, "ATLAS"},
+		{"ctrl.json", `{"schema":3,"config":{"Ctrl":{"FlushFactor":4}}}`, `unknown field "Ctrl"`},
+		{"rowbytes.json", `{"schema":3,"config":{"RowBytes":4096}}`, `unknown field "RowBytes"`},
+		{"schema2.json", `{"schema":2,"config":{"FlushFactor":4}}`, "has schema 2, this build expects 3"},
 	} {
 		if _, err := Load(write(tc.file, tc.content)); err == nil || !strings.Contains(err.Error(), tc.name) {
 			t.Errorf("%s: Load error %v, want one naming %s", tc.file, err, tc.name)
@@ -178,83 +180,6 @@ func TestPatchDeepMerge(t *testing.T) {
 	want.Org = dcache.DirectMapped
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("patch changed unrelated fields:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestPatchCtrlMerge(t *testing.T) {
-	// A Ctrl patch against a nil Ctrl materializes the effective
-	// defaults of the selected design first, so a single-knob override
-	// edits the machine the run would actually use — the sweep-axis
-	// idiom for knobs like FlushFactor.
-	base := Test() // Design DCA, Ctrl nil
-	ffOnly, err := base.Patch(json.RawMessage(`{"Ctrl":{"FlushFactor":2}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.DefaultConfig(core.DCA)
-	want.FlushFactor = 2
-	if ffOnly.Ctrl == nil || !reflect.DeepEqual(*ffOnly.Ctrl, want) {
-		t.Fatalf("Ctrl patch did not materialize defaults: %+v", ffOnly.Ctrl)
-	}
-	if err := ffOnly.Validate(); err == nil {
-		// Test() has no benchmarks, so full validation can't pass here;
-		// check just the controller part instead.
-		t.Fatal("expected benchmark validation error")
-	}
-	if err := ffOnly.CtrlConfig().Validate(); err != nil {
-		t.Fatalf("materialized Ctrl invalid: %v", err)
-	}
-
-	// The design selected in the same patch governs the defaults.
-	rodFF, err := base.Patch(json.RawMessage(`{"Design":"ROD","Ctrl":{"FlushFactor":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rodFF.Ctrl.Design != core.ROD || rodFF.Ctrl.ReadQueueCap != 32 || rodFF.Ctrl.WriteQueueCap != 96 {
-		t.Fatalf("Ctrl defaults not taken from the patched design: %+v", rodFF.Ctrl)
-	}
-
-	// A later patch merges into the existing Ctrl rather than replacing
-	// it, and an explicit null restores the defaults.
-	again, err := ffOnly.Patch(json.RawMessage(`{"Ctrl":{"FlushFactor":6}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Ctrl.FlushFactor != 6 || again.Ctrl.ReadQueueCap != 64 {
-		t.Fatalf("Ctrl deep merge lost fields: %+v", again.Ctrl)
-	}
-	cleared, err := again.Patch(json.RawMessage(`{"Ctrl":null}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cleared.Ctrl != nil {
-		t.Fatalf("explicit Ctrl:null did not clear the override: %+v", cleared.Ctrl)
-	}
-}
-
-// TestValidateRejectsCtrlDivergence: with an explicit Ctrl the
-// controller consumes Ctrl.Design/Ctrl.Algorithm, so a diverging
-// top-level value would be silently inert yet still change the hash —
-// it must be rejected, not simulated under the wrong label.
-func TestValidateRejectsCtrlDivergence(t *testing.T) {
-	base := Test()
-	base.Benchmarks = []string{"mcf"}
-	ctrl := core.DefaultConfig(core.DCA)
-	base.Ctrl = &ctrl
-
-	ok := base
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("consistent Ctrl rejected: %v", err)
-	}
-	badDesign := base
-	badDesign.Design = core.CD
-	if err := badDesign.Validate(); err == nil || !strings.Contains(err.Error(), "Ctrl.Design") {
-		t.Errorf("diverging Design accepted: %v", err)
-	}
-	badAlg := base
-	badAlg.Algorithm = core.AlgFCFS
-	if err := badAlg.Validate(); err == nil || !strings.Contains(err.Error(), "Ctrl.Algorithm") {
-		t.Errorf("diverging Algorithm accepted: %v", err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // patch round-trips the whole config: encode it canonically, merge the
 // patch into the decoded object, and decode the result into a zero
 // Config. Against patches whose keys are spelled as the fields are and
-// that carry no null outside Ctrl, the two must agree exactly; outside
-// that domain the oracle is known to drop case-variant keys and to zero
+// that set no field to null, the two must agree exactly; outside that
+// domain the oracle is known to drop case-variant keys and to zero
 // fields set to null.
 func oraclePatch(c config.Config, patches ...json.RawMessage) (config.Config, error) {
 	out := c
@@ -29,24 +29,8 @@ func oraclePatch(c config.Config, patches ...json.RawMessage) (config.Config, er
 		if err := dec.Decode(&pm); err != nil {
 			return config.Config{}, fmt.Errorf("config: decode patch %s: %w", p, err)
 		}
-		ctrlPatch, hasCtrl := pm["Ctrl"]
-		delete(pm, "Ctrl")
 		var err error
 		if out, err = applyPatchMap(out, pm); err != nil {
-			return config.Config{}, err
-		}
-		if !hasCtrl {
-			continue
-		}
-		if ctrlPatch == nil {
-			out.Ctrl = nil
-			continue
-		}
-		if out.Ctrl == nil {
-			eff := out.CtrlConfig()
-			out.Ctrl = &eff
-		}
-		if out, err = applyPatchMap(out, map[string]interface{}{"Ctrl": ctrlPatch}); err != nil {
 			return config.Config{}, err
 		}
 	}

@@ -16,38 +16,29 @@ import (
 
 // TestPatchKeyCase: patch keys match fields the way Load matches them,
 // case-insensitively, whatever the spelling sorts like against the
-// field name; the Ctrl rules (materialize on a nil Ctrl, null restores
-// the defaults) hold for every spelling of Ctrl.
+// field name. A patch that sets a field to the value it already holds
+// changes nothing, hash included.
 func TestPatchKeyCase(t *testing.T) {
-	withCtrl := config.Test()
-	cc := withCtrl.CtrlConfig()
-	cc.FlushFactor = 6
-	withCtrl.Ctrl = &cc
 	for _, tc := range []struct {
 		patch string
-		base  config.Config
 		check func(config.Config) bool
 	}{
-		{`{"Seed":5}`, config.Test(), func(c config.Config) bool { return c.Seed == 5 }},
-		{`{"SEED":5}`, config.Test(), func(c config.Config) bool { return c.Seed == 5 }},
-		{`{"seed":5}`, config.Test(), func(c config.Config) bool { return c.Seed == 5 }},
-		{`{"ORG":"dm"}`, config.Test(), func(c config.Config) bool { return c.Org == dcache.DirectMapped }},
-		{`{"org":"dm"}`, config.Test(), func(c config.Config) bool { return c.Org == dcache.DirectMapped }},
-		{`{"TIMING":{"twtr":2500}}`, config.Test(), func(c config.Config) bool {
+		{`{"Seed":5}`, func(c config.Config) bool { return c.Seed == 5 }},
+		{`{"SEED":5}`, func(c config.Config) bool { return c.Seed == 5 }},
+		{`{"seed":5}`, func(c config.Config) bool { return c.Seed == 5 }},
+		{`{"ORG":"dm"}`, func(c config.Config) bool { return c.Org == dcache.DirectMapped }},
+		{`{"org":"dm"}`, func(c config.Config) bool { return c.Org == dcache.DirectMapped }},
+		{`{"TIMING":{"twtr":2500}}`, func(c config.Config) bool {
 			return c.Timing.TWTR == 2500 && c.Timing.TRCD == config.Test().Timing.TRCD
 		}},
-		{`{"design":"ROD","CTRL":{"flushfactor":2}}`, config.Test(), func(c config.Config) bool {
+		{`{"design":"ROD","FLUSHFACTOR":2}`, func(c config.Config) bool {
 			want := core.DefaultConfig(core.ROD)
 			want.FlushFactor = 2
-			return c.Ctrl != nil && reflect.DeepEqual(*c.Ctrl, want)
+			return c.CtrlConfig() == want
 		}},
-		{`{"ctrl":{"FlushFactor":1}}`, withCtrl, func(c config.Config) bool {
-			return c.Ctrl != nil && c.Ctrl.FlushFactor == 1 && c.Ctrl.ReadQueueCap == cc.ReadQueueCap
-		}},
-		{`{"ctrl":null}`, withCtrl, func(c config.Config) bool { return c.Ctrl == nil }},
-		{`{"CTRL":null}`, withCtrl, func(c config.Config) bool { return c.Ctrl == nil }},
+		{`{"FlushFactor":4}`, func(c config.Config) bool { return c.Hash() == config.Test().Hash() }},
 	} {
-		got, err := tc.base.Patch(json.RawMessage(tc.patch))
+		got, err := config.Test().Patch(json.RawMessage(tc.patch))
 		if err != nil {
 			t.Errorf("%s: %v", tc.patch, err)
 			continue
@@ -58,20 +49,21 @@ func TestPatchKeyCase(t *testing.T) {
 	}
 }
 
-// TestPatchRejectsNull: a null anywhere but as the value of Ctrl fails
-// with an error naming its key path, instead of silently zeroing (or
-// keeping) the field.
+// TestPatchRejectsNull: a null anywhere, under a field's name or any
+// other key, fails with an error naming its key path, instead of
+// silently zeroing (or keeping) the field.
 func TestPatchRejectsNull(t *testing.T) {
 	for patch, path := range map[string]string{
 		`{"Seed":null}`:                                 "Seed",
 		`{"Timing":{"TWTR":null}}`:                      "Timing.TWTR",
 		`{"CPU":null}`:                                  "CPU",
 		`{"Benchmarks":["mcf",null]}`:                   "Benchmarks[1]",
-		`{"Ctrl":{"FlushFactor":null}}`:                 "Ctrl.FlushFactor",
+		`{"FlushFactor":null}`:                          "FlushFactor",
+		`{"Ctrl":null}`:                                 "Ctrl",
 		`{"Design":"CD","timing":{"tRP":1,"TWR":null}}`: "timing.TWR",
 	} {
 		_, err := config.Test().Patch(json.RawMessage(patch))
-		want := "config: patch sets " + path + " to null; only Ctrl accepts null"
+		want := "config: patch sets " + path + " to null"
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: got error %v, want %q", patch, err, want)
 		}
@@ -79,17 +71,15 @@ func TestPatchRejectsNull(t *testing.T) {
 }
 
 // fuzzBases are the configs FuzzPatch patches: a bare preset, a preset
-// with a mix, and one whose Benchmarks and Ctrl are both set, so
-// aliasing either shows.
+// with a mix, and one with another mix, design, organization and
+// flushing factor, so aliasing the mix shows.
 func fuzzBases() []config.Config {
 	mix := config.Bench()
 	mix.Benchmarks = []string{"mcf", "lbm", "gcc", "milc"}
 	full := mix
 	full.Benchmarks = []string{"soplex", "mcf", "libquantum", "omnetpp"}
 	full.Design, full.Org = core.ROD, dcache.DirectMapped
-	ctrl := full.CtrlConfig()
-	ctrl.FlushFactor = 3
-	full.Ctrl = &ctrl
+	full.FlushFactor = 3
 	return []config.Config{config.Test(), mix, full}
 }
 
@@ -102,20 +92,17 @@ func mustCanonical(t *testing.T, c config.Config) []byte {
 	return b
 }
 
-// mutate writes through every reference-typed field of c.
+// mutate writes through the one reference-typed field of c.
 func mutate(c config.Config) {
 	if len(c.Benchmarks) > 0 {
 		c.Benchmarks[0] += "-mutated"
-	}
-	if c.Ctrl != nil {
-		c.Ctrl.FlushFactor++
 	}
 }
 
 // oracleDomain reports whether the oracle is expected to agree with
 // Patch on patches: every key naming a struct field is spelled as the
-// field, and no value is null except a top-level Ctrl. Patches that do
-// not decode as objects fail on both sides and are in the domain.
+// field, and no field is set to null. Patches that do not decode as
+// objects fail on both sides and are in the domain.
 func oracleDomain(patches []json.RawMessage) bool {
 	cfgType := reflect.TypeOf(config.Config{})
 	for _, p := range patches {
@@ -127,9 +114,6 @@ func oracleDomain(patches []json.RawMessage) bool {
 		dec.UseNumber()
 		if dec.Decode(&pm) != nil {
 			continue
-		}
-		if v, ok := pm["Ctrl"]; ok && v == nil {
-			delete(pm, "Ctrl")
 		}
 		if !canonicalKeys(pm, cfgType) {
 			return false
@@ -233,12 +217,12 @@ func FuzzPatch(f *testing.F) {
 		}
 	}
 	for _, p := range []string{
-		// Names outside the schema: the removed AlgParams maps and the
-		// removed ATLAS policy fail on both sides.
+		// Names outside the schema: the removed AlgParams maps, ATLAS
+		// policy, Ctrl override and RowBytes fail on both sides.
 		`{"AlgParams":{"Threshold":2},"Ctrl":{"AlgParams":{"Threshold":3}}}`,
-		`{"Ctrl":{"AlgParams":{"QuantumNS":10000}}}`,
+		`{"Ctrl":{"FlushFactor":2}}`,
 		`{"Algorithm":"ATLAS"}`,
-		`{"Ctrl":{"Algorithm":"atlas"}}`,
+		`{"RowBytes":4096}`,
 		`{"Algorithm":"Fr-FcFs","Design":"rod"}`,
 		`{"Ctrl":null}`,
 		`{"Seed":null}`,

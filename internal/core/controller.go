@@ -405,10 +405,14 @@ type Controller struct {
 	onIssue func(e *Entry, now simtime.Time, fromRead, viaOFS bool)
 }
 
+// MaxBanks is the most banks (ranks × banks per rank) one channel's
+// controller serves: its per-bank index is one bitmap word. The paper's
+// machines have 16.
+const MaxBanks = 64
+
 // NewController builds a controller for one channel serving `apps`
-// applications. The config must validate. The per-bank index uses one
-// bitmap word, capping a channel at 64 banks (the paper's machines have
-// 16).
+// applications. The config must validate, and the channel may have at
+// most MaxBanks banks.
 func NewController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -420,8 +424,8 @@ func NewController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int) *C
 // the conformance tests use to inject deliberately broken policies.
 func newController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int, pol sched.Instance) *Controller {
 	nb := ch.Banks()
-	if nb > 64 {
-		panic(fmt.Sprintf("core: controller supports at most 64 banks per channel, got %d", nb))
+	if nb > MaxBanks {
+		panic(fmt.Sprintf("core: controller supports at most %d banks per channel, got %d", MaxBanks, nb))
 	}
 	t, _ := cfg.Design.traits()
 	c := &Controller{

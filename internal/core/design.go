@@ -327,14 +327,14 @@ func (c Config) Validate() error {
 	case c.ScheduleAllLow <= 0 || c.ScheduleAllHigh > 1 || c.ScheduleAllLow > c.ScheduleAllHigh:
 		return fmt.Errorf("core: bad ScheduleAll thresholds low=%v high=%v", c.ScheduleAllLow, c.ScheduleAllHigh)
 	case c.FlushFactor > 7:
-		return fmt.Errorf("core: flush factor %d exceeds 3-bit RRPC range", c.FlushFactor)
+		return fmt.Errorf("core: FlushFactor %d exceeds the 3-bit RRPC range 0-7", c.FlushFactor)
 	}
 	return nil
 }
 
 // checkFinite reports the first NaN or infinite threshold, naming it:
-// the comparisons in Validate let NaN through, and a config holding one
-// cannot be hashed.
+// every comparison with NaN is false, so Validate's range checks would
+// let one through.
 func (c Config) checkFinite() error {
 	for _, f := range [...]struct {
 		name string

@@ -15,15 +15,16 @@ import (
 // every access kind and request type, every design must (a) never lose a
 // read, (b) complete accesses in nondecreasing time, and (c) keep the
 // write queue at or below its drain low-threshold once the engine goes
-// idle with no reads pending.
+// idle with no reads pending. Each queue holds 1 or 8 entries, drawn
+// apart, so a one-entry queue on either side is covered.
 func TestControllerConservation(t *testing.T) {
-	prop := func(seed uint64, designPick uint8) bool {
+	prop := func(seed uint64, designPick, capPick uint8) bool {
 		design := []Design{CD, ROD, DCA}[int(designPick)%3]
 		eng := &event.Engine{}
 		ch := dram.NewChannel(dram.StackedDRAM(), testGeom())
 		cfg := DefaultConfig(design)
-		cfg.ReadQueueCap = 8
-		cfg.WriteQueueCap = 8
+		cfg.ReadQueueCap = [2]int{1, 8}[capPick&1]
+		cfg.WriteQueueCap = [2]int{1, 8}[capPick>>1&1]
 		ctrl := NewController(eng, ch, cfg, 4)
 
 		r := rng.New(seed)

@@ -264,7 +264,7 @@ func (r *Runner) TableII() *stats.Table {
 	t.AddRowf("L1", fmt.Sprintf("%s / %d-way", byteSize(c.L1Bytes), c.L1Ways))
 	t.AddRowf("L2", fmt.Sprintf("%s / %d-way, %v hit", byteSize(c.L2Bytes), c.L2Ways, c.L2HitLat))
 	t.AddRowf("DRAM cache", fmt.Sprintf("%s, %d channels x %d banks, %d B rows",
-		byteSize(c.CacheSizeBytes), c.Channels, c.Banks, c.RowBytes))
+		byteSize(c.CacheSizeBytes), c.Channels, c.Banks, dcache.RowBytes))
 	t.AddRowf("timing", fmt.Sprintf("tRCD/tCAS/tRP/tRAS %v/%v/%v/%v",
 		c.Timing.TRCD, c.Timing.TCAS, c.Timing.TRP, c.Timing.TRAS))
 	t.AddRowf("turnaround", fmt.Sprintf("tWTR %v, tRTW %v, tWR %v, tBURST %v",

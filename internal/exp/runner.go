@@ -244,7 +244,6 @@ func (r *Runner) aloneConfig(bench string, org dcache.Org) config.Config {
 	cfg.Org = org
 	cfg.Benchmarks = []string{bench}
 	cfg.Design = core.CD
-	cfg.Ctrl = nil
 	return cfg
 }
 

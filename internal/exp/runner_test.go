@@ -122,7 +122,7 @@ func TestFiguresParseEachPatchOnce(t *testing.T) {
 // each parse a literal at most once between them and get exactly what
 // config.Config.Patch gives.
 func TestPatchMemoConcurrent(t *testing.T) {
-	literals := []json.RawMessage{raw(`{"Design":"ROD"}`), raw(`{"Org":"dm"}`), raw(`{"Ctrl":{"FlushFactor":2}}`)}
+	literals := []json.RawMessage{raw(`{"Design":"ROD"}`), raw(`{"Org":"dm"}`), raw(`{"FlushFactor":2}`)}
 	base := fakeCfg(1)
 	want, err := base.Patch(literals...)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 const testSweepJSON = `{
-  "schema": 2,
+  "schema": 3,
   "name": "ff-mini",
   "scale": "test",
   "base": {
@@ -26,8 +26,8 @@ const testSweepJSON = `{
       {"label": "dm", "set": {"Org": "direct-mapped"}}
     ]},
     {"name": "ff", "values": [
-      {"label": "FF-0", "set": {"Ctrl": {"FlushFactor": 0}}},
-      {"label": "FF-4", "set": {"Ctrl": {"FlushFactor": 4}}}
+      {"label": "FF-0", "set": {"FlushFactor": 0}},
+      {"label": "FF-4", "set": {"FlushFactor": 4}}
     ]}
   ],
   "metrics": ["totalNS", "ofsIssues", "readRowHitRate"]

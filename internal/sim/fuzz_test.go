@@ -23,16 +23,6 @@ type fuzzField struct {
 	set    func(c *config.Config, v int64)
 }
 
-// fuzzCtrl returns c's controller override, first setting it to the
-// defaults CtrlConfig gives, as a Ctrl patch does.
-func fuzzCtrl(c *config.Config) *core.Config {
-	if c.Ctrl == nil {
-		cc := c.CtrlConfig()
-		c.Ctrl = &cc
-	}
-	return c.Ctrl
-}
-
 // milli maps a drawn value to a float in thousandths.
 func milli(v int64) float64 { return float64(v) / 1000 }
 
@@ -48,10 +38,6 @@ func boolField(name string, field func(*config.Config) *bool) fuzzField {
 	return fuzzField{name, 0, 1, func(c *config.Config, v int64) { *field(c) = v == 1 }}
 }
 
-func ctrlFrac(name string, field func(*core.Config) *float64) fuzzField {
-	return fuzzField{name, -100, 1100, func(c *config.Config, v int64) { *field(fuzzCtrl(c)) = milli(v) }}
-}
-
 // fuzzAlgorithms are the scheduling algorithms FuzzRun picks from.
 var fuzzAlgorithms = []core.Algorithm{core.AlgBLISS, core.AlgFRFCFS, core.AlgFCFS}
 
@@ -62,12 +48,7 @@ var fuzzAlgorithms = []core.Algorithm{core.AlgBLISS, core.AlgFRFCFS, core.AlgFCF
 // too. Only FuzzRun's named seeds, which fuzzInput encodes by field
 // name, stay stable.
 var fuzzFields = []fuzzField{
-	{"Design", -1, int64(core.DCA) + 1, func(c *config.Config, v int64) {
-		c.Design = core.Design(v)
-		if c.Ctrl != nil {
-			c.Ctrl.Design = c.Design
-		}
-	}},
+	{"Design", -1, int64(core.DCA) + 1, func(c *config.Config, v int64) { c.Design = core.Design(v) }},
 	{"Org", -1, 2, func(c *config.Config, v int64) { c.Org = dcache.Org(v) }},
 	boolField("XORRemap", func(c *config.Config) *bool { return &c.XORRemap }),
 	boolField("UseMAPI", func(c *config.Config) *bool { return &c.UseMAPI }),
@@ -80,15 +61,12 @@ var fuzzFields = []fuzzField{
 		if v < int64(len(fuzzAlgorithms)) {
 			c.Algorithm = fuzzAlgorithms[v]
 		}
-		if c.Ctrl != nil {
-			c.Ctrl.Algorithm = c.Algorithm
-		}
 	}},
+	{"FlushFactor", 0, 8, func(c *config.Config, v int64) { c.FlushFactor = uint8(v) }},
 	{"CacheSizeBytes", -1, 2048, func(c *config.Config, v int64) { c.CacheSizeBytes = v << 12 }},
 	intField("Channels", -1, 8, 1, func(c *config.Config) *int { return &c.Channels }),
 	intField("Ranks", -1, 4, 1, func(c *config.Config) *int { return &c.Ranks }),
 	intField("Banks", -1, 32, 1, func(c *config.Config) *int { return &c.Banks }),
-	intField("RowBytes", -1, 256, dcache.BlockBytes, func(c *config.Config) *int { return &c.RowBytes }),
 	psField("Timing.TRCD", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TRCD }),
 	psField("Timing.TCAS", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TCAS }),
 	psField("Timing.TRP", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TRP }),
@@ -98,13 +76,6 @@ var fuzzFields = []fuzzField{
 	psField("Timing.TRTW", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TRTW }),
 	psField("Timing.TWR", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TWR }),
 	psField("Timing.TBurst", 100_000, func(c *config.Config) *simtime.Time { return &c.Timing.TBurst }),
-	intField("Ctrl.ReadQueueCap", -1, 128, 1, func(c *config.Config) *int { return &fuzzCtrl(c).ReadQueueCap }),
-	intField("Ctrl.WriteQueueCap", -1, 128, 1, func(c *config.Config) *int { return &fuzzCtrl(c).WriteQueueCap }),
-	ctrlFrac("Ctrl.WriteFlushLow", func(cc *core.Config) *float64 { return &cc.WriteFlushLow }),
-	ctrlFrac("Ctrl.WriteFlushHigh", func(cc *core.Config) *float64 { return &cc.WriteFlushHigh }),
-	ctrlFrac("Ctrl.ScheduleAllHigh", func(cc *core.Config) *float64 { return &cc.ScheduleAllHigh }),
-	ctrlFrac("Ctrl.ScheduleAllLow", func(cc *core.Config) *float64 { return &cc.ScheduleAllLow }),
-	{"Ctrl.FlushFactor", 0, 8, func(c *config.Config, v int64) { fuzzCtrl(c).FlushFactor = uint8(v) }},
 	psField("MainMem.Latency", 1_000_000, func(c *config.Config) *simtime.Time { return &c.MainMem.Latency }),
 	psField("MainMem.BlockTime", 100_000, func(c *config.Config) *simtime.Time { return &c.MainMem.BlockTime }),
 	{"CPU.FreqGHz", -1000, 10_000, func(c *config.Config, v int64) { c.CPU.FreqGHz = milli(v) }},
@@ -123,7 +94,7 @@ var fuzzFields = []fuzzField{
 }
 
 // fuzzMaxRows bounds the DRAM cache FuzzRun simulates, so its tag store
-// stays near 1 MB whatever the row size.
+// stays near 1 MB.
 const fuzzMaxRows = 2048
 
 // fuzzConfig decodes a FuzzRun input. Its first byte gives the core
@@ -178,7 +149,7 @@ func fuzzInput(tb testing.TB, benchmarks []string, edits ...fuzzEdit) []byte {
 
 // FuzzRun checks that every config Validate accepts simulates: from a
 // small test machine it edits the numeric fields, enums and booleans of
-// Config and its Timing, CPU, MainMem and Ctrl, and requires that either
+// Config and its Timing, CPU and MainMem, and requires that either
 // Validate rejects the result or Run returns no error, one finite,
 // positive IPC per core, and counters that pass checkAccounting.
 func FuzzRun(f *testing.F) {
@@ -191,8 +162,8 @@ func FuzzRun(f *testing.F) {
 		{{"MainMem.Latency", -1000}},
 		{{"Org", int64(dcache.DirectMapped)}, {"Design", int64(core.CD)}},
 		{{"TagCacheKB", 64}, {"BEARProbe", 1}, {"XORRemap", 1}},
-		{{"LeeWriteback", 1}, {"UseMAPI", 0}, {"Ctrl.FlushFactor", 7}},
-		{{"Timing.TWTR", 0}, {"Timing.TRTW", 0}, {"Ctrl.ReadQueueCap", 1}, {"Ctrl.WriteQueueCap", 1}},
+		{{"LeeWriteback", 1}, {"UseMAPI", 0}, {"FlushFactor", 7}},
+		{{"Timing.TWTR", 0}, {"Timing.TRTW", 0}},
 		// FuzzRun's first find: a CacheSizeBytes of -4 096 validated, then
 		// panicked building the tag store.
 		{{"CacheSizeBytes", -1}},
@@ -201,9 +172,12 @@ func FuzzRun(f *testing.F) {
 	}
 	f.Add(fuzzInput(f, []string{"lbm"}, fuzzEdit{"WarmMemops", 0}, fuzzEdit{"InstrPerCore", 1}))
 	f.Add(fuzzInput(f, []string{"mcf", "mcf", "lbm", "lbm", "gcc", "milc", "astar", "bwaves"}))
+	// A later find: 4 ranks of 32 banks validated, then panicked building
+	// a controller, which serves at most core.MaxBanks banks.
+	f.Add(fuzzInput(f, mix, fuzzEdit{"Ranks", 4}, fuzzEdit{"Banks", 32}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := fuzzConfig(data)
-		if cfg.Validate() != nil || cfg.CacheSizeBytes/int64(cfg.RowBytes) > fuzzMaxRows {
+		if cfg.Validate() != nil || cfg.CacheSizeBytes/dcache.RowBytes > fuzzMaxRows {
 			return
 		}
 		res, err := Run(cfg)

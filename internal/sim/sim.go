@@ -100,7 +100,7 @@ func WarmKey(cfg config.Config) string {
 	// WarmMemops, cache size, DRAM geometry, L1 and L2 shapes.
 	for _, v := range [...]int64{
 		cfg.WarmMemops, cfg.CacheSizeBytes,
-		int64(cfg.Channels), int64(cfg.Ranks), int64(cfg.Banks), int64(cfg.RowBytes),
+		int64(cfg.Channels), int64(cfg.Ranks), int64(cfg.Banks),
 		cfg.L1Bytes, int64(cfg.L1Ways), cfg.L2Bytes, int64(cfg.L2Ways),
 	} {
 		b = strconv.AppendInt(append(b, ' '), v, 10)
@@ -362,7 +362,6 @@ func timed(cfg config.Config, contents *dcache.Contents, gens []*workload.Gen, l
 func AloneIPC(cfg config.Config, bench string) (float64, error) {
 	cfg.Benchmarks = []string{bench}
 	cfg.Design = core.CD
-	cfg.Ctrl = nil
 	res, err := Run(cfg)
 	if err != nil {
 		return 0, err

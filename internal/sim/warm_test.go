@@ -13,7 +13,7 @@ import (
 // must change when any of them changes.
 var warmFields = map[string]bool{
 	"Benchmarks": true, "Seed": true, "WSScale": true, "WarmMemops": true,
-	"CacheSizeBytes": true, "Channels": true, "Ranks": true, "Banks": true, "RowBytes": true,
+	"CacheSizeBytes": true, "Channels": true, "Ranks": true, "Banks": true,
 	"UseMAPI": true, "L1Bytes": true, "L1Ways": true, "L2Bytes": true, "L2Ways": true,
 }
 
@@ -21,8 +21,8 @@ var warmFields = map[string]bool{
 // must not change when they do.
 var timedFields = map[string]bool{
 	"Design": true, "XORRemap": true, "LeeWriteback": true, "TagCacheKB": true,
-	"BEARProbe": true, "Algorithm": true, "Timing": true,
-	"Ctrl": true, "MainMem": true, "CPU": true, "L2HitLat": true, "InstrPerCore": true,
+	"BEARProbe": true, "Algorithm": true, "FlushFactor": true, "Timing": true,
+	"MainMem": true, "CPU": true, "L2HitLat": true, "InstrPerCore": true,
 }
 
 // perContentsFields are read by warm-up, yet WarmKey must not change
@@ -33,7 +33,7 @@ var timedFields = map[string]bool{
 var perContentsFields = map[string]bool{"Org": true}
 
 // perturb changes v, a settable value, to a different value of its type:
-// every settable leaf of a struct, nil pointers to non-nil ones.
+// every settable leaf of a struct.
 // It reports false for a kind it cannot change.
 func perturb(v reflect.Value) bool {
 	switch v.Kind() {
@@ -49,8 +49,6 @@ func perturb(v reflect.Value) bool {
 		v.SetString(v.String() + "x")
 	case reflect.Slice:
 		v.Set(reflect.Append(v, reflect.New(v.Type().Elem()).Elem()))
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
 	case reflect.Struct:
 		changed := false
 		for i := 0; i < v.NumField(); i++ {
