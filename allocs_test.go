@@ -39,7 +39,7 @@ func TestAllocPinSimOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllocPin(t, "Run", n, 670)
+	checkAllocPin(t, "Run", n, 662)
 }
 
 // TestAllocPinFig8 pins BenchmarkFig8's shape at one worker: a cold
@@ -55,7 +55,7 @@ func TestAllocPinFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllocPin(t, `Figure("fig8")`, n, 23688)
+	checkAllocPin(t, `Figure("fig8")`, n, 23336)
 }
 
 // TestAllocPinWarmFigures pins the sweep-cached benchmark's pass: every

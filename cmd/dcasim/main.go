@@ -89,6 +89,9 @@ func main() {
 	if err := exp.ValidateReplicates(*seeds); err != nil {
 		log.Fatal(err)
 	}
+	if *instr < 0 {
+		log.Fatalf("-instr %d: instructions per core must be positive (0 = scale default)", *instr)
+	}
 
 	var cfg dcasim.Config
 	var err error

@@ -146,6 +146,9 @@ func (c Config) Validate() error {
 	if len(c.Benchmarks) == 0 {
 		return fmt.Errorf("config: no benchmarks")
 	}
+	if len(c.Benchmarks) > core.MaxApps {
+		return fmt.Errorf("config: %d Benchmarks exceed the %d applications a controller serves", len(c.Benchmarks), core.MaxApps)
+	}
 	for _, b := range c.Benchmarks {
 		if _, err := workload.Lookup(b); err != nil {
 			return err

@@ -124,8 +124,9 @@ func TestValidateRejectsBrokenCPU(t *testing.T) {
 // controller (more banks per channel than it indexes), simulated
 // nonsense (a negative DRAM timing, a zero burst) or failed only inside
 // a run (an SRAM cache with no whole set, or with more ways than an LRU
-// order word holds), and a flushing factor past the RRPC's range, are
-// rejected with an error naming the field. Zero turnarounds stay legal.
+// order word holds), a flushing factor past the RRPC's range, and more
+// benchmarks than a controller serves applications, are rejected with an
+// error naming the field. Zero turnarounds stay legal.
 func TestValidateRejectsRuntimeFailures(t *testing.T) {
 	cases := []struct {
 		field  string
@@ -147,6 +148,12 @@ func TestValidateRejectsRuntimeFailures(t *testing.T) {
 		{"CacheSizeBytes", func(c *Config) { c.CacheSizeBytes = 4096 + 64 }}, // not a whole row
 		{"FlushFactor", func(c *Config) { c.FlushFactor = 8 }},               // past the 3-bit RRPC range
 		{"Banks", func(c *Config) { c.Ranks, c.Banks = 4, 32 }},              // 128 banks per channel
+		{"Benchmarks", func(c *Config) { // 65 applications
+			c.Benchmarks = make([]string, core.MaxApps+1)
+			for i := range c.Benchmarks {
+				c.Benchmarks[i] = "mcf"
+			}
+		}},
 	}
 	for _, tc := range cases {
 		c := withMix(Test())

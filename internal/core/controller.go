@@ -6,7 +6,6 @@ import (
 
 	"dcasim/internal/dram"
 	"dcasim/internal/event"
-	"dcasim/internal/sched"
 	"dcasim/internal/simtime"
 )
 
@@ -38,13 +37,6 @@ type Entry struct {
 	hPrev, hNext *Entry
 	inHit        bool
 }
-
-// PriorityRead reports the PR/LR classification assigned at enqueue time.
-func (e *Entry) PriorityRead() bool { return e.priorityRead }
-
-// Seq returns the entry's global arrival sequence number (the age
-// component of the scheduling key), exposed for the conformance harness.
-func (e *Entry) Seq() uint64 { return e.seq }
 
 // Lanes segregate entries by the static attributes the priority key
 // consumes: PR reads and LR reads share the read bus direction but differ
@@ -118,32 +110,22 @@ type qindex struct {
 	count    int
 
 	// Per lane, appBits has bit a set while the lane holds an entry of
-	// application a < napps, counted in appCnt[a*laneCount+lane];
-	// wideCnt counts the entries of the other applications, which
-	// hasAllowed always admits (napps is at most 64, the mask's range).
-	// They let a pick prove "no candidate is admitted by this phase" in
-	// O(lanes) and skip the phase instead of walking every list to find
-	// nothing — under BLISS this is the steady state of
-	// single-application (alone) runs, whose only app re-blacklists
-	// after every fourth service.
+	// application a, counted in appCnt[a*laneCount+lane]. They let a
+	// BLISS pick prove "every candidate is blacklisted" in O(lanes) and
+	// skip the restricted scan instead of walking every list to find
+	// nothing — the steady state of single-application (alone) runs,
+	// whose only app re-blacklists after every fourth service.
 	appCnt  []int32
 	appBits [laneCount]uint64
-	wideCnt [laneCount]int32
-	napps   int
 }
 
 func (q *qindex) init(nbanks, apps int) {
 	q.banks = make([][laneCount]bankLane, nbanks)
-	q.napps = min(apps, 64)
-	q.appCnt = make([]int32, q.napps*laneCount)
+	q.appCnt = make([]int32, apps*laneCount)
 }
 
 // countApp adds d (+1 or -1) to the count of app's entries in lane.
 func (q *qindex) countApp(app int, lane uint8, d int32) {
-	if uint(app) >= uint(q.napps) {
-		q.wideCnt[lane] += d
-		return
-	}
 	i := app*laneCount + int(lane)
 	q.appCnt[i] += d
 	if q.appCnt[i] == 0 {
@@ -153,15 +135,12 @@ func (q *qindex) countApp(app int, lane uint8, d int32) {
 	}
 }
 
-// hasAllowed reports whether any queued entry in the allowed lanes
-// may belong to an application the phase's allowed-mask admits (i.e.
-// whether a restricted scan phase can possibly find a candidate).
-// Applications outside [0, napps) count as admitted: beyond the mask's
-// 64-bit range appAllowed admits them too, and within it a false yes
-// only costs a scan that finds nothing.
-func (q *qindex) hasAllowed(laneMask uint8, allowed uint64) bool {
+// hasAdmitted reports whether any entry queued in the lanes of laneMask
+// belongs to an application in admit, i.e. whether a scan restricted to
+// admit can find a candidate there.
+func (q *qindex) hasAdmitted(laneMask uint8, admit uint64) bool {
 	for lane := 0; lane < laneCount; lane++ {
-		if laneMask&(1<<uint(lane)) != 0 && (q.appBits[lane]&allowed != 0 || q.wideCnt[lane] > 0) {
+		if laneMask&(1<<uint(lane)) != 0 && q.appBits[lane]&admit != 0 {
 			return true
 		}
 	}
@@ -335,10 +314,9 @@ type Stats struct {
 //
 // Scheduling is O(1)-amortised per slot: entries live on per-bank indexed
 // FIFO lists with incrementally maintained row-hit sublists, picks walk
-// non-empty-bank bitmaps in priority-class order (policy phase, row hit,
+// non-empty-bank bitmaps in priority-class order (blacklisted, row hit,
 // bus direction, age — exactly the linear scan's [4]int64 key), removal
 // is intrusive unlinking, and the RRPC decay is a lazy epoch scheme. The
-// policy phases come from the configured algorithm's sched.Instance; the
 // schedule produced is bit-identical to the reference linear scan, which
 // the conformance tests replay side by side for each of the three
 // policies.
@@ -347,15 +325,16 @@ type Controller struct {
 	ch  *dram.Channel
 	cfg Config
 
-	// The design's queue-mapping rule and whether its two-level PR/LR
-	// machinery (ScheduleAll, OFS) is active.
-	route    func(kind dram.Kind, req RequestType) bool
-	twoLevel bool
+	// The design's queue mapping (see designTraits.byRequest) and whether
+	// its two-level PR/LR machinery (ScheduleAll, OFS) is active.
+	byRequest bool
+	twoLevel  bool
 
-	// pol is the per-channel scheduling-policy instance; rowHitFirst
-	// caches its (constant) RowHitFirst answer.
-	pol         sched.Instance
-	rowHitFirst bool
+	// The algorithm's key components (see Algorithm.flags). Under
+	// blacklisting, bl is the channel's BLISS blacklist.
+	rowHitFirst  bool
+	blacklisting bool
+	bl           bliss
 
 	rq, wq         qindex
 	spillR, spillW spillQueue
@@ -381,17 +360,9 @@ type Controller struct {
 
 	// Thresholds that are pure functions of the config, precomputed.
 	// ScheduleAll engages at a read-queue count of saOn or more and
-	// releases below saOff (see newController).
+	// releases below saOff (see NewController).
 	writeHi, writeLo int
 	saOn, saOff      int
-
-	// Restriction state of the current scan phase, loaded by enterPhase:
-	// with a mask-representable phase (curMaskOK) the restricted scans
-	// test one mask bit per entry; otherwise they fall back to per-entry
-	// PhaseAllows(curPhase, app) queries on the policy instance.
-	curMask   uint64
-	curMaskOK bool
-	curPhase  int
 
 	// pool is the free list of retired entries awaiting reuse.
 	pool []*Entry
@@ -410,38 +381,40 @@ type Controller struct {
 // machines have 16.
 const MaxBanks = 64
 
+// MaxApps is the most applications one controller serves: the BLISS
+// blacklist and the per-lane application bitmaps are one word each. The
+// paper's machines run 4.
+const MaxApps = 64
+
 // NewController builds a controller for one channel serving `apps`
-// applications. The config must validate, and the channel may have at
-// most MaxBanks banks.
+// applications, numbered 0 to apps-1 in Access.App. The config must
+// validate, apps must be 1 to MaxApps, and the channel may have at most
+// MaxBanks banks.
 func NewController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newController(eng, ch, cfg, apps, cfg.Algorithm.newInstance(apps))
-}
-
-// newController is NewController over a given policy instance, which
-// the conformance tests use to inject deliberately broken policies.
-func newController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int, pol sched.Instance) *Controller {
+	if apps < 1 || apps > MaxApps {
+		panic(fmt.Sprintf("core: controller serves 1 to %d applications, got %d", MaxApps, apps))
+	}
 	nb := ch.Banks()
 	if nb > MaxBanks {
 		panic(fmt.Sprintf("core: controller supports at most %d banks per channel, got %d", MaxBanks, nb))
 	}
 	t, _ := cfg.Design.traits()
 	c := &Controller{
-		eng:      eng,
-		ch:       ch,
-		cfg:      cfg,
-		route:    t.route,
-		twoLevel: t.twoLevel,
-		pol:      pol,
-		rows:     make([]int64, nb),
-		rrpcVal:  make([]uint8, nb),
-		rrpcEp:   make([]uint64, nb),
-		writeHi:  int(float64(cfg.WriteQueueCap)*cfg.WriteFlushHigh + 0.5),
-		writeLo:  int(float64(cfg.WriteQueueCap)*cfg.WriteFlushLow + 0.5),
+		eng:       eng,
+		ch:        ch,
+		cfg:       cfg,
+		byRequest: t.byRequest,
+		twoLevel:  t.twoLevel,
+		rows:      make([]int64, nb),
+		rrpcVal:   make([]uint8, nb),
+		rrpcEp:    make([]uint64, nb),
+		writeHi:   int(float64(cfg.WriteQueueCap)*cfg.WriteFlushHigh + 0.5),
+		writeLo:   int(float64(cfg.WriteQueueCap)*cfg.WriteFlushLow + 0.5),
 	}
-	c.rowHitFirst = c.pol.RowHitFirst()
+	c.rowHitFirst, c.blacklisting = cfg.Algorithm.flags()
 	// The ScheduleAll rule compares the read queue's occupancy,
 	// float64(n)/float64(cap), with ScheduleAllHigh and ScheduleAllLow.
 	// Occupancy never falls as n grows, so each comparison flips at one
@@ -475,20 +448,11 @@ func (c *Controller) onRowChange(gb int, row int64) {
 	c.wq.stale |= bit
 }
 
-// Design returns the controller's design.
-func (c *Controller) Design() Design { return c.cfg.Design }
-
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
 // ResetStats clears the controller counters (used after warm-up).
 func (c *Controller) ResetStats() { c.stats = Stats{} }
-
-// QueueDepths returns the current architected read/write queue depths,
-// exposed for tests and debugging.
-func (c *Controller) QueueDepths() (reads, writes int) {
-	return c.rq.count, c.wq.count
-}
 
 // getEntry takes a record off the free list, or grows the pool.
 func (c *Controller) getEntry() *Entry {
@@ -519,7 +483,7 @@ func (c *Controller) Enqueue(acc dram.Access, reqType RequestType) {
 	e.enqueued = c.eng.Now()
 	e.seq = c.seq
 	e.gb = int32(c.ch.GlobalBank(acc.Loc))
-	toWrite := c.route(acc.Kind, reqType)
+	toWrite := acc.Kind.IsWrite() || c.byRequest && reqType != ReadReq
 	e.priorityRead = !toWrite && !acc.Kind.IsWrite() && reqType == ReadReq
 	switch {
 	case acc.Kind.IsWrite():
@@ -603,12 +567,15 @@ func (c *Controller) pick(now simtime.Time) (e *Entry, fromRead, viaOFS bool) {
 	return nil, false, false
 }
 
+// allApps admits every application: the unrestricted scan.
+const allApps = ^uint64(0)
+
 // bestIn picks the highest-priority entry among q's lanes in laneMask
-// under the policy's key: earliest admitting phase first (e.g. BLISS's
-// non-blacklisted applications), then row hits (FR-FCFS), then accesses
-// matching the bus's current direction, then oldest arrival. It consults
-// only the banks whose lists are populated — row-hit candidates come
-// straight from the per-bank hit sublists.
+// under the algorithm's key: non-blacklisted applications first (BLISS),
+// then row hits, then accesses matching the bus's current direction
+// (both but FCFS), then oldest arrival. It consults only the banks whose
+// lists are populated — row-hit candidates come straight from the
+// per-bank hit sublists.
 func (c *Controller) bestIn(q *qindex, now simtime.Time, laneMask uint8) *Entry {
 	if q.count == 0 {
 		return nil
@@ -617,10 +584,9 @@ func (c *Controller) bestIn(q *qindex, now simtime.Time, laneMask uint8) *Entry 
 		// Pure age order: the oldest entry across the allowed lanes.
 		return q.minSeqHead(laneMask)
 	}
-	// Consult the policy only when at least one entry is a candidate:
-	// policies apply time-based state transitions (e.g. BLISS's periodic
-	// blacklist clear) on consultation, so the consultation schedule must
-	// see exactly the consultations the reference linear scan performs.
+	// Consult the blacklist only when at least one entry is a candidate:
+	// the consultation applies BLISS's periodic clear, so it must happen
+	// exactly where the reference linear scan's does.
 	var populated uint64
 	for lane := 0; lane < laneCount; lane++ {
 		if laneMask&(1<<uint(lane)) != 0 {
@@ -631,35 +597,27 @@ func (c *Controller) bestIn(q *qindex, now simtime.Time, laneMask uint8) *Entry 
 		return nil
 	}
 	q.freshen(c.rows)
-	// An entry admitted by an earlier phase beats every entry admitted
-	// only later, so resolve phase by phase: scan each restricted phase
-	// (skipping entries it does not admit, or the whole phase when the
-	// per-app counters prove it empty) and finish with the unrestricted
-	// final phase, where the phase component ties and drops out of the
-	// key.
-	phases := c.pol.BeginPick(now)
-	for p := 0; p < phases-1; p++ {
-		if !c.enterPhase(q, laneMask, p) {
-			continue
-		}
-		if e := c.classBest(q, laneMask, true); e != nil {
+	if admit, ok := c.unblacklisted(q, laneMask, now); ok {
+		if e := c.classBest(q, laneMask, admit); e != nil {
 			return e
 		}
 	}
-	return c.classBest(q, laneMask, false)
+	return c.classBest(q, laneMask, allApps)
 }
 
-// enterPhase loads phase p's restriction into the pick state and reports
-// whether the phase can possibly yield a candidate: a mask-representable
-// phase admitting no queued application is skipped without walking any
-// list.
-func (c *Controller) enterPhase(q *qindex, laneMask uint8, p int) bool {
-	c.curPhase = p
-	c.curMask, c.curMaskOK = c.pol.PhaseMask(p)
-	if c.curMaskOK && !q.hasAllowed(laneMask, c.curMask) {
-		return false
+// unblacklisted consults the BLISS blacklist and returns the
+// applications a pick serves first, all those not blacklisted. ok is
+// false when that first scan can be skipped: the policy is not BLISS,
+// nothing is blacklisted, or the per-application bitmaps show no
+// candidate of a non-blacklisted application in q's lanes in laneMask.
+// A blacklisted entry loses only to a non-blacklisted one, so the
+// unrestricted scan that follows finds the rest.
+func (c *Controller) unblacklisted(q *qindex, laneMask uint8, now simtime.Time) (admit uint64, ok bool) {
+	if !c.blacklisting {
+		return 0, false
 	}
-	return true
+	black := c.bl.blacklist(now)
+	return ^black, black != 0 && q.hasAdmitted(laneMask, ^black)
 }
 
 // minSeqHead returns the oldest entry across the allowed lanes' bank
@@ -685,11 +643,12 @@ func (q *qindex) minSeqHead(laneMask uint8) *Entry {
 
 // classBest walks the priority classes in key order — (row hit, same
 // direction), (row hit, turnaround), (row miss, same direction), (row
-// miss, turnaround) — returning the oldest candidate of the first
-// non-empty class. Row-hit candidates come from the hit sublists; by the
-// time a miss class is reached no eligible hit exists anywhere, so the
-// first eligible entry of any bank FIFO is necessarily a miss.
-func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entry {
+// miss, turnaround) — returning the oldest candidate of an application
+// in admit in the first non-empty class. Row-hit candidates come from
+// the hit sublists; by the time a miss class is reached no eligible hit
+// exists anywhere, so the first eligible entry of any bank FIFO is
+// necessarily a miss.
+func (c *Controller) classBest(q *qindex, laneMask uint8, admit uint64) *Entry {
 	lastDir := c.ch.LastDir()
 	for hitPass := 0; hitPass < 2; hitPass++ {
 		viaHit := hitPass == 0
@@ -710,7 +669,7 @@ func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entr
 				for bm != 0 {
 					gb := bits.TrailingZeros64(bm)
 					bm &^= 1 << uint(gb)
-					best, bestSeq = c.listBest(&q.banks[gb][lane], viaHit, restricted, best, bestSeq)
+					best, bestSeq = listBest(&q.banks[gb][lane], viaHit, admit, best, bestSeq)
 				}
 			}
 			if best != nil {
@@ -727,11 +686,11 @@ func (c *Controller) classBest(q *qindex, laneMask uint8, restricted bool) *Entr
 }
 
 // listBest returns the better (older) of best and the first entry of
-// one of bl's lists — its row-hit sublist when viaHit — that the
-// current phase admits when restricted. The list head is judged on its
-// cached seq and application; only a head the phase rejects makes the
-// pick load entries.
-func (c *Controller) listBest(bl *bankLane, viaHit, restricted bool, best *Entry, bestSeq uint64) (*Entry, uint64) {
+// one of bl's lists — its row-hit sublist when viaHit — whose
+// application is in admit. The list head is judged on its cached seq
+// and application; only a head admit rejects makes the pick load
+// entries.
+func listBest(bl *bankLane, viaHit bool, admit uint64, best *Entry, bestSeq uint64) (*Entry, uint64) {
 	head, seq, app := bl.mainHead, bl.mainSeq, bl.mainApp
 	if viaHit {
 		head, seq, app = bl.hitHead, bl.hitSeq, bl.hitApp
@@ -739,7 +698,7 @@ func (c *Controller) listBest(bl *bankLane, viaHit, restricted bool, best *Entry
 	if best != nil && seq > bestSeq {
 		return best, bestSeq
 	}
-	if !restricted || c.appAllowed(app) {
+	if admit>>uint(app)&1 != 0 {
 		return head, seq
 	}
 	// Lists are seq-ascending, so the walk stops once it passes best:
@@ -753,21 +712,10 @@ func (c *Controller) listBest(bl *bankLane, viaHit, restricted bool, best *Entry
 		if e == nil || best != nil && e.seq > bestSeq {
 			return best, bestSeq
 		}
-		if c.appAllowed(e.Acc.App) {
+		if admit>>uint(e.Acc.App)&1 != 0 {
 			return e, e.seq
 		}
 	}
-}
-
-// appAllowed tests app against the current phase restriction. In mask
-// mode, apps outside bits 0..63 are always admitted (negative apps
-// convert to huge unsigned values), matching the Instance contract and
-// hasAllowed's accounting.
-func (c *Controller) appAllowed(app int) bool {
-	if c.curMaskOK {
-		return uint(app) >= 64 || c.curMask>>uint(app)&1 != 0
-	}
-	return c.pol.PhaseAllows(c.curPhase, app)
 }
 
 // bestOFS implements the OFS criteria (§IV-C) over the LR lane: an LR is
@@ -781,7 +729,7 @@ func (c *Controller) bestOFS(now simtime.Time) *Entry {
 		return nil
 	}
 	q.freshen(c.rows)
-	// As in bestIn, consult the policy only when the eligible set is
+	// As in bestIn, consult the blacklist only when the eligible set is
 	// non-empty, mirroring the reference scan's per-candidate checks.
 	eligible := q.hitBanks[laneLRRead] != 0
 	if !eligible {
@@ -807,24 +755,22 @@ func (c *Controller) bestOFS(now simtime.Time) *Entry {
 			bm &^= 1 << uint(gb)
 			bl := &q.banks[gb][laneLRRead]
 			if flushable := c.bankFlushable(gb); flushable || bl.hitHead != nil {
-				best, bestSeq = c.listBest(bl, !flushable, false, best, bestSeq)
+				best, bestSeq = listBest(bl, !flushable, allApps, best, bestSeq)
 			}
 		}
 		return best
 	}
-	phases := c.pol.BeginPick(now)
-	for p := 0; p < phases-1; p++ {
-		if !c.enterPhase(q, 1<<laneLRRead, p) {
-			continue
-		}
-		if e := c.ofsClassBest(true); e != nil {
+	if admit, ok := c.unblacklisted(q, 1<<laneLRRead, now); ok {
+		if e := c.ofsClassBest(admit); e != nil {
 			return e
 		}
 	}
-	return c.ofsClassBest(false)
+	return c.ofsClassBest(allApps)
 }
 
-func (c *Controller) ofsClassBest(restricted bool) *Entry {
+// ofsClassBest returns the oldest OFS-eligible LR of an application in
+// admit, row hits first.
+func (c *Controller) ofsClassBest(admit uint64) *Entry {
 	q := &c.rq
 	// Row hits first (all OFS-eligible; direction ties across the lane).
 	var best *Entry
@@ -833,7 +779,7 @@ func (c *Controller) ofsClassBest(restricted bool) *Entry {
 	for bm != 0 {
 		gb := bits.TrailingZeros64(bm)
 		bm &^= 1 << uint(gb)
-		best, bestSeq = c.listBest(&q.banks[gb][laneLRRead], true, restricted, best, bestSeq)
+		best, bestSeq = listBest(&q.banks[gb][laneLRRead], true, admit, best, bestSeq)
 	}
 	if best != nil {
 		return best
@@ -845,7 +791,7 @@ func (c *Controller) ofsClassBest(restricted bool) *Entry {
 		gb := bits.TrailingZeros64(bm)
 		bm &^= 1 << uint(gb)
 		if c.bankFlushable(gb) {
-			best, bestSeq = c.listBest(&q.banks[gb][laneLRRead], false, restricted, best, bestSeq)
+			best, bestSeq = listBest(&q.banks[gb][laneLRRead], false, admit, best, bestSeq)
 		}
 	}
 	return best
@@ -886,7 +832,9 @@ func (c *Controller) issue(e *Entry, fromRead, viaOFS bool, now simtime.Time) {
 	}
 
 	done := c.ch.Issue(&e.Acc, now)
-	c.pol.OnServed(now, e.Acc.App)
+	if c.blacklisting {
+		c.bl.onServed(now, e.Acc.App)
+	}
 	c.busy = true
 	c.eng.Schedule(done, c, event.Payload{Ptr: e})
 }
@@ -920,9 +868,6 @@ func (c *Controller) rrpcNow(bank int) uint8 {
 	}
 	return v - uint8(d)
 }
-
-// RRPC exposes a bank's counter for tests.
-func (c *Controller) RRPC(bank int) uint8 { return c.rrpcNow(bank) }
 
 func (c *Controller) updateDrainState() {
 	if !c.draining && c.wq.count >= c.writeHi {

@@ -67,6 +67,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewControllerRejectsAppCount: the blacklist and the per-lane
+// application bitmaps are one word, so a controller serves 1 to MaxApps
+// applications and refuses to be built for any other count.
+func TestNewControllerRejectsAppCount(t *testing.T) {
+	for _, apps := range []int{0, MaxApps + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewController built a controller for %d applications", apps)
+				}
+			}()
+			NewController(&event.Engine{}, dram.NewChannel(dram.StackedDRAM(), testGeom()), DefaultConfig(CD), apps)
+		}()
+	}
+}
+
 // routing checks Fig. 3 / Fig. 6: which queue each (kind, request type)
 // combination lands in.
 func TestQueueRouting(t *testing.T) {
@@ -95,7 +111,7 @@ func TestQueueRouting(t *testing.T) {
 		_, _, ctrl := testRig(c.design)
 		ctrl.busy = true // prevent immediate issue so depth is observable
 		ctrl.Enqueue(acc(c.kind, 0, 0, nil), c.req)
-		r, w := ctrl.QueueDepths()
+		r, w := ctrl.rq.count, ctrl.wq.count
 		gotWrite := w == 1
 		if gotWrite != c.wantWrite || r+w != 1 {
 			t.Errorf("%v %v/%v routed to write=%v (r=%d w=%d), want write=%v",
@@ -129,10 +145,10 @@ func TestPRLRClassification(t *testing.T) {
 	if len(rq) != 3 {
 		t.Fatalf("read queue depth %d, want 3", len(rq))
 	}
-	if !rq[0].PriorityRead() {
+	if !rq[0].priorityRead {
 		t.Error("read-request tag read must be a PR")
 	}
-	if rq[1].PriorityRead() || rq[2].PriorityRead() {
+	if rq[1].priorityRead || rq[2].priorityRead {
 		t.Error("writeback/refill tag reads must be LRs")
 	}
 }
@@ -162,8 +178,8 @@ func TestDCAHoldsConflictingLR(t *testing.T) {
 	// A PR to bank 0 opens row 1 and sets RRPC[0] = 7.
 	ctrl.Enqueue(acc(dram.ReadTag, 0, 1, nil), ReadReq)
 	eng.Run()
-	if ctrl.RRPC(0) != 7 {
-		t.Fatalf("RRPC[0] = %d after PR, want 7", ctrl.RRPC(0))
+	if ctrl.rrpcNow(0) != 7 {
+		t.Fatalf("RRPC[0] = %d after PR, want 7", ctrl.rrpcNow(0))
 	}
 
 	// An LR to bank 0 row 2: conflict, RRPC 7 >= FF 4 -> held.
@@ -184,7 +200,7 @@ func TestDCAHoldsConflictingLR(t *testing.T) {
 		eng.Run()
 	}
 	if !lrDone {
-		t.Fatalf("LR still held at RRPC[0]=%d < FF", ctrl.RRPC(0))
+		t.Fatalf("LR still held at RRPC[0]=%d < FF", ctrl.rrpcNow(0))
 	}
 	if ctrl.Stats().OFSIssues != 1 {
 		t.Fatalf("OFS issues = %d, want 1", ctrl.Stats().OFSIssues)
@@ -399,21 +415,21 @@ func TestRRPCDecay(t *testing.T) {
 	eng, _, ctrl := testRig(DCA)
 	ctrl.Enqueue(acc(dram.ReadTag, 3, 1, nil), ReadReq)
 	eng.Run()
-	if ctrl.RRPC(3) != 7 {
-		t.Fatalf("RRPC[3] = %d, want 7", ctrl.RRPC(3))
+	if ctrl.rrpcNow(3) != 7 {
+		t.Fatalf("RRPC[3] = %d, want 7", ctrl.rrpcNow(3))
 	}
 	ctrl.Enqueue(acc(dram.ReadTag, 5, 1, nil), ReadReq)
 	eng.Run()
-	if ctrl.RRPC(3) != 6 || ctrl.RRPC(5) != 7 {
-		t.Fatalf("RRPC decay wrong: bank3=%d bank5=%d", ctrl.RRPC(3), ctrl.RRPC(5))
+	if ctrl.rrpcNow(3) != 6 || ctrl.rrpcNow(5) != 7 {
+		t.Fatalf("RRPC decay wrong: bank3=%d bank5=%d", ctrl.rrpcNow(3), ctrl.rrpcNow(5))
 	}
 	// Floor at zero: issue many PRs elsewhere.
 	for i := 0; i < 10; i++ {
 		ctrl.Enqueue(acc(dram.ReadTag, 1, 1, nil), ReadReq)
 		eng.Run()
 	}
-	if ctrl.RRPC(3) != 0 {
-		t.Fatalf("RRPC[3] = %d after decay, want 0", ctrl.RRPC(3))
+	if ctrl.rrpcNow(3) != 0 {
+		t.Fatalf("RRPC[3] = %d after decay, want 0", ctrl.rrpcNow(3))
 	}
 }
 

@@ -30,8 +30,7 @@
 // The design and the scheduling algorithm are closed sets: the paper's
 // CD/ROD/DCA × BLISS/FR-FCFS/FCFS grid. BLISS is the paper's baseline;
 // FR-FCFS and FCFS back its §IV-B claim that DCA "is not limited to any
-// scheduling algorithm". The policies themselves live in
-// dcasim/internal/sched.
+// scheduling algorithm".
 package core
 
 import (
@@ -39,9 +38,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"dcasim/internal/dram"
-	"dcasim/internal/sched"
 )
 
 // Design selects a controller organisation: one of the paper's three.
@@ -58,11 +54,13 @@ const (
 type designTraits struct {
 	name string
 
-	// route decides whether an access of the given DRAM kind, belonging
-	// to a request of the given type, enters the write queue (otherwise
-	// it is a read-queue resident). This is the queue-mapping half of a
-	// design (paper Fig. 3 and Fig. 6).
-	route func(kind dram.Kind, req RequestType) bool
+	// byRequest is the queue-mapping half of a design (paper Fig. 3 and
+	// Fig. 6). Every write enters the write queue. Without byRequest
+	// (CD, DCA) every read enters the read queue; with it (ROD) the reads
+	// of writebacks and refills follow their request to the write queue.
+	// So ROD queues a read request's write-tag as a write, as the paper's
+	// footnote has it.
+	byRequest bool
 
 	// twoLevel enables DCA's two-level read classification: PR/LR lanes,
 	// the ScheduleAll occupancy hysteresis, and opportunistic flushing
@@ -79,35 +77,15 @@ type designTraits struct {
 func (d Design) traits() (t designTraits, ok bool) {
 	switch d {
 	case CD:
-		return designTraits{name: "CD", route: routeByAccessType, readCap: 64, writeCap: 64}, true
+		return designTraits{name: "CD", readCap: 64, writeCap: 64}, true
 	case ROD:
 		// ROD narrows the read queue and widens the write queue because
 		// whole requests land on one side.
-		return designTraits{name: "ROD", route: routeByRequestType, readCap: 32, writeCap: 96}, true
+		return designTraits{name: "ROD", byRequest: true, readCap: 32, writeCap: 96}, true
 	case DCA:
-		return designTraits{name: "DCA", route: routeByAccessType, twoLevel: true, readCap: 64, writeCap: 64}, true
+		return designTraits{name: "DCA", twoLevel: true, readCap: 64, writeCap: 64}, true
 	}
 	return designTraits{}, false
-}
-
-// routeByAccessType is the CD/DCA queue mapping: writes to the write
-// queue, reads to the read queue, regardless of the owning request.
-func routeByAccessType(kind dram.Kind, _ RequestType) bool {
-	return kind.IsWrite()
-}
-
-// routeByRequestType is the ROD mapping: every access follows its
-// request, except the write-tag of a read request, which the paper's
-// footnote sends to the write queue for performance.
-func routeByRequestType(kind dram.Kind, req RequestType) bool {
-	switch req {
-	case ReadReq:
-		return kind.IsWrite()
-	case WritebackReq, RefillReq:
-		return true
-	default:
-		panic(fmt.Sprintf("core: routeByRequestType: unknown request type %d", int(req)))
-	}
 }
 
 // String implements fmt.Stringer.
@@ -252,16 +230,19 @@ func (a *Algorithm) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// newInstance builds one channel's scheduling-policy instance for apps
-// applications. The algorithm must be one ParseAlgorithm accepts.
-func (a Algorithm) newInstance(apps int) sched.Instance {
+// flags returns the two components the algorithm adds to a pick's age
+// order: rowHitFirst, false only for FCFS, prefers row hits and then the
+// bus's current direction; blacklisting, true only for BLISS, serves
+// blacklisted applications last. The algorithm must be one
+// ParseAlgorithm accepts.
+func (a Algorithm) flags() (rowHitFirst, blacklisting bool) {
 	switch a.Canonical() {
 	case AlgBLISS:
-		return sched.NewBLISSInstance(apps)
+		return true, true
 	case AlgFRFCFS:
-		return sched.FRFCFS{}
+		return true, false
 	case AlgFCFS:
-		return sched.FCFS{}
+		return false, false
 	}
 	panic(fmt.Sprintf("core: unknown scheduling algorithm %q", string(a)))
 }

@@ -30,7 +30,7 @@ func TestLazyRRPCMatchesEagerWalk(t *testing.T) {
 			continue
 		}
 		for j := range eager {
-			if got := ctrl.RRPC(j); got != eager[j] {
+			if got := ctrl.rrpcNow(j); got != eager[j] {
 				t.Fatalf("step %d: RRPC[%d] = %d, eager %d", i, j, got, eager[j])
 			}
 		}

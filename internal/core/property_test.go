@@ -39,7 +39,7 @@ func TestControllerConservation(t *testing.T) {
 			kind := kinds[r.Intn(len(kinds))]
 			req := reqs[r.Intn(len(reqs))]
 			isRead := !kind.IsWrite()
-			toWriteQ := ctrl.route(kind, req)
+			toWriteQ := kind.IsWrite() || design == ROD && req != ReadReq
 			if isRead && !toWriteQ {
 				readsEnqueued++
 			}
@@ -81,8 +81,7 @@ func TestControllerConservation(t *testing.T) {
 			// accumulation).
 			return false
 		}
-		rq, wq := ctrl.QueueDepths()
-		if rq > cfg.ReadQueueCap || wq > cfg.WriteQueueCap {
+		if ctrl.rq.count > cfg.ReadQueueCap || ctrl.wq.count > cfg.WriteQueueCap {
 			return false
 		}
 		return true

@@ -4,14 +4,13 @@ package core
 // controller, kept as a test-only linear scan. Queues are plain slices,
 // every scheduling slot linearly scans them re-Peeking each entry,
 // remove is an O(N) shift, and the RRPC decay eagerly walks all banks.
-// It reads the same design traits as the production controller and
-// schedules through a given sched.Instance, so any policy can be
-// replayed through it.
+// It reads the same design traits as the production controller, states
+// each algorithm's key components itself, and keeps its own BLISS
+// blacklist.
 
 import (
 	"dcasim/internal/dram"
 	"dcasim/internal/event"
-	"dcasim/internal/sched"
 	"dcasim/internal/simtime"
 )
 
@@ -24,13 +23,14 @@ type refEntry struct {
 }
 
 type refController struct {
-	eng         *event.Engine
-	ch          *dram.Channel
-	cfg         Config
-	inst        sched.Instance
-	rowHitFirst bool
-	route       func(dram.Kind, RequestType) bool
-	twoLevel    bool
+	eng          *event.Engine
+	ch           *dram.Channel
+	cfg          Config
+	rowHitFirst  bool
+	blacklisting bool
+	bl           bliss
+	byRequest    bool
+	twoLevel     bool
 
 	readQ     []*refEntry
 	writeQ    []*refEntry
@@ -46,29 +46,35 @@ type refController struct {
 	stats Stats
 
 	onIssue func(e *refEntry, now simtime.Time, fromRead, viaOFS bool)
+
+	// breakKey, when non-nil, corrupts every row-hit-first key before it
+	// is compared: the harness's self-test uses it to prove that a
+	// reference wrong in one key component diverges from the controller.
+	breakKey func(key *[4]int64)
 }
 
-func newRefController(eng *event.Engine, ch *dram.Channel, cfg Config, inst sched.Instance) *refController {
+func newRefController(eng *event.Engine, ch *dram.Channel, cfg Config) *refController {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	t, _ := cfg.Design.traits()
+	alg := cfg.Algorithm.Canonical()
 	return &refController{
-		eng:         eng,
-		ch:          ch,
-		cfg:         cfg,
-		inst:        inst,
-		rowHitFirst: inst.RowHitFirst(),
-		route:       t.route,
-		twoLevel:    t.twoLevel,
-		rrpc:        make([]uint8, ch.Banks()),
+		eng:          eng,
+		ch:           ch,
+		cfg:          cfg,
+		rowHitFirst:  alg != AlgFCFS,
+		blacklisting: alg == AlgBLISS,
+		byRequest:    t.byRequest,
+		twoLevel:     t.twoLevel,
+		rrpc:         make([]uint8, ch.Banks()),
 	}
 }
 
 func (c *refController) Enqueue(acc dram.Access, reqType RequestType) {
 	c.seq++
 	e := &refEntry{Acc: acc, ReqType: reqType, enqueued: c.eng.Now(), seq: c.seq}
-	toWrite := c.route(acc.Kind, reqType)
+	toWrite := acc.Kind.IsWrite() || c.byRequest && reqType != ReadReq
 	if !toWrite && !acc.Kind.IsWrite() {
 		e.priorityRead = reqType == ReadReq
 	}
@@ -144,30 +150,28 @@ func (c *refController) ofsEligible(e *refEntry) bool {
 }
 
 // best linearly scans q and returns the minimum-key candidate under the
-// per-candidate key [phase, !rowHit, dirMismatch, seq]. The phase
-// component generalizes the original blacklisted bit: it is the first
-// pick phase that admits the candidate's app, computed with the same
-// semantics the indexed controller's phase loop applies (mask mode with
-// the out-of-range rule when PhaseMask reports ok, the per-entry
-// PhaseAllows fallback otherwise, and an unconditionally unrestricted
-// final phase). BeginPick is consulted once per scan that sees at least
-// one filter-passing candidate — the same set of times the indexed
-// controller consults it.
+// per-candidate key [blacklisted, !rowHit, dirMismatch, seq]; FCFS keys
+// on seq alone. Under BLISS the blacklist is consulted once per scan
+// that sees at least one filter-passing candidate — the same set of
+// times the indexed controller consults it.
 func (c *refController) best(q []*refEntry, now simtime.Time, filter func(*refEntry) bool) *refEntry {
 	lastDir := c.ch.LastDir()
 	var pick *refEntry
 	var pickKey [4]int64
-	phases := 0
+	var black uint64
+	consulted := false
 	for _, e := range q {
 		if filter != nil && !filter(e) {
 			continue
 		}
 		key := [4]int64{0, 0, 0, int64(e.seq)}
 		if c.rowHitFirst {
-			if phases == 0 {
-				phases = c.inst.BeginPick(now)
+			if c.blacklisting && !consulted {
+				black, consulted = c.bl.blacklist(now), true
 			}
-			key[0] = int64(phaseOf(c.inst, phases, e.Acc.App))
+			if black>>uint(e.Acc.App)&1 != 0 {
+				key[0] = 1
+			}
 			if c.ch.Peek(e.Acc.Loc) != dram.RowHit {
 				key[1] = 1
 			}
@@ -178,33 +182,15 @@ func (c *refController) best(q []*refEntry, now simtime.Time, filter func(*refEn
 			if lastDir != dram.DirNone && dir != lastDir {
 				key[2] = 1
 			}
+			if c.breakKey != nil {
+				c.breakKey(&key)
+			}
 		}
 		if pick == nil || refLess(key, pickKey) {
 			pick, pickKey = e, key
 		}
 	}
 	return pick
-}
-
-// phaseOf returns the first phase admitting app. The final phase is
-// unconditionally unrestricted, so every app lands in [0, phases-1].
-func phaseOf(inst sched.Instance, phases, app int) int {
-	for p := 0; p < phases-1; p++ {
-		if allowsMachine(inst, p, app) {
-			return p
-		}
-	}
-	return phases - 1
-}
-
-// allowsMachine applies the controller's admission semantics for one
-// non-final phase: the mask governs apps 0..63 and everything outside
-// that range is admitted; without a mask the per-entry callback decides.
-func allowsMachine(inst sched.Instance, p, app int) bool {
-	if mask, ok := inst.PhaseMask(p); ok {
-		return uint(app) >= 64 || mask>>uint(app)&1 != 0
-	}
-	return inst.PhaseAllows(p, app)
 }
 
 func refLess(a, b [4]int64) bool {
@@ -244,7 +230,9 @@ func (c *refController) issue(e *refEntry, fromRead, viaOFS bool, now simtime.Ti
 	}
 
 	done := c.ch.Issue(&e.Acc, now)
-	c.inst.OnServed(now, e.Acc.App)
+	if c.blacklisting {
+		c.bl.onServed(now, e.Acc.App)
+	}
 	c.busy = true
 	c.eng.Schedule(done, c, event.Payload{Ptr: e})
 }

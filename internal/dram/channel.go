@@ -58,12 +58,10 @@ type Channel struct {
 	lastReadEnd  simtime.Time
 	lastWriteEnd simtime.Time
 
-	// rowGen counts open-row changes (activates) across all banks, and
 	// rowListener, when set, is invoked with the bank and its new open
-	// row on every such change. Together they let a scheduler maintain
-	// incremental row-hit state instead of re-Peeking every queued entry
-	// on every scheduling slot.
-	rowGen      uint64
+	// row on every open-row change (activate). It lets a scheduler
+	// maintain incremental row-hit state instead of re-Peeking every
+	// queued entry on every scheduling slot.
 	rowListener func(gb int, row int64)
 
 	stats Stats
@@ -104,18 +102,10 @@ func (c *Channel) PeekBank(gb int, row int64) RowState {
 	}
 }
 
-// RowGen returns a generation counter incremented on every open-row
-// change of any bank. Observers compare generations to decide whether
-// cached row-dependent state is still valid.
-func (c *Channel) RowGen() uint64 { return c.rowGen }
-
 // SetRowListener registers fn to be called whenever an activate changes a
 // bank's open row, with the bank's dense index and the newly opened row.
 // At most one listener is supported (one controller owns each channel).
 func (c *Channel) SetRowListener(fn func(gb int, row int64)) { c.rowListener = fn }
-
-// OpenRow returns the row currently open in global bank gb, or -1.
-func (c *Channel) OpenRow(gb int) int64 { return c.banks[gb].openRow }
 
 // GlobalBank returns the dense (rank, bank) index of l under the
 // channel's geometry.
@@ -160,7 +150,6 @@ func (c *Channel) Issue(a *Access, now simtime.Time) simtime.Time {
 		// tRC-style back-to-back activate spacing approximated by
 		// tRAS + tRP from this activate.
 		b.actOK = act + t.TRAS + t.TRP
-		c.rowGen++
 		if c.rowListener != nil {
 			c.rowListener(gb, a.Loc.Row)
 		}

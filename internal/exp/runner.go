@@ -221,9 +221,6 @@ func (r *Runner) CacheErr() error {
 // Mixes returns the workload mixes under evaluation.
 func (r *Runner) Mixes() []workload.Mix { return r.mixes }
 
-// BaseConfig returns a copy of the base configuration.
-func (r *Runner) BaseConfig() config.Config { return r.base }
-
 // mixConfig specializes a variant config to one mix: the mix's
 // benchmarks and a per-mix seed derived from the base seed.
 func mixConfig(variant config.Config, base config.Config, m workload.Mix) config.Config {

@@ -18,7 +18,6 @@ var DeterministicPkgs = []string{
 	"internal/dram",
 	"internal/cpu",
 	"internal/dcache",
-	"internal/sched",
 	"internal/workload",
 	"internal/addrmap",
 	"internal/cache",
@@ -56,7 +55,7 @@ var NoDeterminism = &Analyzer{
 	Doc: `forbid nondeterminism sources in simulation packages
 
 In deterministic packages (internal/sim, core, event, dram, cpu,
-dcache, sched, workload, ...): no wall-clock reads (time.Now and
+dcache, workload, ...): no wall-clock reads (time.Now and
 friends), no math/rand (use internal/rng, whose stream is stable
 across Go releases), and no goroutine spawns (the kernel is
 single-threaded by design; cross-run parallelism lives in the blessed
